@@ -55,9 +55,6 @@ def build_parser():
         description="Exact Fourier expansions of Siegel modular forms: "
                     "theta series, theta operators, Rankin-Cohen brackets, "
                     "p-adic congruence checks and symplectic coset systems.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (accepted for compatibility; "
-                             "evaluation is sequential and deterministic)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("theta", help="degree-n theta series of a lattice")
@@ -165,8 +162,6 @@ def build_parser():
 
 
 def _run_command(args):
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     cmd = args.command
 
     if cmd == "theta":

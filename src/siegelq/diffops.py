@@ -15,8 +15,8 @@ comb(n, r) <= 6, so cofactor expansion is exact and cheap.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfint import compound, key_trace, mat_add, subset_order
-from .qexpansion import SCALAR, FourierExpansion
+from .halfint import compound, key_half, key_trace, mat_add, subset_order
+from .qexpansion import SCALAR, FourierExpansion, term_pairs
 
 # -- univariate polynomials over Q as low-to-high coefficient lists --------
 
@@ -138,8 +138,7 @@ def theta_operator(f, r):
         raise ValueError("minor order out of range")
     coeffs = {}
     for key, value in f.coeffs.items():
-        t = tuple(tuple(Fraction(x, 2) for x in row) for row in key)
-        block = compound(t, r)
+        block = compound(key_half(key), r)
         coeffs[key] = tuple(tuple(value * x for x in row) for row in block)
     return FourierExpansion(
         f.degree, f.trace_bound, coeffs, ("compound", r),
@@ -175,37 +174,24 @@ def rankin_cohen(f, g, params):
         for alpha in range(r + 1)
     ]
     bound = min(f.trace_bound, g.trace_bound)
-    left = sorted(
-        ((key_trace(k), k, v) for k, v in f.coeffs.items()),
-        key=lambda item: item[0],
-    )
-    right = sorted(
-        ((key_trace(k), k, v) for k, v in g.coeffs.items()),
-        key=lambda item: item[0],
-    )
+    half = {k: key_half(k) for e in (f, g) for k in e.coeffs
+            if key_trace(k) <= bound}
     acc = {}
-    for ta, ka, va in left:
-        if ta > bound:
-            break
-        t1 = tuple(tuple(Fraction(x, 2) for x in row) for row in ka)
-        for tb, kb, vb in right:
-            if ta + tb > bound:
-                break
-            t2 = tuple(tuple(Fraction(x, 2) for x in row) for row in kb)
-            pieces = polarize_compound(t1, t2, r)
-            scale = va * vb
-            block = None
-            for alpha in range(r + 1):
-                w = weights[alpha] * scale
-                if w == 0:
-                    continue
-                piece = pieces[r - alpha]
-                term = tuple(tuple(w * x for x in row) for row in piece)
-                block = term if block is None else mat_add(block, term)
-            if block is None:
+    for ka, va, kb, vb in term_pairs(f, g, bound):
+        pieces = polarize_compound(half[ka], half[kb], r)
+        scale = va * vb
+        block = None
+        for alpha in range(r + 1):
+            w = weights[alpha] * scale
+            if w == 0:
                 continue
-            key = mat_add(ka, kb)
-            acc[key] = block if key not in acc else mat_add(acc[key], block)
+            piece = pieces[r - alpha]
+            term = tuple(tuple(w * x for x in row) for row in piece)
+            block = term if block is None else mat_add(block, term)
+        if block is None:
+            continue
+        key = mat_add(ka, kb)
+        acc[key] = block if key not in acc else mat_add(acc[key], block)
     weight = None
     if f.weight is not None and g.weight is not None:
         weight = f.weight + g.weight

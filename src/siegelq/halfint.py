@@ -10,7 +10,7 @@ integer arithmetic.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, isqrt
+from math import comb, isqrt, lcm, prod
 
 
 def freeze(rows):
@@ -19,6 +19,18 @@ def freeze(rows):
     if any(len(row) != len(m) for row in m):
         raise ValueError("matrix must be square")
     return m
+
+
+def require_odd_prime(p):
+    """Return p if it is an odd prime int, else raise ValueError."""
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        raise ValueError("p must be an odd prime")
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            raise ValueError("p must be an odd prime")
+        d += 2
+    return p
 
 
 def identity(n):
@@ -55,7 +67,8 @@ def mat_mul(a, b):
 def det(m):
     """Exact determinant of a square int/Fraction matrix (det of the empty
     matrix is 1).  Small sizes use cofactor formulas, larger ones fraction-
-    free Bareiss elimination; int input gives an int result."""
+    free Bareiss elimination after clearing denominators; int input gives
+    an int result."""
     n = len(m)
     if n == 0:
         return 1
@@ -69,10 +82,12 @@ def det(m):
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
-    a = [list(row) for row in m]
-    if all(isinstance(x, int) for row in a for x in row):
-        return _det_bareiss(a)
-    return _det_gauss([[Fraction(x) for x in row] for row in a])
+    if all(isinstance(x, int) for row in m for x in row):
+        return _det_bareiss([list(row) for row in m])
+    # clear denominators row by row: det(m) = det(D m) / det(D)
+    dens = [lcm(*(Fraction(x).denominator for x in row)) for row in m]
+    scaled = [[int(x * d) for x in row] for row, d in zip(m, dens)]
+    return Fraction(_det_bareiss(scaled), prod(dens))
 
 
 def _det_bareiss(a):
@@ -94,31 +109,6 @@ def _det_bareiss(a):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def _det_gauss(a):
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor:
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return sign * result
 
 
 def mat_inverse(m):
@@ -200,7 +190,7 @@ class HalfIntegralMatrix:
 
     def rational(self):
         """T itself, as a Fraction matrix."""
-        return tuple(tuple(Fraction(x, 2) for x in row) for row in self.doubled)
+        return key_half(self.doubled)
 
     def is_psd(self):
         """True iff T >= 0, checked as nonnegativity of every principal
@@ -233,6 +223,11 @@ class HalfIntegralMatrix:
 def key_trace(key):
     """Trace of T from its doubled key matrix."""
     return sum(key[i][i] for i in range(len(key))) // 2
+
+
+def key_half(key):
+    """T itself, as a Fraction matrix, from its doubled key matrix."""
+    return tuple(tuple(Fraction(x, 2) for x in row) for row in key)
 
 
 def key_sort(key):

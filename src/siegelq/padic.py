@@ -17,20 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffops import BracketParams, half_rising, rankin_cohen, theta_operator
-from .halfint import key_sort, key_trace, mat_sub, zero_matrix
+from .halfint import (
+    key_sort,
+    key_trace,
+    mat_sub,
+    require_odd_prime,
+    zero_matrix,
+)
 from .qexpansion import SCALAR, FourierExpansion
 from .theta import direct_sum, gram_a, rep_numbers
-
-
-def require_odd_prime(p):
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError("p must be an odd prime")
-        d += 2
-    return p
 
 
 def vp(x, p):

@@ -53,6 +53,24 @@ def _normalize_shape(shape, degree):
     raise ValueError("shape must be 'scalar' or ('compound', r) with 1 <= r <= degree")
 
 
+def term_pairs(f, g, bound):
+    """Yield (key_f, value_f, key_g, value_g) for every pair of stored
+    terms of f and g whose traces sum to at most bound, the pairs a
+    product or bracket truncated at bound has to visit.  Both supports
+    are walked in trace order, so each inner loop stops at the bound."""
+    left = sorted(((key_trace(k), k, v) for k, v in f.coeffs.items()),
+                  key=lambda item: item[0])
+    right = sorted(((key_trace(k), k, v) for k, v in g.coeffs.items()),
+                   key=lambda item: item[0])
+    for ta, ka, va in left:
+        if ta > bound:
+            break
+        for tb, kb, vb in right:
+            if ta + tb > bound:
+                break
+            yield ka, va, kb, vb
+
+
 def _zero_block(size):
     return tuple((Fraction(0),) * size for _ in range(size))
 
@@ -220,33 +238,20 @@ class FourierExpansion:
             raise ValueError("cannot multiply two block-valued expansions")
         shape = other.shape if self.shape == SCALAR else self.shape
         bound = min(self.trace_bound, other.trace_bound)
-        left = sorted(
-            ((key_trace(k), k, v) for k, v in self.coeffs.items()),
-            key=lambda item: item[0],
-        )
-        right = sorted(
-            ((key_trace(k), k, v) for k, v in other.coeffs.items()),
-            key=lambda item: item[0],
-        )
         scalar = shape == SCALAR
         acc = {}
-        for ta, ka, va in left:
-            if ta > bound:
-                break
-            for tb, kb, vb in right:
-                if ta + tb > bound:
-                    break
-                key = mat_add(ka, kb)
-                if scalar:
-                    term = va * vb
-                elif self.shape == SCALAR:
-                    term = mat_scale(va, vb)
-                else:
-                    term = mat_scale(vb, va)
-                if key in acc:
-                    acc[key] = acc[key] + term if scalar else mat_add(acc[key], term)
-                else:
-                    acc[key] = term
+        for ka, va, kb, vb in term_pairs(self, other, bound):
+            key = mat_add(ka, kb)
+            if scalar:
+                term = va * vb
+            elif self.shape == SCALAR:
+                term = mat_scale(va, vb)
+            else:
+                term = mat_scale(vb, va)
+            if key in acc:
+                acc[key] = acc[key] + term if scalar else mat_add(acc[key], term)
+            else:
+                acc[key] = term
         if scalar:
             acc = {k: v for k, v in acc.items() if v != 0}
         else:
@@ -362,6 +367,14 @@ def delta(trace_bound):
 # -- JSON serialization ----------------------------------------------------
 
 
+def json_int(x, field):
+    """A JSON integer field as an int.  Non-integral numbers, strings and
+    booleans are rejected, not truncated or coerced."""
+    if type(x) is not int:
+        raise ValueError("%s must be an integer, got %r" % (field, x))
+    return x
+
+
 def _shape_to_json(shape):
     if shape == SCALAR:
         return SCALAR
@@ -372,7 +385,7 @@ def _shape_from_json(obj):
     if obj == SCALAR:
         return SCALAR
     if isinstance(obj, dict) and set(obj) == {"compound"}:
-        return ("compound", int(obj["compound"]))
+        return ("compound", json_int(obj["compound"], "compound"))
     raise ValueError("bad shape field")
 
 
@@ -405,18 +418,24 @@ def from_json_dict(d):
     shape = _shape_from_json(d["shape"])
     meta = d.get("meta") or {}
     weight = meta.get("weight")
+    level = meta.get("level")
     coeffs = {}
     for entry in d["coeffs"]:
-        key = tuple(tuple(int(x) for x in row) for row in entry["t2"])
+        key = tuple(tuple(json_int(x, "t2 entry") for x in row)
+                    for row in entry["t2"])
+        if key in coeffs:
+            raise ValueError("duplicate t2 %r" % (entry["t2"],))
         value = entry["value"]
         if shape == SCALAR:
             coeffs[key] = rational_from_str(value)
         else:
             coeffs[key] = [[rational_from_str(x) for x in row] for row in value]
     return FourierExpansion(
-        int(d["degree"]), int(d["trace_bound"]), coeffs, shape,
+        json_int(d["degree"], "degree"),
+        json_int(d["trace_bound"], "trace_bound"), coeffs, shape,
         weight=None if weight is None else rational_from_str(weight),
-        level=meta.get("level"), character=meta.get("character"))
+        level=None if level is None else json_int(level, "level"),
+        character=meta.get("character"))
 
 
 def dumps(f):

@@ -19,15 +19,7 @@ lower-left n x n block of M1 M2^{-1} vanishes mod p.
 from dataclasses import dataclass
 from itertools import combinations, product
 
-
-def _check_odd_prime(p):
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError("p must be an odd prime")
-        d += 2
+from .halfint import identity, require_odd_prime, transpose
 
 
 def _freeze_mod(rows, p):
@@ -41,39 +33,16 @@ def _mat_mul_mod(a, b, p):
     )
 
 
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _inverse_mod(m, p):
-    """Gauss-Jordan inverse over F_p; ValueError if singular."""
-    n = len(m)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] % p:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = pow(a[k][k], -1, p)
-        a[k] = [(x * inv) % p for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def rank_mod(m, p):
-    """Row rank of an integer matrix over F_p."""
-    a = [[x % p for x in row] for row in m]
-    rank = 0
+def _rref_mod(rows, p):
+    """Reduced row echelon form over F_p by Gauss-Jordan elimination:
+    returns (reduced rows, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
     cols = len(a[0]) if a else 0
     for col in range(cols):
+        rank = len(pivots)
+        if rank == len(a):
+            break
         pivot = None
         for i in range(rank, len(a)):
             if a[i][col]:
@@ -88,8 +57,24 @@ def rank_mod(m, p):
             if i != rank and a[i][col]:
                 f = a[i][col]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return a, pivots
+
+
+def _inverse_mod(m, p):
+    """Inverse over F_p, read off the RREF of (m | 1); ValueError if
+    singular."""
+    n = len(m)
+    aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
+    a, pivots = _rref_mod(aug, p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular mod p")
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def rank_mod(m, p):
+    """Row rank of an integer matrix over F_p."""
+    return len(_rref_mod(m, p)[1])
 
 
 def _symplectic_j(n):
@@ -106,7 +91,7 @@ class SymplecticModP:
     __slots__ = ("degree", "prime", "mat", "_inv")
 
     def __init__(self, mat, p):
-        _check_odd_prime(p)
+        require_odd_prime(p)
         m = _freeze_mod(mat, p)
         if len(m) % 2 or any(len(row) != len(m) for row in m):
             raise ValueError("matrix must be square of even size")
@@ -114,7 +99,7 @@ class SymplecticModP:
         if n < 1:
             raise ValueError("degree must be at least 1")
         j = _freeze_mod(_symplectic_j(n), p)
-        if _mat_mul_mod(_mat_mul_mod(_transpose(m), j, p), m, p) != j:
+        if _mat_mul_mod(_mat_mul_mod(transpose(m), j, p), m, p) != j:
             raise ValueError("matrix is not symplectic mod p")
         self.degree = n
         self.prime = p
@@ -156,10 +141,6 @@ class SymplecticModP:
         return "SymplecticModP(degree=%d, p=%d)" % (self.degree, self.prime)
 
 
-def _transpose(m):
-    return tuple(zip(*m))
-
-
 def partial_involution(n, j, p):
     """The element with A = D = diag(1_{n-j}, 0_j), the lower-right j x j
     of B equal to -1, and of C equal to +1; j = 0 gives the identity and
@@ -180,7 +161,7 @@ def levi(a, p):
     """Levi element diag(A, A^{-t}); A must be invertible mod p."""
     a = _freeze_mod(a, p)
     n = len(a)
-    ait = _transpose(_inverse_mod(a, p))
+    ait = transpose(_inverse_mod(a, p))
     m = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for k in range(n):
@@ -215,9 +196,9 @@ def gl_parabolic_reps(n, j, p):
         raise ValueError("degree out of supported range 1..3")
     if not 0 <= j <= n:
         raise ValueError("cell index out of range")
-    _check_odd_prime(p)
+    require_odd_prime(p)
     if j == 0:
-        return [_identity(n)]
+        return [identity(n)]
     out = []
     for pivots in combinations(range(n), j):
         free = [
@@ -277,7 +258,7 @@ def coset_reps(n, p):
     coset invariant."""
     if not isinstance(n, int) or not 1 <= n <= 3:
         raise ValueError("degree out of supported range 1..3")
-    _check_odd_prime(p)
+    require_odd_prime(p)
     out = []
     for j in range(n + 1):
         omega = partial_involution(n, j, p)

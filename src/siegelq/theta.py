@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .halfint import det, freeze, identity, mat_inverse, mat_mul, transpose
-from .qexpansion import FourierExpansion
+from .qexpansion import FourierExpansion, json_int
 
 
 class GramLattice:
@@ -243,8 +243,8 @@ def gram_to_json(lattice):
 
 
 def gram_from_json(d):
-    g = [[int(x) for x in row] for row in d["gram"]]
+    g = [[json_int(x, "gram entry") for x in row] for row in d["gram"]]
     lattice = GramLattice(g)
-    if "rank" in d and int(d["rank"]) != lattice.rank:
+    if "rank" in d and json_int(d["rank"], "rank") != lattice.rank:
         raise ValueError("rank field disagrees with the Gram matrix")
     return lattice

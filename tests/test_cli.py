@@ -187,10 +187,18 @@ class TestRobustness:
         bad.write_text("{not json")
         assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
         capsys.readouterr()
-
-    def test_threads_flag_accepted(self, capsys):
-        assert run(["--threads", "4", "gram-a", "--rank", "1"]) == 0
-        assert run(["--threads", "0", "gram-a", "--rank", "1"]) == 2
+        dup = read(f)
+        dup["coeffs"].append(dup["coeffs"][1])
+        write(bad, dup)
+        assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
+        assert "duplicate t2" in capsys.readouterr().err
+        frac = read(f)
+        frac["degree"] = 1.7
+        write(bad, frac)
+        assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
+        write(bad, {"rank": 1, "gram": [[2.9]]})
+        assert run(["theta", "--gram", str(bad), "--degree", "1",
+                    "--trace-bound", "2"]) == 2
         capsys.readouterr()
 
     def test_stdout_default(self, capsys):

@@ -100,6 +100,13 @@ class TestDet:
             n = rng.randint(1, 5)
             m = [list(row) for row in rand_matrix(rng, n)]
             assert det(m) == cofactor(m)
+        for i in range(40):
+            n = 1 + i % 5
+            m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+                 for _ in range(n)]
+            if i % 10 == 9:
+                m[-1] = list(m[0])  # singular
+            assert det(m) == cofactor(m)
 
     def test_fraction_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]]

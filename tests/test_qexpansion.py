@@ -356,5 +356,25 @@ class TestJson:
         d["coeffs"][0]["value"] = "3"
         assert from_json_dict(d).coefficient(key1(1)) == 3
 
+    def test_malformed_fields_rejected(self):
+        # no truncation of non-integers, no booleans as integers, and no
+        # silent overwrite by a repeated t2
+        scalar = dumps(eisenstein(4, 2))
+        block = dumps(FourierExpansion(2, 1, {}, shape=("compound", 1)))
+        edits = [
+            (scalar, lambda d: d.update(degree=1.7)),
+            (scalar, lambda d: d.update(degree=True)),
+            (scalar, lambda d: d.update(trace_bound="2")),
+            (scalar, lambda d: d["meta"].update(level=1.5)),
+            (scalar, lambda d: d["coeffs"][1].update(t2=[[2.6]])),
+            (scalar, lambda d: d["coeffs"].append(dict(d["coeffs"][1], value="5/1"))),
+            (block, lambda d: d.update(shape={"compound": 1.5})),
+        ]
+        for text, edit in edits:
+            d = json.loads(text)
+            edit(d)
+            with pytest.raises(ValueError):
+                from_json_dict(d)
+
     def test_json_is_valid_json(self):
         json.loads(dumps(eisenstein(4, 3)))

@@ -84,10 +84,11 @@ class TestGramLattice:
     def test_json_round_trip(self):
         lat = direct_sum(gram_a(2), gram_a(1))
         assert gram_from_json(gram_to_json(lat)) == lat
-        bad = gram_to_json(lat)
-        bad["rank"] = 7
-        with pytest.raises(ValueError):
-            gram_from_json(bad)
+        for field, value in (("rank", 7), ("rank", 3.0), ("gram", [[2.9]])):
+            bad = gram_to_json(lat)
+            bad[field] = value
+            with pytest.raises(ValueError):
+                gram_from_json(bad)
 
 
 class TestFreeIsometry:
