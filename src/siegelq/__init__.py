@@ -39,6 +39,7 @@ from .padic import (
 from .symplectic import (
     CosetRep,
     SymplecticModP,
+    coset_count,
     coset_reps,
     gl_parabolic_reps,
     levi,
@@ -78,6 +79,7 @@ __all__ = [
     "vp_expansion",
     "CosetRep",
     "SymplecticModP",
+    "coset_count",
     "coset_reps",
     "gl_parabolic_reps",
     "levi",

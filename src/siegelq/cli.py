@@ -241,11 +241,12 @@ def _run_command(args):
         _emit(report.to_json_dict(), args.output)
         return 0 if report.holds else 1
     if cmd == "cosets":
-        reps = symplectic.coset_reps(args.degree, args.prime)
         if args.count_only:
-            _emit({"degree": args.degree, "p": args.prime, "count": len(reps)},
+            count = symplectic.coset_count(args.degree, args.prime)
+            _emit({"degree": args.degree, "p": args.prime, "count": count},
                   args.output)
         else:
+            reps = symplectic.coset_reps(args.degree, args.prime)
             _emit([r.to_json_dict() for r in reps], args.output)
         return 0
     raise ValueError("unknown command %r" % cmd)

@@ -21,15 +21,41 @@ def freeze(rows):
     return m
 
 
+# Strong-probable-prime bases 2..41; every composite below PRIME_LIMIT fails
+# one of them (Sorenson and Webster, Math. Comp. 2017: the smallest strong
+# pseudoprime to all thirteen is PRIME_LIMIT itself).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def require_odd_prime(p):
-    """Return p if it is an odd prime int, else raise ValueError."""
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+    """Return p if it is an odd prime int below PRIME_LIMIT, else raise
+    ValueError.  Deterministic Miller-Rabin; p < 41^2 is settled by
+    division by the bases alone."""
+    if not isinstance(p, int) or p < 3:
         raise ValueError("p must be an odd prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_LIMIT:
+        raise ValueError("p must be below %d" % PRIME_LIMIT)
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            if p == q:
+                return p
             raise ValueError("p must be an odd prime")
-        d += 2
+    if p < 41 * 41:
+        return p
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError("p must be an odd prime")
     return p
 
 

@@ -13,6 +13,7 @@ an order-r minor theta operator; the shape field is "scalar" or
 """
 
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -34,9 +35,16 @@ def rational_to_str(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rational_from_str(s):
-    """Parse 'a/b' or a plain integer string."""
-    return Fraction(str(s))
+    """Parse 'a/b' or a plain integer string.  Anything else, including
+    decimals, exponents and non-strings, is a ValueError; a zero
+    denominator raises ZeroDivisionError."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError("rational must be a 'num/den' or integer string, got %r" % (s,))
+    return Fraction(s)
 
 
 def _normalize_shape(shape, degree):
@@ -419,6 +427,10 @@ def from_json_dict(d):
     meta = d.get("meta") or {}
     weight = meta.get("weight")
     level = meta.get("level")
+    character = meta.get("character")
+    if not (character is None or isinstance(character, str) or type(character) is int):
+        raise ValueError("character must be null, an integer or a string, got %r"
+                         % (character,))
     coeffs = {}
     for entry in d["coeffs"]:
         key = tuple(tuple(json_int(x, "t2 entry") for x in row)
@@ -435,7 +447,7 @@ def from_json_dict(d):
         json_int(d["trace_bound"], "trace_bound"), coeffs, shape,
         weight=None if weight is None else rational_from_str(weight),
         level=None if level is None else json_int(level, "level"),
-        character=meta.get("character"))
+        character=character)
 
 
 def dumps(f):

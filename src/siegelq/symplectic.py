@@ -1,9 +1,11 @@
 """Symplectic groups over F_p and their theta-stable coset systems.
 
 Matrices are 2n x 2n int tuples with entries reduced mod p, wrapped in
-SymplecticModP which enforces M^t J M = J for J = [[0, 1], [-1, 0]]
-(n x n blocks).  The coset system below U(p)-type operators is indexed by
-a cell 0 <= j <= n and consists of
+SymplecticModP, whose constructor checks M^t J M = J for J = [[0, 1],
+[-1, 0]] (n x n blocks).  Products, inverses and the builders, which check
+their own inputs, are symplectic by construction and skip that check.
+The coset system below U(p)-type operators is indexed by a cell
+0 <= j <= n and consists of
 
     partial_involution(n, j) * unipotent(B) * levi(A)
 
@@ -12,18 +14,36 @@ over representatives of the maximal-parabolic cosets in GL_n(F_p) with
 j-dimensional echelon part.  The cell count is p^(j(j+1)/2) times the
 Gaussian binomial [n choose j]_p, and the total is prod_{i=1..n} (p^i + 1).
 
-Two group elements lie in the same (Siegel-parabolic) coset iff the
-lower-left n x n block of M1 M2^{-1} vanishes mod p.
+A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
+the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
+of M1 M2^{-1} vanishes mod p: both say (C1 | D1) = g (C2 | D2), g in GL_n.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
-from .halfint import identity, require_odd_prime, transpose
+from .halfint import identity, mat_scale, require_odd_prime, transpose, zero_matrix
 
 
 def _freeze_mod(rows, p):
-    return tuple(tuple(int(x) % p for x in row) for row in rows)
+    """rows reduced mod p as a tuple matrix; ValueError unless it is a
+    non-empty square matrix."""
+    m = tuple(tuple(int(x) % p for x in row) for row in rows)
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be non-empty and square")
+    return m
+
+
+def _require_degree(n):
+    if not isinstance(n, int) or not 1 <= n <= 3:
+        raise ValueError("degree out of supported range 1..3")
+
+
+def _from_blocks(a, b, c, d):
+    """The 2n x 2n matrix [[A, B], [C, D]] from n x n blocks."""
+    return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(
+        rc + rd for rc, rd in zip(c, d))
 
 
 def _mat_mul_mod(a, b, p):
@@ -77,47 +97,47 @@ def rank_mod(m, p):
     return len(_rref_mod(m, p)[1])
 
 
-def _symplectic_j(n):
-    j = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        j[i][n + i] = 1
-        j[n + i][i] = -1
-    return tuple(tuple((x) for x in row) for row in j)
-
-
 class SymplecticModP:
     """Element of Sp_n(F_p), stored as a reduced 2n x 2n int tuple."""
 
-    __slots__ = ("degree", "prime", "mat", "_inv")
+    __slots__ = ("degree", "prime", "mat", "_key")
 
     def __init__(self, mat, p):
         require_odd_prime(p)
         m = _freeze_mod(mat, p)
-        if len(m) % 2 or any(len(row) != len(m) for row in m):
+        if len(m) % 2:
             raise ValueError("matrix must be square of even size")
         n = len(m) // 2
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        j = _freeze_mod(_symplectic_j(n), p)
+        one, zero = identity(n), zero_matrix(n)
+        j = _freeze_mod(_from_blocks(zero, one, mat_scale(-1, one), zero), p)
         if _mat_mul_mod(_mat_mul_mod(transpose(m), j, p), m, p) != j:
             raise ValueError("matrix is not symplectic mod p")
         self.degree = n
         self.prime = p
         self.mat = m
-        self._inv = None
+        self._key = None
 
     def __mul__(self, other):
         if not isinstance(other, SymplecticModP):
             return NotImplemented
         if other.degree != self.degree or other.prime != self.prime:
             raise ValueError("degree or prime mismatch")
-        return SymplecticModP(_mat_mul_mod(self.mat, other.mat, self.prime),
-                              self.prime)
+        return _trusted(_mat_mul_mod(self.mat, other.mat, self.prime), self.prime)
 
     def inverse(self):
-        if self._inv is None:
-            self._inv = _inverse_mod(self.mat, self.prime)
-        return SymplecticModP(self._inv, self.prime)
+        """J^{-1} M^t J = [[D^t, -B^t], [-C^t, A^t]], the inverse of a
+        symplectic M."""
+        a, b, c, d = (transpose(self.block(i, k)) for i in (0, 1) for k in (0, 1))
+        inv = _from_blocks(d, mat_scale(-1, b), mat_scale(-1, c), a)
+        return _trusted(_freeze_mod(inv, self.prime), self.prime)
+
+    def coset_key(self):
+        """RREF of the bottom rows (C | D) mod p, the same for two elements
+        iff they lie in the same right coset of the Siegel parabolic."""
+        if self._key is None:
+            rows, _ = _rref_mod(self.mat[self.degree:], self.prime)
+            self._key = tuple(tuple(row) for row in rows)
+        return self._key
 
     def block(self, row, col):
         """n x n block: (0,0)=A, (0,1)=B, (1,0)=C, (1,1)=D."""
@@ -141,48 +161,48 @@ class SymplecticModP:
         return "SymplecticModP(degree=%d, p=%d)" % (self.degree, self.prime)
 
 
+def _trusted(mat, p):
+    """Wrap a reduced matrix that is symplectic by construction, without
+    the constructor's checks."""
+    out = SymplecticModP.__new__(SymplecticModP)
+    out.degree = len(mat) // 2
+    out.prime = p
+    out.mat = mat
+    out._key = None
+    return out
+
+
 def partial_involution(n, j, p):
     """The element with A = D = diag(1_{n-j}, 0_j), the lower-right j x j
     of B equal to -1, and of C equal to +1; j = 0 gives the identity and
     j = n the standard symplectic involution (up to sign convention)."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("degree must be a positive integer")
     if not 0 <= j <= n:
         raise ValueError("cell index out of range")
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n - j):
-        m[i][i] = 1
-        m[n + i][n + i] = 1
-    for i in range(n - j, n):
-        m[i][n + i] = -1
-        m[n + i][i] = 1
-    return SymplecticModP(m, p)
+    require_odd_prime(p)
+    one, zero = identity(n), zero_matrix(n)
+    a = one[:n - j] + zero[n - j:]
+    c = zero[:n - j] + one[n - j:]
+    return _trusted(_freeze_mod(_from_blocks(a, mat_scale(-1, c), c, a), p), p)
 
 
 def levi(a, p):
-    """Levi element diag(A, A^{-t}); A must be invertible mod p."""
+    """Levi element diag(A, A^{-t}); A must be square and invertible mod p."""
+    require_odd_prime(p)
     a = _freeze_mod(a, p)
-    n = len(a)
-    ait = transpose(_inverse_mod(a, p))
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for k in range(n):
-            m[i][k] = a[i][k]
-            m[n + i][n + k] = ait[i][k]
-    return SymplecticModP(m, p)
+    zero = zero_matrix(len(a))
+    return _trusted(_from_blocks(a, zero, zero, transpose(_inverse_mod(a, p))), p)
 
 
 def unipotent(b, p):
     """Translation block [[1, B], [0, 1]]; B must be symmetric mod p."""
+    require_odd_prime(p)
     b = _freeze_mod(b, p)
-    n = len(b)
-    if any(b[i][j] != b[j][i] for i in range(n) for j in range(n)):
+    if b != transpose(b):
         raise ValueError("B must be symmetric mod p")
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        m[i][i] = 1
-        m[n + i][n + i] = 1
-        for k in range(n):
-            m[i][n + k] = b[i][k]
-    return SymplecticModP(m, p)
+    one, zero = identity(len(b)), zero_matrix(len(b))
+    return _trusted(_from_blocks(one, b, zero, one), p)
 
 
 def gl_parabolic_reps(n, j, p):
@@ -192,8 +212,7 @@ def gl_parabolic_reps(n, j, p):
     rows the standard vectors of the non-pivot columns.  Ordered by
     (pivot columns, echelon free entries), both lexicographic; the count
     is the Gaussian binomial [n choose j]_p."""
-    if not isinstance(n, int) or not 1 <= n <= 3:
-        raise ValueError("degree out of supported range 1..3")
+    _require_degree(n)
     if not 0 <= j <= n:
         raise ValueError("cell index out of range")
     require_odd_prime(p)
@@ -256,13 +275,12 @@ def coset_reps(n, p):
     (B entries, A representative); prod_{i=1..n} (p^i + 1) elements in
     total.  The lower-left block of every element has rank j, which is a
     coset invariant."""
-    if not isinstance(n, int) or not 1 <= n <= 3:
-        raise ValueError("degree out of supported range 1..3")
+    _require_degree(n)
     require_odd_prime(p)
     out = []
     for j in range(n + 1):
         omega = partial_involution(n, j, p)
-        gl = gl_parabolic_reps(n, j, p)
+        gl = [(a, levi(a, p)) for a in gl_parabolic_reps(n, j, p)]
         for b_small in _symmetric_mats(j, p):
             b_full = [[0] * n for _ in range(n)]
             for i in range(j):
@@ -270,30 +288,24 @@ def coset_reps(n, p):
                     b_full[n - j + i][n - j + k] = b_small[i][k]
             trans = unipotent(b_full, p)
             base = omega * trans
-            for a in gl:
-                out.append(CosetRep(cell=j, b=b_small, a=a, mat=base * levi(a, p)))
+            for a, m in gl:
+                out.append(CosetRep(cell=j, b=b_small, a=a, mat=base * m))
     return out
 
 
+def coset_count(n, p):
+    """prod_{i=1..n} (p^i + 1), the length of coset_reps(n, p), computed
+    without building the system."""
+    _require_degree(n)
+    require_odd_prime(p)
+    return prod(p ** i + 1 for i in range(1, n + 1))
+
+
 def same_coset(m1, m2):
-    """True iff m1 and m2 represent the same coset, i.e. the lower-left
-    n x n block of m1 * m2^{-1} vanishes mod p."""
+    """True iff m1 and m2 have equal coset keys, i.e. the lower-left n x n
+    block of m1 * m2^{-1} vanishes mod p."""
     if not isinstance(m1, SymplecticModP) or not isinstance(m2, SymplecticModP):
         raise ValueError("expected SymplecticModP elements")
     if m1.degree != m2.degree or m1.prime != m2.prime:
         raise ValueError("degree or prime mismatch")
-    n = m1.degree
-    p = m1.prime
-    if m2._inv is None:
-        m2.inverse()
-    inv = m2._inv
-    rows = m1.mat[n:]
-    for i in range(n):
-        row = rows[i]
-        for jcol in range(n):
-            s = 0
-            for k in range(2 * n):
-                s += row[k] * inv[k][jcol]
-            if s % p:
-                return False
-    return True
+    return m1.coset_key() == m2.coset_key()

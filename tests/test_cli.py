@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism and exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 from siegelq import diffops, padic, qexpansion, theta
@@ -113,6 +114,8 @@ class TestCongruenceCommands:
     def test_vp(self, tmp_path, capsys):
         assert run(["vp", "--value", "18/5", "--prime", "3"]) == 0
         assert json.loads(capsys.readouterr().out) == {"p": 3, "vp": 2}
+        assert run(["vp", "--value", "3", "--prime", str(2 ** 61 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"p": 2 ** 61 - 1, "vp": 0}
         f = tmp_path / "f.json"
         write(f, qexpansion.to_json_dict(qexpansion.eisenstein(4, 2)))
         assert run(["vp", "--f", str(f), "--prime", "3"]) == 0
@@ -151,6 +154,14 @@ class TestCosetsCommand:
                     "--count-only"]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "degree": 2, "p": 3, "count": 40}
+        start = time.perf_counter()
+        assert run(["cosets", "--degree", "3", "--prime", "101",
+                    "--count-only"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out) == {
+            "degree": 3, "p": 101, "count": 1072136382408}
+        assert run(["cosets", "--degree", "4", "--prime", "3", "--count-only"]) == 2
+        assert run(["cosets", "--degree", "2", "--prime", "9", "--count-only"]) == 2
 
     def test_full_listing(self, tmp_path):
         out = tmp_path / "c.json"
@@ -199,6 +210,28 @@ class TestRobustness:
         write(bad, {"rank": 1, "gram": [[2.9]]})
         assert run(["theta", "--gram", str(bad), "--degree", "1",
                     "--trace-bound", "2"]) == 2
+        # values are "num/den" or integer strings only
+        for edit in (lambda d: d["coeffs"][0].update(value=0.1),
+                     lambda d: d["coeffs"][0].update(value="2.5e3"),
+                     lambda d: d["coeffs"][0].update(value="1/0"),
+                     lambda d: d["meta"].update(weight="0.5"),
+                     lambda d: d["meta"].update(character=[{"a": 1}])):
+            doc = read(f)
+            edit(doc)
+            write(bad, doc)
+            assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
+        for value in ("0.1", "2.5e3", "1/0", "1_0", " 3"):
+            assert run(["vp", "--value", value, "--prime", "3"]) == 2
+        g = str(f)
+        assert run(["thm41", "--f", g, "--weight", "4.0", "--prime", "3",
+                    "--m", "1", "--minor-order", "1", "--dilate-exp", "1"]) == 2
+        for wf, wg in (("4e0", "4"), ("4", "4e0")):
+            assert run(["bracket", "--f", g, "--g", g, "--minor-order", "1",
+                        "--weight-f", wf, "--weight-g", wg]) == 2
+        # strong pseudoprimes and primes past the limit fail fast
+        for prime in ("3215031751", "3825123056546413051",
+                      "3317044064679887385961981"):
+            assert run(["vp", "--value", "3", "--prime", prime]) == 2
         capsys.readouterr()
 
     def test_stdout_default(self, capsys):

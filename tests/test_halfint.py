@@ -1,12 +1,14 @@
 """Half-integral index matrices, compounds and the subset ordering."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from siegelq.halfint import (
+    PRIME_LIMIT,
     HalfIntegralMatrix,
     block_count,
     compound,
@@ -16,6 +18,7 @@ from siegelq.halfint import (
     key_sort,
     mat_inverse,
     mat_mul,
+    require_odd_prime,
     subset_order,
     transpose,
 )
@@ -33,6 +36,49 @@ def rand_symmetric(rng, n, lo=-3, hi=3):
             m[i][j] = v
             m[j][i] = v
     return tuple(tuple(row) for row in m)
+
+
+def is_odd_prime_by_division(p):
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def accepts(p):
+    try:
+        return require_odd_prime(p) == p
+    except ValueError:
+        return False
+
+
+class TestRequireOddPrime:
+    def test_matches_trial_division(self):
+        for p in range(-3, 20000):
+            assert accepts(p) == is_odd_prime_by_division(p), p
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to bases 2..7, 2..23 and 2..37 (the last one
+        # is why base 41 is needed below the documented limit)
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not accepts(n)
+        assert not accepts(399165290221 * 798330580441 * 3)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert accepts(2 ** 61 - 1) and accepts(2 ** 31 - 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_limit_and_types(self):
+        for p in (PRIME_LIMIT, PRIME_LIMIT + 2, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+                require_odd_prime(p)
+        for bad in (3.0, "3", True, None):
+            assert not accepts(bad)
 
 
 class TestHalfIntegralMatrix:

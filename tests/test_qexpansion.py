@@ -355,6 +355,12 @@ class TestJson:
         d = to_json_dict(FourierExpansion(1, 1, {key1(1): 3}))
         d["coeffs"][0]["value"] = "3"
         assert from_json_dict(d).coefficient(key1(1)) == 3
+        for text, want in (("+3", 3), ("-3/4", Fraction(-3, 4)), ("06/4", Fraction(3, 2))):
+            d["coeffs"][0]["value"] = text
+            assert from_json_dict(d).coefficient(key1(1)) == want
+        for character in ("chi_4", -4, None):
+            d["meta"]["character"] = character
+            assert from_json_dict(d).character == character
 
     def test_malformed_fields_rejected(self):
         # no truncation of non-integers, no booleans as integers, and no
@@ -369,6 +375,20 @@ class TestJson:
             (scalar, lambda d: d["coeffs"][1].update(t2=[[2.6]])),
             (scalar, lambda d: d["coeffs"].append(dict(d["coeffs"][1], value="5/1"))),
             (block, lambda d: d.update(shape={"compound": 1.5})),
+            # rationals are "num/den" or integer strings, nothing else
+            (scalar, lambda d: d["coeffs"][1].update(value=0.1)),
+            (scalar, lambda d: d["coeffs"][1].update(value=240)),
+            (scalar, lambda d: d["coeffs"][1].update(value="2.5e3")),
+            (scalar, lambda d: d["coeffs"][1].update(value="0.5")),
+            (scalar, lambda d: d["coeffs"][1].update(value=" 240")),
+            (scalar, lambda d: d["coeffs"][1].update(value="1/-2")),
+            (scalar, lambda d: d["meta"].update(weight=4)),
+            (scalar, lambda d: d["meta"].update(weight="4.0")),
+            (scalar, lambda d: d["meta"].update(character=[{"a": 1}])),
+            (scalar, lambda d: d["meta"].update(character=True)),
+            (scalar, lambda d: d["meta"].update(character=1.5)),
+            (block, lambda d: d["coeffs"].append(
+                {"t2": [[0, 0], [0, 0]], "value": [["1/2", 0.5], ["0", "0"]]})),
         ]
         for text, edit in edits:
             d = json.loads(text)

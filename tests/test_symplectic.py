@@ -8,6 +8,7 @@ import pytest
 from siegelq.symplectic import (
     CosetRep,
     SymplecticModP,
+    coset_count,
     coset_reps,
     gl_parabolic_reps,
     levi,
@@ -50,6 +51,36 @@ def rref_mod(rows, p):
     return tuple(tuple(r) for r in a)
 
 
+def inverse_mod(m, p):
+    """Inverse over F_p by Gauss-Jordan on (m | 1)."""
+    n = len(m)
+    aug = rref_mod([list(row) + [int(i == k) for k in range(n)]
+                    for i, row in enumerate(m)], p)
+    assert all(aug[i][i] == 1 for i in range(n)), "singular"
+    return tuple(row[n:] for row in aug)
+
+
+def same_coset_reference(m1, m2):
+    """The defining test: the lower-left n x n block of m1 * m2^{-1}
+    vanishes mod p."""
+    n, p = m1.degree, m1.prime
+    inv = inverse_mod(m2.mat, p)
+    return all(
+        sum(m1.mat[n + i][k] * inv[k][j] for k in range(2 * n)) % p == 0
+        for i in range(n) for j in range(n)
+    )
+
+
+def assert_checked(m):
+    """m passes the checked constructor, which evaluates M^t J M = J."""
+    assert SymplecticModP(m.mat, m.prime).mat == m.mat
+
+
+def identity_element(n, p):
+    return SymplecticModP([[int(i == k) for k in range(2 * n)]
+                           for i in range(2 * n)], p)
+
+
 class TestSymplecticModP:
     def test_identity_and_reduction(self):
         m = SymplecticModP([[1, 0], [0, 1]], 3)
@@ -72,6 +103,28 @@ class TestSymplecticModP:
         m = unipotent(((1,),), 3) * levi(((2,),), 3)
         assert (m * m.inverse()).mat == ((1, 0), (0, 1))
 
+    def test_unchecked_outputs_pass_checked_constructor(self):
+        # products, inverses and builder outputs skip the M^t J M = J
+        # check, so validate them here once; also m m^-1 = m^-1 m = 1
+        rng = random.Random(84)
+        for n, p in ((1, 3), (2, 3), (3, 3), (2, 5)):
+            one = identity_element(n, p)
+            built = [partial_involution(n, j, p) for j in range(n + 1)]
+            b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            built.append(unipotent([[b[min(i, k)][max(i, k)] for k in range(n)]
+                                    for i in range(n)], p))
+            built.append(levi(_rand_invertible(rng, n, p), p))
+            elements = built + [r.mat for r in coset_reps(n, p)]
+            for m in elements:
+                assert_checked(m)
+                inv = m.inverse()
+                assert_checked(inv)
+                assert m * inv == one and inv * m == one
+            for _ in range(20):
+                prod = rng.choice(elements) * rng.choice(elements)
+                assert_checked(prod)
+                assert_checked(prod.inverse())
+
     def test_blocks(self):
         m = partial_involution(2, 1, 3)
         assert m.block(0, 0) == ((1, 0), (0, 0))
@@ -93,22 +146,34 @@ class TestGenerators:
         assert m.block(0, 1) == ((0, 0), (0, 0))
 
     def test_levi_rejects_singular(self):
-        with pytest.raises(ValueError):
-            levi(((1, 1), (2, 2)), 3)
+        for a in (((1, 1), (2, 2)), ((3,),), ((1, 2, 0), (0, 1, 1)), ()):
+            with pytest.raises(ValueError):
+                levi(a, 3)
 
     def test_unipotent_needs_symmetric(self):
-        with pytest.raises(ValueError):
-            unipotent(((0, 1), (2, 0)), 3)
+        for b in (((0, 1), (2, 0)), ((0, 1, 0), (1, 0, 0)), ((0, 1), (1,)), ()):
+            with pytest.raises(ValueError):
+                unipotent(b, 3)
         m = unipotent(((0, 1), (1, 2)), 3)
         assert m.block(0, 1) == ((0, 1), (1, 2))
 
     def test_partial_involution_range(self):
-        with pytest.raises(ValueError):
-            partial_involution(2, 3, 3)
+        for n, j in ((2, 3), (0, 0), (2, -1)):
+            with pytest.raises(ValueError):
+                partial_involution(n, j, 3)
         ident = partial_involution(2, 0, 3)
         assert ident.mat == SymplecticModP(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3
         ).mat
+
+    def test_builders_reject_bad_prime(self):
+        for bad in (9, 1, 2):
+            with pytest.raises(ValueError):
+                partial_involution(2, 1, bad)
+            with pytest.raises(ValueError):
+                levi(((1, 0), (0, 1)), bad)
+            with pytest.raises(ValueError):
+                unipotent(((0, 1), (1, 0)), bad)
 
 
 class TestGlParabolicReps:
@@ -146,12 +211,13 @@ class TestGlParabolicReps:
 
 class TestCosetSystem:
     def test_counts(self):
-        for n, p in ((1, 3), (1, 5), (2, 3), (2, 5)):
+        for n, p in ((1, 3), (1, 5), (2, 3), (2, 5), (3, 3)):
             want = 1
             for i in range(1, n + 1):
                 want *= p ** i + 1
             reps = coset_reps(n, p)
-            assert len(reps) == want
+            assert len(reps) == want == coset_count(n, p)
+            assert len({r.mat.coset_key() for r in reps}) == want
             # cross-check the cell decomposition against the closed form
             by_cell = {}
             for r in reps:
@@ -182,10 +248,10 @@ class TestCosetSystem:
             assert built == r.mat
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            coset_reps(4, 3)
-        with pytest.raises(ValueError):
-            coset_reps(2, 9)
+        for build in (coset_reps, coset_count):
+            for n, p in ((4, 3), (0, 3), (2, 9), (2, 2)):
+                with pytest.raises(ValueError):
+                    build(n, p)
 
 
 def _embed(b_small, n):
@@ -229,6 +295,26 @@ class TestSameCoset:
                 m = m * rng.choice(gens)
             hits = sum(1 for r in reps if same_coset(m, r.mat))
             assert hits == 1
+
+    def test_matches_block_reference(self):
+        # key equality against the definition, with an inverse written here
+        reps = [r.mat for r in coset_reps(2, 3)]
+        for m1 in reps:
+            for m2 in reps:
+                assert same_coset(m1, m2) == same_coset_reference(m1, m2)
+        rng = random.Random(85)
+        gens = [partial_involution(2, j, 3) for j in range(3)] + [
+            unipotent(((1, 2), (2, 0)), 3), levi(((1, 1), (0, 2)), 3)]
+        words = []
+        for _ in range(60):
+            m = rng.choice(gens)
+            for _ in range(rng.randrange(1, 6)):
+                m = m * rng.choice(gens)
+            words.append(m)
+        for m in words:
+            got = [same_coset(m, r) for r in reps]
+            assert got == [same_coset_reference(m, r) for r in reps]
+            assert got.count(True) == 1
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
