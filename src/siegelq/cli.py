@@ -105,14 +105,19 @@ def build_parser():
     sub.add_argument("--f", required=True)
     sub.add_argument("--g", required=True)
     sub.add_argument("--minor-order", type=int, required=True)
-    sub.add_argument("--weight-f", type=_rational, required=True)
-    sub.add_argument("--weight-g", type=_rational, required=True)
+    sub.add_argument("--weight-f", type=_rational, required=True,
+                     help="weight of f, a rational a/b; a negative one "
+                          "as --weight-f=-1/2")
+    sub.add_argument("--weight-g", type=_rational, required=True,
+                     help="weight of g, a rational a/b; a negative one "
+                          "as --weight-g=-1/2")
     _add_output(sub)
 
     sub = subs.add_parser("vp", help="p-adic valuation of an expansion or rational")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--f", help="expansion JSON file")
-    group.add_argument("--value", type=_rational, help="a rational a/b")
+    group.add_argument("--value", type=_rational,
+                       help="a rational a/b; a negative one as --value=-7/9")
     sub.add_argument("--prime", type=int, required=True)
     _add_output(sub)
 
@@ -144,7 +149,8 @@ def build_parser():
         help="bracket-vs-theta-operator congruence report for a p-integral form")
     sub.add_argument("--f", required=True)
     sub.add_argument("--weight", type=_rational, required=True,
-                     help="scalar weight of f")
+                     help="scalar weight of f, a rational a/b; a negative one "
+                          "as --weight=-1/2")
     sub.add_argument("--prime", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--minor-order", type=int, required=True)

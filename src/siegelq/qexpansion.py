@@ -424,7 +424,11 @@ def to_json_dict(f):
 
 def from_json_dict(d):
     shape = _shape_from_json(d["shape"])
-    meta = d.get("meta") or {}
+    meta = d.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
+        raise ValueError("meta must be an object or null, got %r" % (meta,))
     weight = meta.get("weight")
     level = meta.get("level")
     character = meta.get("character")

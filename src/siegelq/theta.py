@@ -5,14 +5,23 @@ positive definite).  The theta series of degree n collects the exact
 representation numbers a(T) = #{X integral m x n : X^t Q X = 2T}, which
 is a Fourier expansion of weight m/2 over half-integral indices.
 
-Vector enumeration runs on an exact rational quadratic completion
-(Cholesky without square roots): Q = sum_i c_i (x_i + sum_{j>i} u_ij x_j)^2
-with c_i > 0, so coordinate ranges are exact integer intervals and the
-backtracking search never touches floating point.
+The series is built from the structure of Q.  Its Gram matrix splits
+into the connected components of its nonzero off-diagonal entries, and
+theta of an orthogonal direct sum is the product of the summands' series
+(permuting coordinates changes nothing), so each distinct component is
+enumerated once and the factors are multiplied.
+
+A component is enumerated by backtracking over its short vectors, in the
+style of Fincke-Pohst.  The quadratic completion (Cholesky without square
+roots) Q = sum_i c_i (x_i + sum_{j>i} u_ij x_j)^2, c_i > 0, is computed
+once and scaled to integer coefficients, so the search itself uses only
+integer arithmetic: each coordinate range is an exact integer interval
+bounded with math.isqrt, and neither Fraction nor floating point enters
+the recursion.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .halfint import det, freeze, identity, mat_inverse, mat_mul, transpose
 from .qexpansion import FourierExpansion, json_int
@@ -149,63 +158,79 @@ def _quadratic_completion(gram):
 
 
 def _short_vectors(gram, norm_bound):
-    """All integer vectors v with v^t Q v <= norm_bound, by backtracking on
-    the quadratic completion from the last coordinate down."""
+    """All integer vectors v with v^t Q v <= norm_bound, sorted, by
+    backtracking on the quadratic completion from the last coordinate down.
+
+    The completion is scaled to integers once: with d_i the common
+    denominator of row i of u, U_ij = d_i u_ij, and K the common
+    denominator of the c_i / d_i^2, the weights w_i = K c_i / d_i^2 are
+    integers and K v^t Q v = sum_i w_i (d_i v_i + sum_{j>i} U_ij v_j)^2.
+    So the search runs on integers only: coordinate i ranges over the v
+    with |d_i v + s_i| <= isqrt(R // w_i), where s_i = sum_{j>i} U_ij v_j
+    and R is the scaled norm still left."""
     m = len(gram)
     cs, us = _quadratic_completion(gram)
+    dens = [lcm(*[us[i][j].denominator for j in range(i + 1, m)])
+            for i in range(m)]
+    scales = [cs[i] / dens[i] ** 2 for i in range(m)]
+    k = lcm(*[s.denominator for s in scales])
+    weights = [int(k * s) for s in scales]
+    rows = [[(j, int(dens[i] * us[i][j])) for j in range(i + 1, m)]
+            for i in range(m)]
     out = []
     coords = [0] * m
 
     def descend(i, remaining):
-        if i < 0:
-            out.append(tuple(coords))
+        shift = sum(u * coords[j] for j, u in rows[i])
+        d, w = dens[i], weights[i]
+        r = isqrt(remaining // w)
+        # the integers v with -r <= d v + shift <= r
+        lo, hi = -((r + shift) // d), (r - shift) // d
+        if i == 0:
+            rest = tuple(coords[1:])
+            out.extend((v,) + rest for v in range(lo, hi + 1))
             return
-        shift = sum(us[i][j] * coords[j] for j in range(i + 1, m))
-        base = int(-shift) if shift <= 0 else -int(shift)
-        # walk down from floor(-shift), then up from floor(-shift) + 1;
-        # the constraint c_i (v + shift)^2 <= remaining is convex in v
-        v = base
-        while v + shift > 0:
-            v -= 1
-        while True:
-            term = cs[i] * (v + shift) ** 2
-            if term > remaining:
-                break
+        for v in range(lo, hi + 1):
             coords[i] = v
-            descend(i - 1, remaining - term)
-            v -= 1
-        v = base
-        while v + shift <= 0:
-            v += 1
-        while True:
-            term = cs[i] * (v + shift) ** 2
-            if term > remaining:
-                break
-            coords[i] = v
-            descend(i - 1, remaining - term)
-            v += 1
-        coords[i] = 0
+            t = d * v + shift
+            descend(i - 1, remaining - w * t * t)
 
-    descend(m - 1, Fraction(norm_bound))
+    descend(m - 1, k * norm_bound)
     return sorted(out)
 
 
-def rep_numbers(lattice, degree, trace_bound):
-    """Degree-n theta series of the lattice, exact to the trace bound.
+def _components(gram):
+    """Coordinates of each connected component of the graph whose edges
+    are the nonzero off-diagonal Gram entries, each list sorted, the lists
+    in order of their first coordinate.  The components are mutually
+    orthogonal, so the lattice is their direct sum."""
+    m = len(gram)
+    seen = [False] * m
+    out = []
+    for first in range(m):
+        if seen[first]:
+            continue
+        seen[first] = True
+        stack, block = [first], []
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in range(m):
+                if gram[i][j] and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        out.append(sorted(block))
+    return out
 
-    Coefficient at T counts integral m x n matrices X with X^t Q X = 2T.
-    Degrees 1..3 supported; weight metadata m/2, level the Gram level."""
-    n = degree
-    if not isinstance(n, int) or not 1 <= n <= 3:
-        raise ValueError("degree out of supported range 1..3")
-    if not isinstance(trace_bound, int) or trace_bound < 0:
-        raise ValueError("trace bound must be a nonnegative integer")
-    q = lattice.gram
+
+def _enumerate_theta(gram, n, trace_bound):
+    """Degree-n representation numbers of the Gram matrix by visiting every
+    ordered n-tuple of short vectors within the trace budget; no metadata."""
+    m = len(gram)
     budget = 2 * trace_bound
-    vectors = _short_vectors(q, budget)
+    vectors = _short_vectors(gram, budget)
     qvs = [
-        tuple(sum(q[i][j] * v[j] for j in range(lattice.rank))
-              for i in range(lattice.rank))
+        tuple(sum(gram[i][j] * v[j] for j in range(m)) for i in range(m))
         for v in vectors
     ]
     norms = [sum(x * y for x, y in zip(v, qv)) for v, qv in zip(vectors, qvs)]
@@ -233,9 +258,36 @@ def rep_numbers(lattice, degree, trace_bound):
             place(col + 1, used + norms[idx])
 
     place(0, 0)
-    return FourierExpansion(
-        n, trace_bound, counts,
-        weight=Fraction(lattice.rank, 2), level=lattice.level())
+    return FourierExpansion(n, trace_bound, counts)
+
+
+def rep_numbers(lattice, degree, trace_bound):
+    """Degree-n theta series of the lattice, exact to the trace bound.
+
+    Coefficient at T counts integral m x n matrices X with X^t Q X = 2T.
+    Degrees 1..3 supported; weight metadata m/2, level the Gram level.
+
+    Theta is unchanged by permuting coordinates, and the theta series of
+    an orthogonal direct sum is the product of the summands' series.  So
+    the Gram matrix is split into its connected components (see
+    _components; they may interleave), each distinct component Gram is
+    enumerated once, and the factors are multiplied."""
+    n = degree
+    if not isinstance(n, int) or not 1 <= n <= 3:
+        raise ValueError("degree out of supported range 1..3")
+    if not isinstance(trace_bound, int) or trace_bound < 0:
+        raise ValueError("trace bound must be a nonnegative integer")
+    q = lattice.gram
+    thetas = {}
+    result = None
+    for block in _components(q):
+        sub = tuple(tuple(q[i][j] for j in block) for i in block)
+        if sub not in thetas:
+            thetas[sub] = _enumerate_theta(sub, n, trace_bound)
+        result = thetas[sub] if result is None else result * thetas[sub]
+    result.weight = Fraction(lattice.rank, 2)
+    result.level = lattice.level()
+    return result
 
 
 def gram_to_json(lattice):

@@ -75,6 +75,14 @@ class TestBasicCommands:
             qexpansion.eisenstein(4, 5), qexpansion.eisenstein(6, 5),
             diffops.BracketParams(1, 1, 4, 6))
         assert qexpansion.from_json_dict(read(br)) == want
+        # a negative weight is given in the OPTION=VALUE form
+        assert run(["bracket", "--f", str(e4), "--g", str(e6),
+                    "--minor-order", "1", "--weight-f=-1/2",
+                    "--weight-g", "6", "-o", str(br)]) == 0
+        want = diffops.rankin_cohen(
+            qexpansion.eisenstein(4, 5), qexpansion.eisenstein(6, 5),
+            diffops.BracketParams(1, 1, Fraction(-1, 2), 6))
+        assert qexpansion.from_json_dict(read(br)) == want
 
 
 class TestCongruenceCommands:
@@ -116,6 +124,14 @@ class TestCongruenceCommands:
         assert json.loads(capsys.readouterr().out) == {"p": 3, "vp": 2}
         assert run(["vp", "--value", "3", "--prime", str(2 ** 61 - 1)]) == 0
         assert json.loads(capsys.readouterr().out) == {"p": 2 ** 61 - 1, "vp": 0}
+        # a negative rational needs the OPTION=VALUE form: argparse reads a
+        # separate "-7/9" as an option
+        assert run(["vp", "--value=-7/9", "--prime", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"p": 3, "vp": -2}
+        assert run(["vp", "--value=-18/5", "--prime", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"p": 3, "vp": 2}
+        assert run(["vp", "--value", "-7/9", "--prime", "3"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
         f = tmp_path / "f.json"
         write(f, qexpansion.to_json_dict(qexpansion.eisenstein(4, 2)))
         assert run(["vp", "--f", str(f), "--prime", "3"]) == 0
@@ -215,7 +231,8 @@ class TestRobustness:
                      lambda d: d["coeffs"][0].update(value="2.5e3"),
                      lambda d: d["coeffs"][0].update(value="1/0"),
                      lambda d: d["meta"].update(weight="0.5"),
-                     lambda d: d["meta"].update(character=[{"a": 1}])):
+                     lambda d: d["meta"].update(character=[{"a": 1}]),
+                     lambda d: d.update(meta=[1])):
             doc = read(f)
             edit(doc)
             write(bad, doc)

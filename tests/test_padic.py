@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,18 @@ class TestBracketThetaCongruence:
         bad = FourierExpansion(1, 2, {key1(1): Fraction(1, 3)})
         with pytest.raises(ValueError):
             bracket_theta_congruence(bad, 4, 3, 1, 1, 1)
+
+    def test_p7_degree_two_within_seconds(self):
+        # the unit form A6 + A6 has 95,873 vectors of norm <= 8; its theta
+        # series is the product of two copies of theta(A6)
+        f = rep_numbers(gram_a(4), 2, 3) ** 2
+        start = time.perf_counter()
+        for r, witness in ((1, ((0, 0), (0, 2))), (2, ((2, -1), (-1, 4)))):
+            rep = bracket_theta_congruence(f, 4, 7, 1, r, 1)
+            assert rep.holds
+            assert rep.min_valuation == 1
+            assert rep.witness == witness
+        assert time.perf_counter() - start < 5
 
     def test_report_is_congruence_report(self):
         rep = bracket_theta_congruence(eisenstein(4, 2), 4, 3, 1, 1, 1)

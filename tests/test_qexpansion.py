@@ -387,6 +387,8 @@ class TestJson:
             (scalar, lambda d: d["meta"].update(character=[{"a": 1}])),
             (scalar, lambda d: d["meta"].update(character=True)),
             (scalar, lambda d: d["meta"].update(character=1.5)),
+            (scalar, lambda d: d.update(meta=[1])),
+            (scalar, lambda d: d.update(meta="weight")),
             (block, lambda d: d["coeffs"].append(
                 {"t2": [[0, 0], [0, 0]], "value": [["1/2", 0.5], ["0", "0"]]})),
         ]

@@ -3,7 +3,10 @@
 The independent oracle enumerates every integer matrix in the coordinate
 box given by the diagonal of 2N Q^{-1} and tallies X^t Q X directly; the
 library path goes through quadratic-completion backtracking instead, so
-agreement is a two-route check.
+agreement is a two-route check.  A block-diagonal Gram takes the product
+path of rep_numbers and a connected one the enumeration, so comparing a
+block-diagonal Q with U^t Q U for a U that mixes the blocks checks the two
+paths against each other.
 """
 
 from fractions import Fraction
@@ -11,10 +14,15 @@ from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from siegelq.halfint import enumerate_indices, identity, mat_inverse
+from siegelq.halfint import enumerate_indices, identity, mat_inverse, mat_mul, transpose
+from siegelq.qexpansion import dumps
 from siegelq.theta import (
     GramLattice,
+    _components,
+    _short_vectors,
     cycle_isometry,
     direct_sum,
     gram_a,
@@ -50,6 +58,30 @@ def box_rep_oracle(gram, degree, bound):
             key = tuple(tuple(row) for row in d)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def box_short_vectors(gram, bound):
+    """Every integer v in the box |v_e| <= sqrt(N (Q^{-1})_ee) with
+    v^t Q v <= N, as (norm, v) pairs, sorted by v."""
+    m = len(gram)
+    inv = mat_inverse(gram)
+    radius = [isqrt(int(bound * inv[e][e])) for e in range(m)]
+    out = []
+    for v in product(*[range(-r, r + 1) for r in radius]):
+        norm = sum(v[a] * gram[a][b] * v[b] for a in range(m) for b in range(m))
+        if norm <= bound:
+            out.append((norm, v))
+    return out
+
+
+def conjugate(gram, u):
+    """U^t Q U."""
+    return mat_mul(transpose(u), mat_mul(gram, u))
+
+
+def permute(gram, perm):
+    """The Gram matrix in the coordinate order perm."""
+    return [[gram[i][j] for j in perm] for i in perm]
 
 
 class TestGramLattice:
@@ -178,3 +210,94 @@ class TestRepNumbers:
     def test_trace_bound_respected(self):
         th = rep_numbers(gram_a(2), 2, 2)
         assert all(sum(k[i][i] for i in range(2)) // 2 <= 2 for k in th.coeffs)
+
+
+class TestProductPath:
+    """Block-diagonal Grams, possibly with interleaved coordinates, are
+    split into components whose theta series are multiplied."""
+
+    A1_A2_A1 = direct_sum(direct_sum(gram_a(1), gram_a(2)), gram_a(1))
+    # coordinates (a1, a2_0, a2_1, a1') reordered to (a2_0, a1, a1', a2_1)
+    INTERLEAVED = GramLattice(permute(A1_A2_A1.gram, (1, 0, 3, 2)))
+
+    def test_components(self):
+        assert _components(gram_a(3).gram) == [[0, 1, 2]]
+        assert _components(direct_sum(gram_a(2), gram_a(1)).gram) == [[0, 1], [2]]
+        assert _components(self.INTERLEAVED.gram) == [[0, 3], [1], [2]]
+
+    def test_block_diagonal_against_box_oracle(self):
+        lattices = (direct_sum(gram_a(1), gram_a(1)),
+                    direct_sum(gram_a(2), gram_a(1)),
+                    self.A1_A2_A1, self.INTERLEAVED)
+        for lat in lattices:
+            for degree, bound in ((1, 4), (2, 2)):
+                th = rep_numbers(lat, degree, bound)
+                oracle = box_rep_oracle(lat.gram, degree, bound)
+                assert th.coeffs == oracle
+                assert th.weight == Fraction(lat.rank, 2)
+                assert th.level == lat.level()
+
+
+class TestShortVectors:
+    # U^t Q U for unimodular U with large entries: skewed Grams whose
+    # off-diagonal entries far exceed the diagonal of a reduced basis
+    SKEWED = (
+        conjugate(gram_a(2).gram, ((1, 7), (0, 1))),
+        conjugate(gram_a(2).gram, ((5, 8), (3, 5))),
+        conjugate(((2, 0), (0, 2)), ((2, 9), (1, 5))),
+        conjugate(gram_a(3).gram, ((1, 4, -3), (0, 1, 5), (0, 0, 1))),
+        conjugate(direct_sum(gram_a(2), gram_a(1)).gram,
+                  ((1, 0, 3), (2, 1, -4), (0, 0, 1))),
+        conjugate(gram_a(4).gram,
+                  ((1, 2, 0, 0), (0, 1, -2, 0), (0, 0, 1, 2), (0, 0, 0, 1))),
+    )
+
+    def test_skewed_grams_against_box(self):
+        for gram in self.SKEWED:
+            GramLattice(gram)  # positive definite and even
+            assert max(abs(x) for row in gram for x in row) >= 10
+            box = box_short_vectors(gram, 8)
+            for bound in range(9):
+                want = [v for norm, v in box if norm <= bound]
+                assert _short_vectors(gram, bound) == want
+
+
+ROOT_BLOCKS = {"A1": gram_a(1), "A2": gram_a(2), "A3": gram_a(3)}
+BOUNDS = {1: 4, 2: 3, 3: 2}
+
+
+@st.composite
+def mixed_block_grams(draw):
+    """A block-diagonal Gram Q of two or three root lattices and U^t Q U
+    for a unimodular U, made of elementary column operations, whose
+    Gram is connected, so it mixes every block."""
+    names = draw(st.lists(st.sampled_from(sorted(ROOT_BLOCKS)),
+                          min_size=2, max_size=3))
+    lat = ROOT_BLOCKS[names[0]]
+    for name in names[1:]:
+        lat = direct_sum(lat, ROOT_BLOCKS[name])
+    m = lat.rank
+    u = [list(row) for row in identity(m)]
+    ops = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                  st.sampled_from((-2, -1, 1, 2))),
+        min_size=m, max_size=2 * m))
+    for i, j, c in ops:
+        if i != j:
+            for row in u:
+                row[j] += c * row[i]
+    mixed = conjugate(lat.gram, u)
+    assume(len(_components(mixed)) == 1)
+    return lat, GramLattice(mixed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(pair=mixed_block_grams(), degree=st.integers(1, 3))
+def test_product_path_matches_enumeration(pair, degree):
+    """theta(Q) by the product path equals theta(U^t Q U) by enumeration,
+    byte for byte: theta coefficients and the level are GL_m(Z)-invariant."""
+    blocks, mixed = pair
+    assert len(_components(blocks.gram)) > 1
+    bound = BOUNDS[degree]
+    assert (dumps(rep_numbers(blocks, degree, bound))
+            == dumps(rep_numbers(mixed, degree, bound)))
