@@ -7,61 +7,39 @@ the two polarized pieces of (T1 + lambda T2)^[r] with half-integral
 Pochhammer weights; its derivative-free part is the classical reference
 term the congruence pipeline compares against.
 
-All polynomial work is univariate over Fraction, done with plain
-coefficient lists; matrices of such polynomials only ever reach size
-comb(n, r) <= 6, so cofactor expansion is exact and cheap.
+The polarized pieces split by the generalized Laplace expansion into
+products of minors det T1[A, B] det T2[C, D], so each entry of the bracket
+is a signed sum of ring products of minor-weighted series
+a(T) -> det T[A, B] a(T); no polynomial arithmetic is needed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .halfint import compound, key_half, key_trace, mat_add, subset_order
-from .qexpansion import SCALAR, FourierExpansion, term_pairs
-
-# -- univariate polynomials over Q as low-to-high coefficient lists --------
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ]
+from .halfint import compound, det, key_half, subset_order
+from .qexpansion import SCALAR, FourierExpansion
 
 
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ]
+def _laplace_split(rows, cols, q):
+    """Generalized Laplace expansion of the lambda^q coefficient of the
+    minor det (R + lambda S)[rows, cols]: yields (sign, r_rows, r_cols,
+    s_rows, s_cols) such that the coefficient is
 
+        sum sign * det R[r_rows, r_cols] * det S[s_rows, s_cols]
 
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_det(m):
-    n = len(m)
-    if n == 0:
-        return [Fraction(1)]
-    if n == 1:
-        return list(m[0][0])
-    total = [Fraction(0)]
-    for j in range(n):
-        entry = m[0][j]
-        if all(c == 0 for c in entry):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = _pmul(entry, _poly_det(minor))
-        total = _padd(total, term) if j % 2 == 0 else _psub(total, term)
-    return total
+    over the q-subsets s_rows of rows and s_cols of cols, r_rows and
+    r_cols being their complements and sign (-1)^(positions of s_rows and
+    s_cols within rows and cols)."""
+    for pk in combinations(range(len(rows)), q):
+        for pl in combinations(range(len(cols)), q):
+            yield (
+                (-1) ** (sum(pk) + sum(pl)),
+                tuple(x for i, x in enumerate(rows) if i not in pk),
+                tuple(x for j, x in enumerate(cols) if j not in pl),
+                tuple(rows[i] for i in pk),
+                tuple(cols[j] for j in pl),
+            )
 
 
 def half_rising(s, h):
@@ -91,23 +69,17 @@ def polarize_compound(r_mat, s_mat, r):
     if not 1 <= r <= n:
         raise ValueError("minor order out of range")
     subs = subset_order(n, r)
-    polys = [
-        [
-            _poly_det([
-                [[Fraction(r_mat[i][j]), Fraction(s_mat[i][j])] for j in cols]
-                for i in rows
-            ])
-            for cols in subs
-        ]
-        for rows in subs
-    ]
-    coeffs = []
-    for i in range(r + 1):
-        coeffs.append(tuple(
-            tuple(p[i] if i < len(p) else Fraction(0) for p in row)
-            for row in polys
-        ))
-    return coeffs
+
+    def minor(m, rows, cols):
+        return det([[Fraction(m[i][j]) for j in cols] for i in rows])
+
+    def piece(rows, cols, q):
+        return sum((sign * minor(r_mat, rr, rc) * minor(s_mat, sr, sc)
+                    for sign, rr, rc, sr, sc in _laplace_split(rows, cols, q)),
+                   Fraction(0))
+
+    return [tuple(tuple(piece(rows, cols, q) for cols in subs) for rows in subs)
+            for q in range(r + 1)]
 
 
 @dataclass(frozen=True)
@@ -145,6 +117,19 @@ def theta_operator(f, r):
         weight=f.weight, level=f.level, character=f.character)
 
 
+def _minor_weighted(h, rows, cols):
+    """The scalar series a(T) -> det T[rows, cols] a(T), the minor taken
+    as det 2T[rows, cols] / 2^|rows|; the empty minor is 1.  The keys are
+    h's own, so they are not validated again."""
+    scale = Fraction(1, 2 ** len(rows))
+    coeffs = {}
+    for key, value in h.coeffs.items():
+        m = det([[key[i][j] for j in cols] for i in rows])
+        if m:
+            coeffs[key] = value * m * scale
+    return h._build(h.trace_bound, coeffs, SCALAR, None, None, None)
+
+
 def rankin_cohen(f, g, params):
     """Exact Rankin-Cohen bracket D(f, g) of minor order r.
 
@@ -159,7 +144,11 @@ def rankin_cohen(f, g, params):
     where P_alpha is the lambda^(r-alpha) coefficient of
     compound(T1 + lambda T2, r), i.e. the polarized piece of degree alpha
     in T1.  For n = r = 1 this is k f theta(g) - l theta(f) g.  Result
-    shape ('compound', r), exact to the shared trace bound."""
+    shape ('compound', r), exact to the shared trace bound.
+
+    Computed entry by entry through _laplace_split: entry (I, J) is the
+    weighted, signed sum of the ring products M_(I-K, J-L) f * M_(K, L) g
+    of minor-weighted series (see _minor_weighted)."""
     if f.shape != SCALAR or g.shape != SCALAR:
         raise ValueError("bracket needs scalar expansions")
     n = params.degree
@@ -173,28 +162,31 @@ def rankin_cohen(f, g, params):
         (-1) ** alpha * half_rising(lp, alpha) * half_rising(kp, r - alpha)
         for alpha in range(r + 1)
     ]
-    bound = min(f.trace_bound, g.trace_bound)
-    half = {k: key_half(k) for e in (f, g) for k in e.coeffs
-            if key_trace(k) <= bound}
+    minors = [
+        {(rows, cols): _minor_weighted(h, rows, cols)
+         for s in range(r + 1)
+         for rows in subset_order(n, s) for cols in subset_order(n, s)}
+        for h in (f, g)
+    ]
+    subs = subset_order(n, r)
+    size = len(subs)
     acc = {}
-    for ka, va, kb, vb in term_pairs(f, g, bound):
-        pieces = polarize_compound(half[ka], half[kb], r)
-        scale = va * vb
-        block = None
-        for alpha in range(r + 1):
-            w = weights[alpha] * scale
-            if w == 0:
-                continue
-            piece = pieces[r - alpha]
-            term = tuple(tuple(w * x for x in row) for row in piece)
-            block = term if block is None else mat_add(block, term)
-        if block is None:
-            continue
-        key = mat_add(ka, kb)
-        acc[key] = block if key not in acc else mat_add(acc[key], block)
+    for i, rows in enumerate(subs):
+        for j, cols in enumerate(subs):
+            for q in range(r + 1):
+                w = weights[r - q]
+                if w == 0:
+                    continue
+                for sign, fr, fc, gr, gc in _laplace_split(rows, cols, q):
+                    c = sign * w
+                    term = minors[0][fr, fc] * minors[1][gr, gc]
+                    for key, value in term.coeffs.items():
+                        block = acc.setdefault(key, [[0] * size for _ in range(size)])
+                        block[i][j] += c * value
     weight = None
     if f.weight is not None and g.weight is not None:
         weight = f.weight + g.weight
+    bound = min(f.trace_bound, g.trace_bound)
     return FourierExpansion(n, bound, acc, ("compound", r), weight=weight)
 
 

@@ -24,7 +24,7 @@ from .halfint import (
     require_odd_prime,
     zero_matrix,
 )
-from .qexpansion import SCALAR, FourierExpansion
+from .qexpansion import SCALAR, FourierExpansion, zero_block
 from .theta import direct_sum, gram_a, rep_numbers
 
 
@@ -113,17 +113,15 @@ def congruent(f, g, p, m, normalized=False):
         raise ValueError("shape mismatch")
     bound = min(f.trace_bound, g.trace_bound)
     scalar = f.shape == SCALAR
+    zero = Fraction(0) if scalar else zero_block(f.block_size)
     keys = {k for k in f.coeffs if key_trace(k) <= bound}
     keys |= {k for k in g.coeffs if key_trace(k) <= bound}
     best = math.inf
     witness = None
     for key in sorted(keys, key=key_sort):
         if scalar:
-            diff = f.coeffs.get(key, Fraction(0)) - g.coeffs.get(key, Fraction(0))
-            v = vp(diff, p)
+            v = vp(f.coeffs.get(key, zero) - g.coeffs.get(key, zero), p)
         else:
-            size = f.block_size
-            zero = tuple((Fraction(0),) * size for _ in range(size))
             d = mat_sub(f.coeffs.get(key, zero), g.coeffs.get(key, zero))
             v = min((vp(x, p) for row in d for x in row), default=math.inf)
         if v < best:

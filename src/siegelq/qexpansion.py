@@ -63,9 +63,10 @@ def _normalize_shape(shape, degree):
 
 def term_pairs(f, g, bound):
     """Yield (key_f, value_f, key_g, value_g) for every pair of stored
-    terms of f and g whose traces sum to at most bound, the pairs a
-    product or bracket truncated at bound has to visit.  Both supports
-    are walked in trace order, so each inner loop stops at the bound."""
+    terms of f and g whose traces sum to at most bound, the pairs the
+    ring product truncated at bound has to visit (the bracket is a sum of
+    such products).  Both supports are walked in trace order, so each
+    inner loop stops at the bound."""
     left = sorted(((key_trace(k), k, v) for k, v in f.coeffs.items()),
                   key=lambda item: item[0])
     right = sorted(((key_trace(k), k, v) for k, v in g.coeffs.items()),
@@ -79,7 +80,7 @@ def term_pairs(f, g, bound):
             yield ka, va, kb, vb
 
 
-def _zero_block(size):
+def zero_block(size):
     return tuple((Fraction(0),) * size for _ in range(size))
 
 
@@ -162,7 +163,7 @@ class FourierExpansion:
             raise ValueError("coefficient beyond the trace bound")
         if self.shape == SCALAR:
             return self.coeffs.get(t.doubled, Fraction(0))
-        return self.coeffs.get(t.doubled, _zero_block(self.block_size))
+        return self.coeffs.get(t.doubled, zero_block(self.block_size))
 
     def truncate(self, new_bound):
         """Forget coefficients above new_bound (<= current bound)."""
@@ -444,8 +445,10 @@ def from_json_dict(d):
         value = entry["value"]
         if shape == SCALAR:
             coeffs[key] = rational_from_str(value)
-        else:
+        elif isinstance(value, list) and all(isinstance(row, list) for row in value):
             coeffs[key] = [[rational_from_str(x) for x in row] for row in value]
+        else:
+            raise ValueError("block value must be an array of arrays, got %r" % (value,))
     return FourierExpansion(
         json_int(d["degree"], "degree"),
         json_int(d["trace_bound"], "trace_bound"), coeffs, shape,

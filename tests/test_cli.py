@@ -239,6 +239,15 @@ class TestRobustness:
             assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
         for value in ("0.1", "2.5e3", "1/0", "1_0", " 3"):
             assert run(["vp", "--value", value, "--prime", "3"]) == 2
+        # block values are arrays of arrays of rationals
+        for degree, t2, value in ((1, [[0]], "1"), (1, [[0]], ["1"]),
+                                  (1, [[0]], {"7": "x"}),
+                                  (2, [[0, 0], [0, 0]], ["11", "00"])):
+            doc = qexpansion.to_json_dict(
+                qexpansion.FourierExpansion(degree, 1, {}, shape=("compound", 1)))
+            doc["coeffs"].append({"t2": t2, "value": value})
+            write(bad, doc)
+            assert run(["dilate", "--f", str(bad), "--factor", "1"]) == 2
         g = str(f)
         assert run(["thm41", "--f", g, "--weight", "4.0", "--prime", "3",
                     "--m", "1", "--minor-order", "1", "--dilate-exp", "1"]) == 2

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -13,7 +14,13 @@ from siegelq.diffops import (
     rankin_cohen,
     theta_operator,
 )
-from siegelq.halfint import compound, enumerate_indices, mat_add, mat_scale
+from siegelq.halfint import (
+    compound,
+    enumerate_indices,
+    mat_add,
+    mat_inverse,
+    mat_scale,
+)
 from siegelq.qexpansion import FourierExpansion, eisenstein
 from siegelq.theta import gram_a, rep_numbers
 
@@ -166,7 +173,7 @@ class TestBracket:
 
     def test_bilinear(self):
         rng = random.Random(66)
-        for n, r in ((1, 1), (2, 1), (2, 2)):
+        for n, r in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
             f1 = rand_expansion(rng, n, 2)
             f2 = rand_expansion(rng, n, 2)
             g = rand_expansion(rng, n, 2)
@@ -178,7 +185,7 @@ class TestBracket:
     def test_constant_second_argument_is_leading_part(self):
         # with g constant only the derivative-free piece survives
         rng = random.Random(67)
-        for n, r in ((1, 1), (2, 1), (2, 2)):
+        for n, r in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
             f = rand_expansion(rng, n, 2)
             g = FourierExpansion.constant(3, n, 2)
             params = BracketParams(n, r, Fraction(7, 2), 4)
@@ -186,13 +193,62 @@ class TestBracket:
 
     def test_antisymmetry_small(self):
         rng = random.Random(68)
-        for n, r in ((1, 1), (2, 1), (2, 2)):
+        for n, r in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
             f = rand_expansion(rng, n, 2)
             g = rand_expansion(rng, n, 2)
             k, l = rng.randint(1, 8), rng.randint(1, 8)
             fwd = rankin_cohen(f, g, BracketParams(n, r, k, l))
             bwd = rankin_cohen(g, f, BracketParams(n, r, l, k))
             assert fwd == bwd.scale((-1) ** r)
+
+    def test_matches_pairwise_oracle(self):
+        # the docstring formula evaluated pair by pair: the polarized pieces
+        # are the lambda-coefficients of compound(T1 + lambda T2, r), read
+        # off its values at lambda = 0..r through the inverse Vandermonde
+        # matrix; rising products written out here
+        def rising(s, h):
+            return prod((s + Fraction(i, 2) for i in range(h)), start=Fraction(1))
+
+        def oracle(f, g, n, r, k, l):
+            half = Fraction(r - 1, 2)
+            weights = [(-1) ** alpha * rising(l - half, alpha) * rising(k - half, r - alpha)
+                       for alpha in range(r + 1)]
+            vinv = mat_inverse([[Fraction(lam) ** q for q in range(r + 1)]
+                                for lam in range(r + 1)])
+            bound = min(f.trace_bound, g.trace_bound)
+            size = comb(n, r)
+            out = {}
+            for ka, va in f.coeffs.items():
+                for kb, vb in g.coeffs.items():
+                    key = tuple(tuple(x + y for x, y in zip(ra, rb))
+                                for ra, rb in zip(ka, kb))
+                    if sum(key[i][i] for i in range(n)) > 2 * bound:
+                        continue
+                    values = [compound(tuple(tuple(Fraction(x + lam * y, 2)
+                                                   for x, y in zip(ra, rb))
+                                             for ra, rb in zip(ka, kb)), r)
+                              for lam in range(r + 1)]
+                    block = out.setdefault(key, [[Fraction(0)] * size for _ in range(size)])
+                    for alpha in range(r + 1):
+                        q = r - alpha
+                        for i in range(size):
+                            for j in range(size):
+                                piece = sum(vinv[q][lam] * values[lam][i][j]
+                                            for lam in range(r + 1))
+                                block[i][j] += va * vb * weights[alpha] * piece
+            return FourierExpansion(n, bound, out, ("compound", r))
+
+        rng = random.Random(71)
+        for n, bounds in ((1, (5, 3)), (2, (3, 2)), (3, (2, 1))):
+            for r in range(1, n + 1):
+                vanishing = Fraction(r - 1, 2)
+                for k, l in ((vanishing, Fraction(7, 2)), (Fraction(5, 3), vanishing),
+                             (Fraction(-3, 2), Fraction(4))):
+                    f = rand_expansion(rng, n, bounds[0]).scale(Fraction(1, rng.randint(2, 4)))
+                    g = rand_expansion(rng, n, bounds[1])
+                    got = rankin_cohen(f, g, BracketParams(n, r, k, l))
+                    assert got == oracle(f, g, n, r, k, l)
+                    assert got.trace_bound == bounds[1]
 
     def test_bound_is_min(self):
         rng = random.Random(69)

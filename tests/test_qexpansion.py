@@ -367,6 +367,7 @@ class TestJson:
         # silent overwrite by a repeated t2
         scalar = dumps(eisenstein(4, 2))
         block = dumps(FourierExpansion(2, 1, {}, shape=("compound", 1)))
+        block1 = dumps(FourierExpansion(1, 1, {}, shape=("compound", 1)))
         edits = [
             (scalar, lambda d: d.update(degree=1.7)),
             (scalar, lambda d: d.update(degree=True)),
@@ -391,6 +392,12 @@ class TestJson:
             (scalar, lambda d: d.update(meta="weight")),
             (block, lambda d: d["coeffs"].append(
                 {"t2": [[0, 0], [0, 0]], "value": [["1/2", 0.5], ["0", "0"]]})),
+            # a block value is an array of arrays, not a string or object
+            (block, lambda d: d["coeffs"].append(
+                {"t2": [[0, 0], [0, 0]], "value": ["11", "00"]})),
+            (block1, lambda d: d["coeffs"].append({"t2": [[0]], "value": "1"})),
+            (block1, lambda d: d["coeffs"].append({"t2": [[0]], "value": ["1"]})),
+            (block1, lambda d: d["coeffs"].append({"t2": [[0]], "value": {"7": "x"}})),
         ]
         for text, edit in edits:
             d = json.loads(text)
