@@ -7,6 +7,7 @@ fails), 2 usage or input errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -167,6 +168,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser run uses, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def _run_command(args):
     cmd = args.command
 
@@ -260,9 +268,8 @@ def _run_command(args):
 
 def run(argv):
     """Parse argv (no program name) and execute; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -10,12 +10,25 @@ returns.
 Values are scalars, or square blocks of size comb(n, r) for the image of
 an order-r minor theta operator; the shape field is "scalar" or
 ("compound", r).
+
+A product runs one pair loop over Python ints.  Each operand's values are
+scaled to integer numerators over one common denominator, the lcm of its
+value denominators; a block's numerators are packed into one int as
+signed digits in a base wider than any entry of the result, so a block
+scales and adds like a scalar.  Each key 2T is coded as one int: the
+signed digits of its upper triangle in base 4N + 1, N the product's trace
+bound.  For T >= 0 with trace(T) <= N, the diagonal of 2T lies in
+[0, 2N] and |2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it; a sum of two keys
+whose traces add to at most N is such a key again.  So every digit stays
+in [-2N, 2N], and the code of a sum is the sum of the codes.  Only the
+output keys are decoded, once each.
 """
 
 import json
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import itemgetter
 
 from .halfint import (
     HalfIntegralMatrix,
@@ -61,23 +74,42 @@ def _normalize_shape(shape, degree):
     raise ValueError("shape must be 'scalar' or ('compound', r) with 1 <= r <= degree")
 
 
-def term_pairs(f, g, bound):
-    """Yield (key_f, value_f, key_g, value_g) for every pair of stored
-    terms of f and g whose traces sum to at most bound, the pairs the
-    ring product truncated at bound has to visit (the bracket is a sum of
-    such products).  Both supports are walked in trace order, so each
-    inner loop stops at the bound."""
-    left = sorted(((key_trace(k), k, v) for k, v in f.coeffs.items()),
-                  key=lambda item: item[0])
-    right = sorted(((key_trace(k), k, v) for k, v in g.coeffs.items()),
-                   key=lambda item: item[0])
-    for ta, ka, va in left:
-        if ta > bound:
-            break
-        for tb, kb, vb in right:
-            if ta + tb > bound:
-                break
-            yield ka, va, kb, vb
+def _pack(digits, base):
+    """The int with the given signed digits in base, least significant
+    first."""
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
+def _unpack(code, base, count):
+    """The count signed digits of code in the odd base, least significant
+    first, each in [-(base // 2), base // 2]; the inverse of _pack on such
+    digits."""
+    half = base // 2
+    digits = []
+    for _ in range(count):
+        d = (code + half) % base - half
+        digits.append(d)
+        code = (code - d) // base
+    return digits
+
+
+def _numerators(f, bound):
+    """The terms of f with trace at most bound as (trace, key, integer
+    numerators), sorted by trace, and their common denominator: the lcm of
+    the value denominators.  A block's entries are listed row by row."""
+    terms = []
+    for k, v in f.coeffs.items():
+        t = key_trace(k)
+        if t <= bound:
+            terms.append((t, k, (v,) if f.shape == SCALAR else
+                          [x for row in v for x in row]))
+    den = lcm(*(x.denominator for _, _, xs in terms for x in xs))
+    terms.sort(key=itemgetter(0))
+    return [(t, k, [x.numerator * (den // x.denominator) for x in xs])
+            for t, k, xs in terms], den
 
 
 def zero_block(size):
@@ -242,36 +274,57 @@ class FourierExpansion:
         return self.scale(other)
 
     def _convolve(self, other):
+        """The product truncated at the smaller bound, by one pair loop
+        over integer key codes and numerators (see the module docstring)."""
         self._require_compatible(other)
         if self.shape != SCALAR and other.shape != SCALAR:
             raise ValueError("cannot multiply two block-valued expansions")
-        shape = other.shape if self.shape == SCALAR else self.shape
+        block = other if self.shape == SCALAR else self
+        shape, size = block.shape, block.block_size
         bound = min(self.trace_bound, other.trace_bound)
-        scalar = shape == SCALAR
+        n = self.degree
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        key_base = 4 * bound + 1
+        f_terms, f_den = _numerators(self, bound)
+        g_terms, g_den = _numerators(other, bound)
+        # No entry of the result's numerator sums exceeds peak in absolute
+        # value, so a block packed in value_base scales and adds digit-wise.
+        peak = (sum(abs(x) for _, _, xs in f_terms for x in xs)
+                * sum(abs(x) for _, _, xs in g_terms for x in xs))
+        value_base = 2 * peak + 1
+
+        def coded(terms):
+            return [(t, _pack([k[i][j] for i, j in upper], key_base),
+                     _pack(xs, value_base)) for t, k, xs in terms]
+
+        left, right = coded(f_terms), coded(g_terms)
         acc = {}
-        for ka, va, kb, vb in term_pairs(self, other, bound):
-            key = mat_add(ka, kb)
-            if scalar:
-                term = va * vb
-            elif self.shape == SCALAR:
-                term = mat_scale(va, vb)
-            else:
-                term = mat_scale(vb, va)
-            if key in acc:
-                acc[key] = acc[key] + term if scalar else mat_add(acc[key], term)
-            else:
-                acc[key] = term
-        if scalar:
-            acc = {k: v for k, v in acc.items() if v != 0}
-        else:
-            acc = {k: v for k, v in acc.items()
-                   if any(x != 0 for row in v for x in row)}
+        get = acc.get
+        for ta, ca, na in left:
+            room = bound - ta
+            for tb, cb, nb in right:
+                if tb > room:
+                    break
+                c = ca + cb
+                acc[c] = get(c, 0) + na * nb
+        den = f_den * g_den
+        coeffs = {}
+        for c, s in acc.items():
+            if not s:
+                continue
+            key = [[0] * n for _ in range(n)]
+            for (i, j), x in zip(upper, _unpack(c, key_base, len(upper))):
+                key[i][j] = key[j][i] = x
+            values = [Fraction(x, den) for x in _unpack(s, value_base, size * size)]
+            coeffs[tuple(map(tuple, key))] = (
+                values[0] if shape == SCALAR
+                else tuple(tuple(values[i:i + size]) for i in range(0, size * size, size)))
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
         level = self.level if self.level == other.level else None
         character = self.character if self.character == other.character else None
-        return self._build(bound, acc, shape, weight, level, character)
+        return self._build(bound, coeffs, shape, weight, level, character)
 
     def __pow__(self, exponent):
         if self.shape != SCALAR:

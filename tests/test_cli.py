@@ -1,10 +1,14 @@
 """Command-line interface: formats, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
-from siegelq import diffops, padic, qexpansion, theta
+import siegelq
+from siegelq import cli, diffops, padic, qexpansion, theta
 from siegelq.cli import run
 
 
@@ -259,6 +263,36 @@ class TestRobustness:
                       "3317044064679887385961981"):
             assert run(["vp", "--value", "3", "--prime", prime]) == 2
         capsys.readouterr()
+
+    def test_parser_reuse_keeps_no_state(self, tmp_path, capsys):
+        # one process: an error, then outputs equal to a fresh parser's
+        assert run(["eisenstein", "--weight", "4"]) == 2
+        capsys.readouterr()
+        for argv in (["gram-a", "--rank", "3"],
+                     ["eisenstein", "--weight", "6", "--trace-bound", "4"]):
+            assert run(argv) == 0
+            reused = capsys.readouterr().out
+            assert cli._run_command(cli.build_parser().parse_args(argv)) == 0
+            assert capsys.readouterr().out == reused
+        assert cli.build_parser() is not cli.build_parser()
+        # a flag given in one call is not a default in the next
+        f = tmp_path / "f.json"
+        write(f, qexpansion.to_json_dict(qexpansion.eisenstein(4, 2)))
+        args = ["congruent", "--f", str(f), "--g", str(f), "--prime", "3",
+                "--m", "1"]
+        assert run(args + ["--normalized"]) == 0
+        assert json.loads(capsys.readouterr().out)["normalized"] is True
+        assert run(args) == 0
+        assert json.loads(capsys.readouterr().out)["normalized"] is False
+
+    def test_python_dash_m(self, capsys):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "siegelq", "gram-a", "--rank", "2"],
+                              capture_output=True, env=env, check=False)
+        assert run(["gram-a", "--rank", "2"]) == 0
+        assert done.returncode == 0
+        assert done.stdout.decode("utf-8") == capsys.readouterr().out
 
     def test_stdout_default(self, capsys):
         assert run(["gram-a", "--rank", "1"]) == 0

@@ -2,7 +2,9 @@
 
 Oracles: Eisenstein coefficients recomputed from raw divisor sums with
 the Bernoulli recurrence written out independently; delta pinned against
-the eta product q prod (1 - q^n)^24 expanded by plain list convolution.
+the eta product q prod (1 - q^n)^24 expanded by plain list convolution;
+the integer product kernel against a pairwise Fraction product with its
+own key addition, truncation and zero-dropping.
 """
 
 import json
@@ -11,8 +13,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siegelq.halfint import zero_matrix
+from siegelq.halfint import enumerate_indices, zero_matrix
 from siegelq.qexpansion import (
     FourierExpansion,
     bernoulli,
@@ -62,6 +66,38 @@ def oracle_eta24(bound):
                         out[i + j] += c * d
             poly = out
     return [0] + poly[: bound]  # shift by the leading q
+
+
+def oracle_product(f, g):
+    """The coefficients of f * g from every pair of stored terms: keys
+    added entry by entry, sums past the smaller trace bound skipped, a
+    block scaled entry by entry, and zero sums (all-zero blocks) dropped."""
+    bound = min(f.trace_bound, g.trace_bound)
+
+    def times(a, b):
+        if isinstance(a, tuple):
+            return tuple(tuple(x * b for x in row) for row in a)
+        if isinstance(b, tuple):
+            return tuple(tuple(a * x for x in row) for row in b)
+        return a * b
+
+    def plus(a, b):
+        if isinstance(a, tuple):
+            return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+        return a + b
+
+    out = {}
+    for ka, va in f.coeffs.items():
+        for kb, vb in g.coeffs.items():
+            key = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ka, kb))
+            if sum(key[i][i] for i in range(len(key))) > 2 * bound:
+                continue
+            term = times(va, vb)
+            out[key] = plus(out[key], term) if key in out else term
+    def nonzero(v):
+        return any(x != 0 for row in v for x in row) if isinstance(v, tuple) else v != 0
+
+    return {k: v for k, v in out.items() if nonzero(v)}
 
 
 def key1(t):
@@ -197,6 +233,163 @@ class TestRingLaws:
         assert h.coefficient(key1(2)) == 10
 
 
+# Distinct large primes, so the common denominators of the kernel are
+# products of several of them.
+BIG_PRIMES = (1000003, 998244353, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                    rng.choice((1, 2, 9)) * rng.choice(BIG_PRIMES) ** rng.randint(0, 2))
+
+
+def rand_shaped(rng, degree, bound, shape, density=0.7):
+    size = 1 if shape == "scalar" else comb(degree, shape[1])
+    coeffs = {}
+    for t in enumerate_indices(degree, bound):
+        if rng.random() < density:
+            coeffs[t.doubled] = (
+                rand_rational(rng) if shape == "scalar"
+                else [[rand_rational(rng) for _ in range(size)] for _ in range(size)])
+    return FourierExpansion(degree, bound, coeffs, shape)
+
+
+def assert_matches_oracle(f, g):
+    h = f * g
+    assert h.trace_bound == min(f.trace_bound, g.trace_bound)
+    assert h.shape == (g.shape if f.shape == "scalar" else f.shape)
+    assert h.coeffs == oracle_product(f, g)
+    entries = [x for v in h.coeffs.values()
+               for row in (v if isinstance(v, tuple) else ((v,),)) for x in row]
+    assert all(type(x) is Fraction for x in entries)
+
+
+class TestIntegerKernel:
+    """The integer product against the pairwise Fraction oracle."""
+
+    BOUNDS = {1: 9, 2: 4, 3: 2}
+
+    def test_shapes_degrees_and_bounds(self):
+        rng = random.Random(61)
+        for degree in (1, 2, 3):
+            top = self.BOUNDS[degree]
+            for r in range(1, degree + 1):
+                block = ("compound", r)
+                for shapes in (("scalar", "scalar"), ("scalar", block),
+                               (block, "scalar")):
+                    for bounds in ((top, top), (top, top - 1), (1, top), (0, top),
+                                   (top, 0), (0, 0)):
+                        f = rand_shaped(rng, degree, bounds[0], shapes[0])
+                        g = rand_shaped(rng, degree, bounds[1], shapes[1])
+                        assert_matches_oracle(f, g)
+
+    def test_sparse_and_empty_operands(self):
+        rng = random.Random(62)
+        for degree in (1, 2, 3):
+            for density in (0.0, 0.1, 0.3):
+                f = rand_shaped(rng, degree, self.BOUNDS[degree], "scalar", density)
+                g = rand_shaped(rng, degree, self.BOUNDS[degree], ("compound", 1),
+                                density)
+                assert_matches_oracle(f, g)
+                assert_matches_oracle(g, f)
+                assert_matches_oracle(f, f)
+
+    def test_cancelled_terms_are_absent(self):
+        # (1 + q)(1/p - q/p) = 1/p - q^2/p: the q^1 sum cancels
+        p = BIG_PRIMES[3]
+        f = FourierExpansion(1, 3, {key1(0): 1, key1(1): 1})
+        g = FourierExpansion(1, 3, {key1(0): Fraction(1, p), key1(1): Fraction(-1, p)})
+        h = f * g
+        assert h.coeffs == {key1(0): Fraction(1, p), key1(2): Fraction(-1, p)}
+        assert h.coeffs == oracle_product(f, g)
+        # a block cancels as a whole, or entry by entry
+        b = [[Fraction(2, BIG_PRIMES[0]), Fraction(-3, BIG_PRIMES[1])],
+             [Fraction(5, 7), Fraction(0)]]
+        minus = [[-x for x in row] for row in b]
+        half = [[x if i == 0 else -x for x in row] for i, row in enumerate(b)]
+        k0, k1 = ((0, 0), (0, 0)), ((2, 1), (1, 2))
+        s = FourierExpansion(2, 4, {k0: 1, k1: 1})
+        for value, absent in ((minus, True), (half, False)):
+            g = FourierExpansion(2, 4, {k0: b, k1: value}, ("compound", 1))
+            for h in (s * g, g * s):
+                assert (k1 in h.coeffs) is not absent
+                assert h.coeffs == oracle_product(s, g)
+        # two pairs cancelling at one degree-2 key: 1 * 15 + 5 * (-3)
+        kc, kd, ke = ((2, 0), (0, 0)), ((0, 0), (0, 2)), ((2, 0), (0, 2))
+        f = FourierExpansion(2, 2, {k0: 1, kc: 5})
+        g = FourierExpansion(2, 2, {ke: 15, kd: -3})
+        h = f * g
+        assert set(h.coeffs) == {kd}
+        assert h.coeffs == oracle_product(f, g)
+
+    def test_keys_at_the_encoding_extremes(self):
+        # diagonal entries of 2T reach 2N, off-diagonal ones +-N
+        for degree, bound in ((1, 10), (2, 10), (2, 6), (3, 6), (3, 4)):
+            n = degree
+            extremes = []
+            for i in range(n):
+                extremes.append([(i, i, 2)])
+                for j in range(i + 1, n):
+                    extremes.append([(i, i, 1), (j, j, 1), (i, j, 1)])
+                    extremes.append([(i, i, 1), (j, j, 1), (i, j, -1)])
+
+            def key(entries, scale):
+                m = [[0] * n for _ in range(n)]
+                for i, j, x in entries:
+                    m[i][j] = m[j][i] = x * scale
+                return tuple(map(tuple, m))
+
+            rng = random.Random(63 + degree + bound)
+            for entries in extremes:
+                # trace(T) = scale for each extreme shape above
+                f = FourierExpansion(n, bound, {
+                    key(entries, a): rand_rational(rng) for a in range(0, bound + 1, 2)})
+                g = FourierExpansion(n, bound, {
+                    key(entries, b): rand_rational(rng) for b in range(0, bound + 1, 2)})
+                assert_matches_oracle(f, g)
+                top = key(entries, bound)
+                assert max(abs(x) for row in top for x in row) in (bound, 2 * bound)
+                assert (f * g).coeffs[top] == sum(
+                    f.coeffs[key(entries, a)] * g.coeffs[key(entries, bound - a)]
+                    for a in range(0, bound + 1, 2))
+
+
+@st.composite
+def expansion_triples(draw):
+    degree = draw(st.integers(1, 3))
+    top = {1: 6, 2: 3, 3: 2}[degree]
+    keys = [t.doubled for t in enumerate_indices(degree, top)]
+    values = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    out = []
+    for _ in range(3):
+        bound = draw(st.integers(0, top))
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=len(keys)))
+        coeffs = {k: draw(values) for k in chosen
+                  if sum(k[i][i] for i in range(degree)) <= 2 * bound}
+        out.append(FourierExpansion(degree, bound, coeffs))
+    r = draw(st.integers(1, degree))
+    size = comb(degree, r)
+    block = {}
+    for k in draw(st.lists(st.sampled_from(keys), max_size=len(keys))):
+        block[k] = [[draw(values) for _ in range(size)] for _ in range(size)]
+    return out, FourierExpansion(degree, top, block, ("compound", r))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(triple=expansion_triples())
+def test_product_ring_laws_under_truncation(triple):
+    """Commutativity and associativity hold with unequal bounds: every
+    product is truncated to the smallest bound of its factors."""
+    (f, g, h), b = triple
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert (f * g) * b == f * (g * b)
+    assert f * b == b * f
+    assert (f * b) * g == f * (b * g)
+    cut = min(f.trace_bound, g.trace_bound)
+    assert (f * g).truncate(cut // 2) == f.truncate(cut // 2) * g.truncate(cut // 2)
+
+
 class TestIndexOperators:
     def test_u_p_explicit(self):
         f = FourierExpansion(1, 6, {key1(t): 10 + t for t in range(7)})
@@ -239,12 +432,15 @@ class TestIndexOperators:
 
 class TestValidation:
     def test_key_beyond_bound(self):
-        with pytest.raises(ValueError):
-            FourierExpansion(1, 2, {key1(3): 1})
+        # a zero value, which is dropped, does not excuse the key
+        for value in (1, 0):
+            with pytest.raises(ValueError):
+                FourierExpansion(1, 2, {key1(3): value})
 
     def test_key_not_psd(self):
-        with pytest.raises(ValueError):
-            FourierExpansion(2, 3, {((2, 3), (3, 2)): 1})
+        for value, shape in ((1, "scalar"), (0, "scalar"), ([[0]], ("compound", 2))):
+            with pytest.raises(ValueError):
+                FourierExpansion(2, 3, {((2, 3), (3, 2)): value}, shape)
 
     def test_coefficient_beyond_bound(self):
         f = FourierExpansion.constant(1, 1, 2)
