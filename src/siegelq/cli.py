@@ -10,10 +10,9 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import diffops, padic, qexpansion, symplectic, theta
-from .qexpansion import FourierExpansion, rational_from_str
+from .qexpansion import rational_from_str
 
 
 def _read_json(path):
@@ -127,11 +126,8 @@ def build_parser():
     sub.add_argument("--g", required=True)
     sub.add_argument("--prime", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--plain", action="store_true",
-                       help="fixed threshold m (default)")
-    group.add_argument("--normalized", action="store_true",
-                       help="shift the threshold by the valuation of f")
+    sub.add_argument("--normalized", action="store_true",
+                     help="shift the threshold m by the valuation of f")
     _add_output(sub)
 
     sub = subs.add_parser("frobenius", help="(f^p)|U(p), congruent to f mod p")

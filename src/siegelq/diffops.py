@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .halfint import compound, det, key_half, subset_order
-from .qexpansion import SCALAR, FourierExpansion
+from .qexpansion import SCALAR, _trusted
 
 
 def _laplace_split(rows, cols, q):
@@ -106,28 +106,27 @@ def theta_operator(f, r):
     is ('compound', r)-shaped."""
     if f.shape != SCALAR:
         raise ValueError("theta operator needs a scalar expansion")
-    if not 1 <= r <= f.degree:
+    if not isinstance(r, int) or not 1 <= r <= f.degree:
         raise ValueError("minor order out of range")
     coeffs = {}
     for key, value in f.coeffs.items():
         block = compound(key_half(key), r)
-        coeffs[key] = tuple(tuple(value * x for x in row) for row in block)
-    return FourierExpansion(
-        f.degree, f.trace_bound, coeffs, ("compound", r),
-        weight=f.weight, level=f.level, character=f.character)
+        if any(x for row in block for x in row):
+            coeffs[key] = tuple(tuple(value * x for x in row) for row in block)
+    return _trusted(f.degree, f.trace_bound, coeffs, ("compound", r),
+                    f.weight, f.level, f.character)
 
 
 def _minor_weighted(h, rows, cols):
     """The scalar series a(T) -> det T[rows, cols] a(T), the minor taken
-    as det 2T[rows, cols] / 2^|rows|; the empty minor is 1.  The keys are
-    h's own, so they are not validated again."""
+    as det 2T[rows, cols] / 2^|rows|; the empty minor is 1."""
     scale = Fraction(1, 2 ** len(rows))
     coeffs = {}
     for key, value in h.coeffs.items():
         m = det([[key[i][j] for j in cols] for i in rows])
         if m:
             coeffs[key] = value * m * scale
-    return h._build(h.trace_bound, coeffs, SCALAR, None, None, None)
+    return _trusted(h.degree, h.trace_bound, coeffs)
 
 
 def rankin_cohen(f, g, params):
@@ -181,13 +180,16 @@ def rankin_cohen(f, g, params):
                     c = sign * w
                     term = minors[0][fr, fc] * minors[1][gr, gc]
                     for key, value in term.coeffs.items():
-                        block = acc.setdefault(key, [[0] * size for _ in range(size)])
+                        block = acc.setdefault(
+                            key, [[Fraction(0)] * size for _ in range(size)])
                         block[i][j] += c * value
     weight = None
     if f.weight is not None and g.weight is not None:
         weight = f.weight + g.weight
-    bound = min(f.trace_bound, g.trace_bound)
-    return FourierExpansion(n, bound, acc, ("compound", r), weight=weight)
+    coeffs = {key: tuple(map(tuple, block)) for key, block in acc.items()
+              if any(x for row in block for x in row)}
+    return _trusted(n, min(f.trace_bound, g.trace_bound), coeffs,
+                    ("compound", r), weight)
 
 
 def leading_part(f, g, params):

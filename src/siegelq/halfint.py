@@ -75,10 +75,6 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
@@ -186,33 +182,40 @@ def compound(m, r):
     )
 
 
+def even_symmetric(rows, name):
+    """rows as a frozen matrix if it is nonempty, integral and symmetric
+    with even diagonal (a doubled index 2T or an even Gram matrix), else
+    ValueError naming the matrix."""
+    d = freeze(rows)
+    n = len(d)
+    if n < 1:
+        raise ValueError("%s must not be empty" % name)
+    for i in range(n):
+        for j in range(n):
+            if not isinstance(d[i][j], int):
+                raise ValueError("%s must have integer entries" % name)
+            if d[i][j] != d[j][i]:
+                raise ValueError("%s must be symmetric" % name)
+        if d[i][i] % 2:
+            raise ValueError("%s must have even diagonal" % name)
+    return d
+
+
 class HalfIntegralMatrix:
     """Fourier index T, stored via its doubled matrix 2T.
 
     The doubled matrix must be integral, symmetric, with even diagonal;
-    equality, hashing and sort order all use it directly."""
+    equality and hashing use it directly, and key_sort orders it."""
 
     __slots__ = ("degree", "doubled")
 
     def __init__(self, doubled):
-        d = freeze(doubled)
-        n = len(d)
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        for i in range(n):
-            for j in range(n):
-                if not isinstance(d[i][j], int):
-                    raise ValueError("2T must have integer entries")
-                if d[i][j] != d[j][i]:
-                    raise ValueError("2T must be symmetric")
-            if d[i][i] % 2:
-                raise ValueError("2T must have even diagonal")
-        self.degree = n
-        self.doubled = d
+        self.doubled = even_symmetric(doubled, "2T")
+        self.degree = len(self.doubled)
 
     @property
     def trace(self):
-        return sum(self.doubled[i][i] for i in range(self.degree)) // 2
+        return key_trace(self.doubled)
 
     def rational(self):
         """T itself, as a Fraction matrix."""
@@ -229,10 +232,6 @@ class HalfIntegralMatrix:
                 if det(sub) < 0:
                     return False
         return True
-
-    def sort_key(self):
-        flat = tuple(x for row in self.doubled for x in row)
-        return (self.trace, flat)
 
     def __eq__(self, other):
         return (
@@ -257,6 +256,7 @@ def key_half(key):
 
 
 def key_sort(key):
+    """The (trace, row-major entries) order of doubled key matrices."""
     return (key_trace(key), tuple(x for row in key for x in row))
 
 
@@ -291,7 +291,7 @@ def enumerate_indices(degree, trace_bound):
             t = HalfIntegralMatrix(d)
             if t.is_psd():
                 out.append(t)
-    out.sort(key=HalfIntegralMatrix.sort_key)
+    out.sort(key=lambda t: key_sort(t.doubled))
     return out
 
 

@@ -3,7 +3,12 @@
 Valuations are exact integers (or +inf for zero); congruence F = G mod p^m
 means every coefficient difference up to the shared trace bound has
 valuation >= m, optionally shifted by the valuation of F itself
-(normalized mode, which makes the relation scale-invariant).
+(normalized mode, which makes the relation scale-invariant).  Following
+Serre, the differences are the coefficients of the ring's F - G: it
+truncates to the shared bound, rejects a degree or shape mismatch and
+drops zero coefficients, so the report reads the valuations of the terms
+F - G stores, in (trace, entries) order.  The prime is checked once per
+call, not per coefficient.
 
 The module also carries the two constructive congruence pipelines: the
 Frobenius descent (G^p)|U(p) = G mod p for p-integral G, and the bracket
@@ -17,21 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffops import BracketParams, half_rising, rankin_cohen, theta_operator
-from .halfint import (
-    key_sort,
-    key_trace,
-    mat_sub,
-    require_odd_prime,
-    zero_matrix,
-)
-from .qexpansion import SCALAR, FourierExpansion, zero_block
+from .halfint import require_odd_prime
+from .qexpansion import SCALAR, FourierExpansion
 from .theta import direct_sum, gram_a, rep_numbers
 
 
 def vp(x, p):
     """p-adic valuation of a rational: vp(p) = 1, vp(0) = +inf."""
     require_odd_prime(p)
-    x = Fraction(x)
+    return _vp(Fraction(x), p)
+
+
+def _vp(x, p):
+    """vp of the Fraction x, p already checked."""
     if x == 0:
         return math.inf
     count = 0
@@ -46,21 +49,23 @@ def vp(x, p):
     return count
 
 
+def _valuations(f, p):
+    """(key, valuation) for each stored coefficient of f in (trace,
+    entries) order, a block valued by its least entry; p already
+    checked."""
+    for key in f.support():
+        value = f.coeffs[key]
+        if f.shape == SCALAR:
+            yield key, _vp(value, p)
+        else:
+            yield key, min(_vp(x, p) for row in value for x in row)
+
+
 def vp_expansion(f, p):
     """Minimum valuation over all stored coefficients (block entries
     included); +inf for the zero expansion."""
     require_odd_prime(p)
-    best = math.inf
-    for value in f.coeffs.values():
-        if f.shape == SCALAR:
-            entries = (value,)
-        else:
-            entries = (x for row in value for x in row)
-        for x in entries:
-            v = vp(x, p)
-            if v < best:
-                best = v
-    return best
+    return min((v for _, v in _valuations(f, p)), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -107,23 +112,11 @@ def congruent(f, g, p, m, normalized=False):
     require_odd_prime(p)
     if not isinstance(m, int) or m < 1:
         raise ValueError("the power m must be a positive integer")
-    if f.degree != g.degree:
-        raise ValueError("degree mismatch")
-    if f.shape != g.shape:
-        raise ValueError("shape mismatch")
-    bound = min(f.trace_bound, g.trace_bound)
-    scalar = f.shape == SCALAR
-    zero = Fraction(0) if scalar else zero_block(f.block_size)
-    keys = {k for k in f.coeffs if key_trace(k) <= bound}
-    keys |= {k for k in g.coeffs if key_trace(k) <= bound}
+    diff = f - g
+    bound = diff.trace_bound
     best = math.inf
     witness = None
-    for key in sorted(keys, key=key_sort):
-        if scalar:
-            v = vp(f.coeffs.get(key, zero) - g.coeffs.get(key, zero), p)
-        else:
-            d = mat_sub(f.coeffs.get(key, zero), g.coeffs.get(key, zero))
-            v = min((vp(x, p) for row in d for x in row), default=math.inf)
+    for key, v in _valuations(diff, p):
         if v < best:
             best = v
             witness = key

@@ -11,6 +11,15 @@ Values are scalars, or square blocks of size comb(n, r) for the image of
 an order-r minor theta operator; the shape field is "scalar" or
 ("compound", r).
 
+Keys are checked once, at the boundary.  FourierExpansion(...) is for
+outside input (JSON, user code, constant, zero, eisenstein): it checks
+every key (2T integral, symmetric, even diagonal, of the degree, within
+the bound, positive semidefinite) and the metadata, makes values
+Fractions and drops zeros.  A series computed from valid series (the
+ring operations, theta_operator, rankin_cohen, theta series) is wrapped
+by the private _trusted without checks; each such builder stores only
+nonzero Fraction values and blocks that are not all zero.
+
 A product runs one pair loop over Python ints.  Each operand's values are
 scaled to integer numerators over one common denominator, the lcm of its
 value denominators; a block's numerators are packed into one int as
@@ -112,10 +121,6 @@ def _numerators(f, bound):
             for t, k, xs in terms], den
 
 
-def zero_block(size):
-    return tuple((Fraction(0),) * size for _ in range(size))
-
-
 class FourierExpansion:
     """Exact truncated Fourier expansion over half-integral indices.
 
@@ -131,20 +136,18 @@ class FourierExpansion:
             raise ValueError("degree must be a positive integer")
         if not isinstance(trace_bound, int) or trace_bound < 0:
             raise ValueError("trace bound must be a nonnegative integer")
+        if not (weight is None or type(weight) is int or isinstance(weight, Fraction)):
+            raise ValueError("weight must be an integer or a Fraction, got %r" % (weight,))
         self.degree = degree
         self.trace_bound = trace_bound
         self.shape = _normalize_shape(shape, degree)
         self.weight = None if weight is None else Fraction(weight)
-        self.level = None if level is None else int(level)
+        self.level = None if level is None else json_int(level, "level")
         self.character = character
         size = self.block_size
         stored = {}
         for key, value in (coeffs or {}).items():
-            t = key if isinstance(key, HalfIntegralMatrix) else HalfIntegralMatrix(key)
-            if t.degree != degree:
-                raise ValueError("key degree mismatch")
-            if t.trace > trace_bound:
-                raise ValueError("key exceeds the trace bound")
+            t = self._index(key)
             if not t.is_psd():
                 raise ValueError("keys must be positive semidefinite")
             if self.shape == SCALAR:
@@ -182,39 +185,35 @@ class FourierExpansion:
         """Keys with nonzero coefficient, sorted by (trace, entries)."""
         return sorted(self.coeffs, key=key_sort)
 
-    def coefficient(self, key):
-        """Coefficient at T (doubled matrix, nested sequence of ints, or a
-        HalfIntegralMatrix).  Asking beyond the trace bound is an error."""
-        if isinstance(key, HalfIntegralMatrix):
-            t = key
-        else:
-            t = HalfIntegralMatrix(key)
+    def _index(self, key):
+        """The key (2T as nested ints, or a HalfIntegralMatrix) as a
+        HalfIntegralMatrix, checked to have this degree and trace within
+        the bound."""
+        t = key if isinstance(key, HalfIntegralMatrix) else HalfIntegralMatrix(key)
         if t.degree != self.degree:
             raise ValueError("key degree mismatch")
         if t.trace > self.trace_bound:
-            raise ValueError("coefficient beyond the trace bound")
+            raise ValueError("key beyond the trace bound")
+        return t
+
+    def coefficient(self, key):
+        """Coefficient at T (doubled matrix, nested sequence of ints, or a
+        HalfIntegralMatrix).  Asking beyond the trace bound is an error."""
+        t = self._index(key).doubled
         if self.shape == SCALAR:
-            return self.coeffs.get(t.doubled, Fraction(0))
-        return self.coeffs.get(t.doubled, zero_block(self.block_size))
+            return self.coeffs.get(t, Fraction(0))
+        size = self.block_size
+        return self.coeffs.get(t, ((Fraction(0),) * size,) * size)
 
     def truncate(self, new_bound):
         """Forget coefficients above new_bound (<= current bound)."""
+        if not isinstance(new_bound, int) or new_bound < 0:
+            raise ValueError("trace bound must be a nonnegative integer")
         if new_bound > self.trace_bound:
             raise ValueError("cannot extend a truncated expansion")
         kept = {k: v for k, v in self.coeffs.items() if key_trace(k) <= new_bound}
-        return self._build(new_bound, kept, self.shape,
-                           self.weight, self.level, self.character)
-
-    def _build(self, bound, coeffs, shape, weight, level, character):
-        out = FourierExpansion.__new__(FourierExpansion)
-        out.degree = self.degree
-        out.trace_bound = bound
-        out.shape = shape
-        out.coeffs = coeffs
-        out.weight = weight
-        out.level = level
-        out.character = character
-        return out
+        return _trusted(self.degree, new_bound, kept, self.shape,
+                        self.weight, self.level, self.character)
 
     # -- ring operations ------------------------------------------------
 
@@ -245,7 +244,7 @@ class FourierExpansion:
         weight = self.weight if self.weight == other.weight else None
         level = self.level if self.level == other.level else None
         character = self.character if self.character == other.character else None
-        return self._build(bound, acc, self.shape, weight, level, character)
+        return _trusted(self.degree, bound, acc, self.shape, weight, level, character)
 
     def __neg__(self):
         return self.scale(-1)
@@ -262,8 +261,8 @@ class FourierExpansion:
             coeffs = {k: c * v for k, v in self.coeffs.items()}
         else:
             coeffs = {k: mat_scale(c, v) for k, v in self.coeffs.items()}
-        return self._build(self.trace_bound, coeffs, self.shape,
-                           self.weight, self.level, self.character)
+        return _trusted(self.degree, self.trace_bound, coeffs, self.shape,
+                        self.weight, self.level, self.character)
 
     def __mul__(self, other):
         if isinstance(other, FourierExpansion):
@@ -324,7 +323,7 @@ class FourierExpansion:
             weight = self.weight + other.weight
         level = self.level if self.level == other.level else None
         character = self.character if self.character == other.character else None
-        return self._build(bound, coeffs, shape, weight, level, character)
+        return _trusted(n, bound, coeffs, shape, weight, level, character)
 
     def __pow__(self, exponent):
         if self.shape != SCALAR:
@@ -354,8 +353,8 @@ class FourierExpansion:
         for k, v in self.coeffs.items():
             if all(x % p == 0 for row in k for x in row):
                 coeffs[tuple(tuple(x // p for x in row) for row in k)] = v
-        return self._build(self.trace_bound // p, coeffs, self.shape,
-                           self.weight, self.level, self.character)
+        return _trusted(self.degree, self.trace_bound // p, coeffs, self.shape,
+                        self.weight, self.level, self.character)
 
     def dilate(self, c):
         """Substitution q^T -> q^(cT); the bound grows to c * N."""
@@ -366,8 +365,8 @@ class FourierExpansion:
             for k, v in self.coeffs.items()
         }
         level = None if self.level is None else c * self.level
-        return self._build(c * self.trace_bound, coeffs, self.shape,
-                           self.weight, level, self.character)
+        return _trusted(self.degree, c * self.trace_bound, coeffs, self.shape,
+                        self.weight, level, self.character)
 
     # -- comparison -------------------------------------------------------
 
@@ -383,6 +382,23 @@ class FourierExpansion:
     def __repr__(self):
         return "FourierExpansion(degree=%d, trace_bound=%d, shape=%r, %d terms)" % (
             self.degree, self.trace_bound, self.shape, len(self.coeffs))
+
+
+def _trusted(degree, trace_bound, coeffs, shape=SCALAR,
+             weight=None, level=None, character=None):
+    """Wrap coefficients that are valid by construction, without the
+    constructor's checks: psd keys 2T of the degree within the bound,
+    nonzero Fraction values (or Fraction blocks of the shape's size, not
+    all zero), a normalized shape and Fraction or None weight."""
+    out = FourierExpansion.__new__(FourierExpansion)
+    out.degree = degree
+    out.trace_bound = trace_bound
+    out.shape = shape
+    out.coeffs = coeffs
+    out.weight = weight
+    out.level = level
+    out.character = character
+    return out
 
 
 # -- classical degree-1 fixtures ------------------------------------------
@@ -437,6 +453,25 @@ def json_int(x, field):
     return x
 
 
+def json_fields(d, what, *fields):
+    """The named fields of the JSON object d, in order.  A d that is not
+    an object, or lacks a field, is a ValueError naming what d should be
+    and the field."""
+    if not isinstance(d, dict):
+        raise ValueError("%s: expected a JSON object, got %s" % (what, type(d).__name__))
+    for field in fields:
+        if field not in d:
+            raise ValueError("%s object has no %r field" % (what, field))
+    return [d[field] for field in fields]
+
+
+def json_rows(x, field):
+    """A JSON array of arrays, else ValueError naming the field."""
+    if not (isinstance(x, list) and all(isinstance(row, list) for row in x)):
+        raise ValueError("%s must be an array of arrays, got %r" % (field, x))
+    return x
+
+
 def _shape_to_json(shape):
     if shape == SCALAR:
         return SCALAR
@@ -477,7 +512,11 @@ def to_json_dict(f):
 
 
 def from_json_dict(d):
-    shape = _shape_from_json(d["shape"])
+    shape, degree, bound, entries = json_fields(
+        d, "expansion", "shape", "degree", "trace_bound", "coeffs")
+    shape = _shape_from_json(shape)
+    if not isinstance(entries, list):
+        raise ValueError("coeffs must be an array, got %r" % (entries,))
     meta = d.get("meta")
     if meta is None:
         meta = {}
@@ -490,24 +529,21 @@ def from_json_dict(d):
         raise ValueError("character must be null, an integer or a string, got %r"
                          % (character,))
     coeffs = {}
-    for entry in d["coeffs"]:
+    for entry in entries:
+        t2, value = json_fields(entry, "coefficient entry", "t2", "value")
         key = tuple(tuple(json_int(x, "t2 entry") for x in row)
-                    for row in entry["t2"])
+                    for row in json_rows(t2, "t2"))
         if key in coeffs:
-            raise ValueError("duplicate t2 %r" % (entry["t2"],))
-        value = entry["value"]
+            raise ValueError("duplicate t2 %r" % (t2,))
         if shape == SCALAR:
             coeffs[key] = rational_from_str(value)
-        elif isinstance(value, list) and all(isinstance(row, list) for row in value):
-            coeffs[key] = [[rational_from_str(x) for x in row] for row in value]
         else:
-            raise ValueError("block value must be an array of arrays, got %r" % (value,))
+            coeffs[key] = [[rational_from_str(x) for x in row]
+                           for row in json_rows(value, "block value")]
     return FourierExpansion(
-        json_int(d["degree"], "degree"),
-        json_int(d["trace_bound"], "trace_bound"), coeffs, shape,
+        json_int(degree, "degree"), json_int(bound, "trace_bound"), coeffs, shape,
         weight=None if weight is None else rational_from_str(weight),
-        level=None if level is None else json_int(level, "level"),
-        character=character)
+        level=level, character=character)
 
 
 def dumps(f):

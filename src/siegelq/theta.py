@@ -23,8 +23,9 @@ the recursion.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .halfint import det, freeze, identity, mat_inverse, mat_mul, transpose
-from .qexpansion import FourierExpansion, json_int
+from .halfint import (det, even_symmetric, freeze, identity, mat_inverse,
+                      mat_mul, transpose)
+from .qexpansion import _trusted, json_fields, json_int, json_rows
 
 
 class GramLattice:
@@ -33,18 +34,10 @@ class GramLattice:
     __slots__ = ("rank", "gram")
 
     def __init__(self, gram):
-        g = freeze(gram)
+        g = even_symmetric(gram, "Gram matrix")
         m = len(g)
-        if m < 1:
-            raise ValueError("rank must be at least 1")
-        for i in range(m):
-            for j in range(m):
-                if not isinstance(g[i][j], int):
-                    raise ValueError("Gram matrix must be integral")
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-            if g[i][i] % 2:
-                raise ValueError("Gram matrix must have even diagonal")
+        # Sylvester: positive leading minors suffice for definiteness (all
+        # principal minors would be 255 determinants at rank 8)
         for k in range(1, m + 1):
             sub = [row[:k] for row in g[:k]]
             if det(sub) <= 0:
@@ -258,7 +251,7 @@ def _enumerate_theta(gram, n, trace_bound):
             place(col + 1, used + norms[idx])
 
     place(0, 0)
-    return FourierExpansion(n, trace_bound, counts)
+    return _trusted(n, trace_bound, {k: Fraction(c) for k, c in counts.items()})
 
 
 def rep_numbers(lattice, degree, trace_bound):
@@ -295,7 +288,8 @@ def gram_to_json(lattice):
 
 
 def gram_from_json(d):
-    g = [[json_int(x, "gram entry") for x in row] for row in d["gram"]]
+    (rows,) = json_fields(d, "Gram", "gram")
+    g = [[json_int(x, "gram entry") for x in row] for row in json_rows(rows, "gram")]
     lattice = GramLattice(g)
     if "rank" in d and json_int(d["rank"], "rank") != lattice.rank:
         raise ValueError("rank field disagrees with the Gram matrix")

@@ -101,7 +101,7 @@ class TestCongruenceCommands:
                     "-o", str(fd)]) == 0
         rep = tmp_path / "rep.json"
         assert run(["congruent", "--f", str(fd), "--g", str(th), "--prime", "3",
-                    "--m", "1", "--plain", "-o", str(rep)]) == 0
+                    "--m", "1", "-o", str(rep)]) == 0
         assert read(rep)["holds"] is True
         assert run(["congruent", "--f", str(fd), "--g", str(th), "--prime", "3",
                     "--m", "3", "-o", str(rep)]) == 1
@@ -121,7 +121,7 @@ class TestCongruenceCommands:
         assert run(["congruent", "--f", str(f), "--g", str(g), "--prime", "3",
                     "--m", "2", "--normalized"]) == 0
         assert run(["congruent", "--f", str(f), "--g", str(g), "--prime", "3",
-                    "--m", "2", "--plain"]) == 1
+                    "--m", "2"]) == 1
 
     def test_vp(self, tmp_path, capsys):
         assert run(["vp", "--value", "18/5", "--prime", "3"]) == 0
@@ -252,6 +252,27 @@ class TestRobustness:
             doc["coeffs"].append({"t2": t2, "value": value})
             write(bad, doc)
             assert run(["dilate", "--f", str(bad), "--factor", "1"]) == 2
+        # documents name the object they should be and the missing field
+        capsys.readouterr()
+        missing = read(f)
+        del missing["shape"]
+        del missing["coeffs"][0]["value"]
+        for doc, expansion_error in (
+                ([1, 2], "expansion: expected a JSON object, got list"),
+                (missing, "expansion object has no 'shape' field"),
+                (dict(read(f), coeffs=[[0]]),
+                 "coefficient entry: expected a JSON object, got list"),
+                (dict(read(f), shape="scalar", coeffs=missing["coeffs"]),
+                 "coefficient entry object has no 'value' field")):
+            write(bad, doc)
+            assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
+            assert capsys.readouterr().err == "error: %s\n" % expansion_error
+        for doc, gram_error in (([[2]], "Gram: expected a JSON object, got list"),
+                                ({"rank": 1}, "Gram object has no 'gram' field")):
+            write(bad, doc)
+            assert run(["theta", "--gram", str(bad), "--degree", "1",
+                        "--trace-bound", "2"]) == 2
+            assert capsys.readouterr().err == "error: %s\n" % gram_error
         g = str(f)
         assert run(["thm41", "--f", g, "--weight", "4.0", "--prime", "3",
                     "--m", "1", "--minor-order", "1", "--dilate-exp", "1"]) == 2

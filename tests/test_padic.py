@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -164,6 +165,93 @@ class TestCongruent:
         assert d["witness_t2"] == [[2]]
         d2 = congruent(f, f, 3, 1).to_json_dict()
         assert d2["min_valuation"] == "inf" and d2["witness_t2"] is None
+
+
+def reference_congruent(f, g, p, m, normalized):
+    """The congruence report from a loop over the union of the stored keys
+    within the shared bound, in (trace, entries) order, subtracting entry
+    by entry with zero defaults: (holds, min_valuation, witness, bound)."""
+
+    def trace(key):
+        return sum(key[i][i] for i in range(len(key))) // 2
+
+    def val(x):
+        if x == 0:
+            return math.inf
+        count, num, den = 0, x.numerator, x.denominator
+        while num % p == 0:
+            num, count = num // p, count + 1
+        while den % p == 0:
+            den, count = den // p, count - 1
+        return count
+
+    def entries(value):
+        return [value] if f.shape == "scalar" else [x for row in value for x in row]
+
+    bound = min(f.trace_bound, g.trace_bound)
+    keys = {k for e in (f, g) for k in e.coeffs if trace(k) <= bound}
+    best, witness = math.inf, None
+    for key in sorted(keys, key=lambda k: (trace(k), [x for row in k for x in row])):
+        a = entries(f.coeffs[key]) if key in f.coeffs else None
+        b = entries(g.coeffs[key]) if key in g.coeffs else None
+        a = a or [Fraction(0)] * len(b)
+        b = b or [Fraction(0)] * len(a)
+        v = min(val(x - y) for x, y in zip(a, b))
+        if v < best:
+            best, witness = v, key
+    threshold = m
+    if normalized:
+        threshold += min((val(x) for k, v in f.coeffs.items() if trace(k) <= bound
+                          for x in entries(v)), default=math.inf)
+    return best >= threshold, best, witness, bound
+
+
+class TestCongruentAgainstReference:
+    """congruent reads the valuations of f - g; the reference compares
+    key by key without the ring's subtraction."""
+
+    @staticmethod
+    def random_pair(rng, degree, shape, p):
+        size = 1 if shape == "scalar" else comb(degree, shape[1])
+        # few valuations, so minima tie across keys and block entries
+        units = [Fraction(a, b) for a in (1, -1, 2, 4) for b in (1, 2)]
+
+        def value():
+            return rng.choice((0, 1, p, p * p, Fraction(1, p))) * rng.choice(units)
+
+        def series(bound):
+            coeffs = {}
+            for t in enumerate_indices(degree, bound):
+                if rng.random() < 0.7:
+                    coeffs[t.doubled] = (value() if shape == "scalar" else
+                                         [[value() for _ in range(size)]
+                                          for _ in range(size)])
+            return FourierExpansion(degree, bound, coeffs, shape)
+
+        bounds = (rng.randint(0, 3), rng.randint(0, 3))
+        f = series(bounds[0])
+        g = series(bounds[1])
+        if rng.random() < 0.5:
+            # g agrees with f on part of the shared support: cancellations
+            common = {k: v for k, v in f.coeffs.items() if rng.random() < 0.6
+                      and sum(k[i][i] for i in range(degree)) <= 2 * bounds[1]}
+            g = FourierExpansion(degree, bounds[1], {**g.coeffs, **common}, shape)
+        return f, g
+
+    def test_random_pairs(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            degree = rng.randint(1, 3)
+            shape = ("scalar" if rng.random() < 0.5
+                     else ("compound", rng.randint(1, degree)))
+            p = rng.choice((3, 5))
+            f, g = self.random_pair(rng, degree, shape, p)
+            for m in (1, 2):
+                for normalized in (False, True):
+                    rep = congruent(f, g, p, m, normalized=normalized)
+                    assert (rep.holds, rep.min_valuation, rep.witness, rep.bound) \
+                        == reference_congruent(f, g, p, m, normalized)
+                    assert rep.normalized is normalized
 
 
 class TestFrobeniusDescent:

@@ -449,8 +449,11 @@ class TestValidation:
 
     def test_cannot_extend(self):
         f = FourierExpansion.constant(1, 1, 2)
-        with pytest.raises(ValueError):
-            f.truncate(5)
+        # nor shrink to a negative or non-integral bound
+        for bound in (5, -1, 2.5):
+            with pytest.raises(ValueError):
+                f.truncate(bound)
+        assert eisenstein(4, 5).truncate(0).trace_bound == 0
 
     def test_degree_mismatch(self):
         f = FourierExpansion.constant(1, 1, 2)
@@ -467,6 +470,15 @@ class TestValidation:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             FourierExpansion(2, 2, {}, shape=("compound", 3))
+
+    def test_meta_not_coerced(self):
+        # a float level or weight is rejected, not truncated or expanded
+        for meta in ({"level": 2.7}, {"level": "2"}, {"weight": 0.1},
+                     {"weight": "4"}):
+            with pytest.raises(ValueError):
+                FourierExpansion(1, 2, {key1(1): 1}, **meta)
+        f = FourierExpansion(1, 2, {}, weight=Fraction(1, 2), level=4)
+        assert (f.weight, f.level) == (Fraction(1, 2), 4)
 
 
 class TestMeta:
