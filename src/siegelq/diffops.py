@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .halfint import compound, det, key_half, subset_order
+from .halfint import compound, det, is_int, key_half, subset_order
 from .qexpansion import SCALAR, _trusted
 
 
@@ -45,7 +45,7 @@ def _laplace_split(rows, cols, q):
 def half_rising(s, h):
     """Rising product with half-integer steps:
     s (s + 1/2) (s + 1) ... (s + (h-1)/2); the empty product is 1."""
-    if not isinstance(h, int) or h < 0:
+    if not is_int(h) or h < 0:
         raise ValueError("step count must be a nonnegative integer")
     out = Fraction(1)
     s = Fraction(s)
@@ -92,9 +92,9 @@ class BracketParams:
     weight_g: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if not is_int(self.degree) or self.degree < 1:
             raise ValueError("degree must be a positive integer")
-        if not isinstance(self.minor_order, int) or not 1 <= self.minor_order <= self.degree:
+        if not is_int(self.minor_order) or not 1 <= self.minor_order <= self.degree:
             raise ValueError("minor order out of range")
         object.__setattr__(self, "weight_f", Fraction(self.weight_f))
         object.__setattr__(self, "weight_g", Fraction(self.weight_g))
@@ -106,7 +106,7 @@ def theta_operator(f, r):
     is ('compound', r)-shaped."""
     if f.shape != SCALAR:
         raise ValueError("theta operator needs a scalar expansion")
-    if not isinstance(r, int) or not 1 <= r <= f.degree:
+    if not is_int(r) or not 1 <= r <= f.degree:
         raise ValueError("minor order out of range")
     coeffs = {}
     for key, value in f.coeffs.items():

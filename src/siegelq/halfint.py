@@ -21,6 +21,12 @@ def freeze(rows):
     return m
 
 
+def is_int(x):
+    """True iff x is an int and not a bool: True and False are ints to
+    Python but never a valid degree, bound, prime or matrix entry here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # Strong-probable-prime bases 2..41; every composite below PRIME_LIMIT fails
 # one of them (Sorenson and Webster, Math. Comp. 2017: the smallest strong
 # pseudoprime to all thirteen is PRIME_LIMIT itself).
@@ -32,7 +38,7 @@ def require_odd_prime(p):
     """Return p if it is an odd prime int below PRIME_LIMIT, else raise
     ValueError.  Deterministic Miller-Rabin; p < 41^2 is settled by
     division by the bases alone."""
-    if not isinstance(p, int) or p < 3:
+    if not is_int(p) or p < 3:
         raise ValueError("p must be an odd prime")
     if p >= PRIME_LIMIT:
         raise ValueError("p must be below %d" % PRIME_LIMIT)
@@ -192,7 +198,7 @@ def even_symmetric(rows, name):
         raise ValueError("%s must not be empty" % name)
     for i in range(n):
         for j in range(n):
-            if not isinstance(d[i][j], int):
+            if not is_int(d[i][j]):
                 raise ValueError("%s must have integer entries" % name)
             if d[i][j] != d[j][i]:
                 raise ValueError("%s must be symmetric" % name)

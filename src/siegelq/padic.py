@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffops import BracketParams, half_rising, rankin_cohen, theta_operator
-from .halfint import require_odd_prime
+from .halfint import is_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion
 from .theta import direct_sum, gram_a, rep_numbers
 
@@ -110,7 +110,7 @@ def congruent(f, g, p, m, normalized=False):
     mode sets the threshold to +inf, reachable only by g vanishing up to
     the bound as well."""
     require_odd_prime(p)
-    if not isinstance(m, int) or m < 1:
+    if not is_int(m) or m < 1:
         raise ValueError("the power m must be a positive integer")
     diff = f - g
     bound = diff.trace_bound
@@ -149,9 +149,9 @@ def unit_ladder(base, k, i, p):
     If base = 1 mod p and carries weight k(p-1), each factor is = 1 mod p,
     and the whole ladder satisfies ladder^(p^(i-1)) = 1 mod p^i."""
     require_odd_prime(p)
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise ValueError("k must be a positive integer")
-    if not isinstance(i, int) or i < 1:
+    if not is_int(i) or i < 1:
         raise ValueError("i must be a positive integer")
     one = FourierExpansion.constant(1, base.degree, base.trace_bound)
     if not congruent(base, one, p, 1).holds:
@@ -194,9 +194,9 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     require_odd_prime(p)
     if f.shape != SCALAR:
         raise ValueError("needs a scalar expansion")
-    if not isinstance(m, int) or m < 1:
+    if not is_int(m) or m < 1:
         raise ValueError("m must be a positive integer")
-    if not isinstance(m_dilate, int) or m_dilate < 1:
+    if not is_int(m_dilate) or m_dilate < 1:
         raise ValueError("m_dilate must be a positive integer")
     n = f.degree
     if not 1 <= r <= n:

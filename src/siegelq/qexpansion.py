@@ -42,6 +42,7 @@ from operator import itemgetter
 from .halfint import (
     HalfIntegralMatrix,
     freeze,
+    is_int,
     key_sort,
     key_trace,
     mat_add,
@@ -76,7 +77,7 @@ def _normalize_shape(shape, degree):
         isinstance(shape, tuple)
         and len(shape) == 2
         and shape[0] == "compound"
-        and isinstance(shape[1], int)
+        and is_int(shape[1])
         and 1 <= shape[1] <= degree
     ):
         return shape
@@ -132,12 +133,15 @@ class FourierExpansion:
 
     def __init__(self, degree, trace_bound, coeffs=None, shape=SCALAR,
                  weight=None, level=None, character=None):
-        if not isinstance(degree, int) or degree < 1:
+        if not is_int(degree) or degree < 1:
             raise ValueError("degree must be a positive integer")
-        if not isinstance(trace_bound, int) or trace_bound < 0:
+        if not is_int(trace_bound) or trace_bound < 0:
             raise ValueError("trace bound must be a nonnegative integer")
-        if not (weight is None or type(weight) is int or isinstance(weight, Fraction)):
+        if not (weight is None or is_int(weight) or isinstance(weight, Fraction)):
             raise ValueError("weight must be an integer or a Fraction, got %r" % (weight,))
+        if not (character is None or is_int(character) or isinstance(character, str)):
+            raise ValueError("character must be null, an integer or a string, got %r"
+                             % (character,))
         self.degree = degree
         self.trace_bound = trace_bound
         self.shape = _normalize_shape(shape, degree)
@@ -207,7 +211,7 @@ class FourierExpansion:
 
     def truncate(self, new_bound):
         """Forget coefficients above new_bound (<= current bound)."""
-        if not isinstance(new_bound, int) or new_bound < 0:
+        if not is_int(new_bound) or new_bound < 0:
             raise ValueError("trace bound must be a nonnegative integer")
         if new_bound > self.trace_bound:
             raise ValueError("cannot extend a truncated expansion")
@@ -328,7 +332,7 @@ class FourierExpansion:
     def __pow__(self, exponent):
         if self.shape != SCALAR:
             raise ValueError("powers are defined for scalar expansions only")
-        if not isinstance(exponent, int) or exponent < 0:
+        if not is_int(exponent) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = FourierExpansion.constant(
             1, self.degree, self.trace_bound,
@@ -347,7 +351,7 @@ class FourierExpansion:
 
     def u_p(self, p):
         """Coefficient extraction a(T) -> a(pT); the bound drops to N // p."""
-        if not isinstance(p, int) or p < 2:
+        if not is_int(p) or p < 2:
             raise ValueError("p must be an integer >= 2")
         coeffs = {}
         for k, v in self.coeffs.items():
@@ -358,7 +362,7 @@ class FourierExpansion:
 
     def dilate(self, c):
         """Substitution q^T -> q^(cT); the bound grows to c * N."""
-        if not isinstance(c, int) or c < 1:
+        if not is_int(c) or c < 1:
             raise ValueError("dilation factor must be a positive integer")
         coeffs = {
             tuple(tuple(c * x for x in row) for row in k): v
@@ -423,7 +427,7 @@ def divisor_power_sum(k, m):
 def eisenstein(weight, trace_bound):
     """Degree-1 Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(m) q^m,
     for even weight k >= 4."""
-    if not isinstance(weight, int) or weight < 4 or weight % 2:
+    if not is_int(weight) or weight < 4 or weight % 2:
         raise ValueError("unsupported Eisenstein weight")
     c = Fraction(-2 * weight) / bernoulli(weight)
     coeffs = {((0,),): Fraction(1)}
@@ -448,7 +452,7 @@ def delta(trace_bound):
 def json_int(x, field):
     """A JSON integer field as an int.  Non-integral numbers, strings and
     booleans are rejected, not truncated or coerced."""
-    if type(x) is not int:
+    if not is_int(x):
         raise ValueError("%s must be an integer, got %r" % (field, x))
     return x
 
@@ -525,9 +529,6 @@ def from_json_dict(d):
     weight = meta.get("weight")
     level = meta.get("level")
     character = meta.get("character")
-    if not (character is None or isinstance(character, str) or type(character) is int):
-        raise ValueError("character must be null, an integer or a string, got %r"
-                         % (character,))
     coeffs = {}
     for entry in entries:
         t2, value = json_fields(entry, "coefficient entry", "t2", "value")

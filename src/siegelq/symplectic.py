@@ -14,6 +14,21 @@ over representatives of the maximal-parabolic cosets in GL_n(F_p) with
 j-dimensional echelon part.  The cell count is p^(j(j+1)/2) times the
 Gaussian binomial [n choose j]_p, and the total is prod_{i=1..n} (p^i + 1).
 
+With E = diag(1_{n-j}, 0_j), F = 1 - E and B_f the j x j block B
+embedded lower-right, E B_f = 0 and F B_f = B_f, so each element is, in
+closed form,
+
+    [[E A, -F A^{-t}], [F A, (B_f + E) A^{-t}]]  mod p,
+
+and coset_reps writes these blocks directly instead of multiplying.  It
+refuses, before building anything, a system of more than MAX_LISTING
+elements.  The limit is set by the CLI's JSON output, which costs about
+0.1 ms and 6-10 KB of peak memory per element (Python 3.11) and so keeps
+the largest listing (degree 3 at p = 5, degree 2 at p = 31) near 2.5 s
+and 200 MB; building the list alone is far cheaper, but the check stays
+here so that there is one place for it.  coset_count gives the size of
+any system.
+
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
 of M1 M2^{-1} vanishes mod p: both say (C1 | D1) = g (C2 | D2), g in GL_n.
@@ -23,7 +38,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .halfint import identity, mat_scale, require_odd_prime, transpose, zero_matrix
+from .halfint import (identity, is_int, mat_scale, require_odd_prime, transpose,
+                      zero_matrix)
+
+MAX_LISTING = 50_000
 
 
 def _freeze_mod(rows, p):
@@ -36,7 +54,7 @@ def _freeze_mod(rows, p):
 
 
 def _require_degree(n):
-    if not isinstance(n, int) or not 1 <= n <= 3:
+    if not is_int(n) or not 1 <= n <= 3:
         raise ValueError("degree out of supported range 1..3")
 
 
@@ -176,9 +194,9 @@ def partial_involution(n, j, p):
     """The element with A = D = diag(1_{n-j}, 0_j), the lower-right j x j
     of B equal to -1, and of C equal to +1; j = 0 gives the identity and
     j = n the standard symplectic involution (up to sign convention)."""
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError("degree must be a positive integer")
-    if not 0 <= j <= n:
+    if not is_int(j) or not 0 <= j <= n:
         raise ValueError("cell index out of range")
     require_odd_prime(p)
     one, zero = identity(n), zero_matrix(n)
@@ -213,7 +231,7 @@ def gl_parabolic_reps(n, j, p):
     (pivot columns, echelon free entries), both lexicographic; the count
     is the Gaussian binomial [n choose j]_p."""
     _require_degree(n)
-    if not 0 <= j <= n:
+    if not is_int(j) or not 0 <= j <= n:
         raise ValueError("cell index out of range")
     require_odd_prime(p)
     if j == 0:
@@ -274,22 +292,35 @@ def coset_reps(n, p):
     """The full coset system: cells j = 0..n, within a cell ordered by
     (B entries, A representative); prod_{i=1..n} (p^i + 1) elements in
     total.  The lower-left block of every element has rank j, which is a
-    coset invariant."""
-    _require_degree(n)
-    require_odd_prime(p)
+    coset invariant.  ValueError, before anything is built, if the count
+    exceeds MAX_LISTING.  Per element only B times the bottom j rows of
+    A^{-t} is computed; every other row is built once per A."""
+    count = coset_count(n, p)
+    if count > MAX_LISTING:
+        raise ValueError(
+            "the degree-%d coset system at p = %d has %d elements, more than "
+            "the listing limit %d; coset_count (cosets --count-only) gives "
+            "the count without a listing"
+            % (n, p, count, MAX_LISTING))
+    zero = (0,) * n
     out = []
     for j in range(n + 1):
-        omega = partial_involution(n, j, p)
-        gl = [(a, levi(a, p)) for a in gl_parabolic_reps(n, j, p)]
-        for b_small in _symmetric_mats(j, p):
-            b_full = [[0] * n for _ in range(n)]
-            for i in range(j):
-                for k in range(j):
-                    b_full[n - j + i][n - j + k] = b_small[i][k]
-            trans = unipotent(b_full, p)
-            base = omega * trans
-            for a, m in gl:
-                out.append(CosetRep(cell=j, b=b_small, a=a, mat=base * m))
+        h = n - j
+        fixed = []
+        for a in gl_parabolic_reps(n, j, p):
+            ait = transpose(_inverse_mod(a, p))
+            head = (
+                tuple(row + zero for row in a[:h])
+                + tuple(zero + tuple(-x % p for x in row) for row in ait[h:])
+                + tuple(zero + row for row in ait[:h]))
+            fixed.append((a, head, a[h:], tuple(zip(*ait[h:]))))
+        for b in _symmetric_mats(j, p):
+            for a, head, lower_a, cols in fixed:
+                tail = tuple(
+                    left + tuple(sum(x * y for x, y in zip(b_row, col)) % p
+                                 for col in cols)
+                    for b_row, left in zip(b, lower_a))
+                out.append(CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, p)))
     return out
 
 

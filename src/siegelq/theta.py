@@ -23,7 +23,7 @@ the recursion.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .halfint import (det, even_symmetric, freeze, identity, mat_inverse,
+from .halfint import (det, even_symmetric, freeze, identity, is_int, mat_inverse,
                       mat_mul, transpose)
 from .qexpansion import _trusted, json_fields, json_int, json_rows
 
@@ -69,7 +69,7 @@ class GramLattice:
 def gram_a(m):
     """Root lattice A_m: tridiagonal Gram with 2 on the diagonal and -1 off
     it; rank m, determinant m + 1."""
-    if not isinstance(m, int) or m < 1:
+    if not is_int(m) or m < 1:
         raise ValueError("rank must be a positive integer")
     g = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -116,7 +116,7 @@ def is_free_isometry(lattice, sigma, p):
     m = lattice.rank
     if len(s) != m:
         raise ValueError("size mismatch")
-    if any(not isinstance(x, int) for row in s for x in row):
+    if any(not is_int(x) for row in s for x in row):
         raise ValueError("the isometry must be integral")
     q = lattice.gram
     if mat_mul(transpose(s), mat_mul(q, s)) != q:
@@ -266,9 +266,9 @@ def rep_numbers(lattice, degree, trace_bound):
     _components; they may interleave), each distinct component Gram is
     enumerated once, and the factors are multiplied."""
     n = degree
-    if not isinstance(n, int) or not 1 <= n <= 3:
+    if not is_int(n) or not 1 <= n <= 3:
         raise ValueError("degree out of supported range 1..3")
-    if not isinstance(trace_bound, int) or trace_bound < 0:
+    if not is_int(trace_bound) or trace_bound < 0:
         raise ValueError("trace bound must be a nonnegative integer")
     q = lattice.gram
     thetas = {}

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,31 @@ class TestCosetsCommand:
         assert body[0]["cell"] == 0
         for entry in body:
             assert set(entry) == {"cell", "b", "a", "mat"}
+
+    def test_listing_bytes_pinned(self, tmp_path):
+        # sha256 and size of listings written by the product-based builder
+        # (partial_involution * unipotent * levi) before the closed form
+        for n, p, size, digest in (
+            (3, 3, 935691,
+             "d0e8cc206f8e81d022a435d932a232edeaefee43a70a5c7f1a991d6b0250f105"),
+            (2, 5, 71461,
+             "67800ade39e6637d821667d413cc08b40aa9393db88317f72734f4fca40924e2"),
+        ):
+            out = tmp_path / ("c%d_%d.json" % (n, p))
+            assert run(["cosets", "--degree", str(n), "--prime", str(p),
+                        "-o", str(out)]) == 0
+            data = out.read_bytes()
+            assert len(data) == size
+            assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_oversized_listing_fails_fast(self, capsys):
+        start = time.perf_counter()
+        assert run(["cosets", "--degree", "3", "--prime", "101"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1072136382408" in captured.err
+        assert "--count-only" in captured.err
 
 
 class TestRobustness:

@@ -143,6 +143,8 @@ class TestThetaOperator:
             theta_operator(f, 3)
         with pytest.raises(ValueError):
             theta_operator(th, 1)
+        with pytest.raises(ValueError):
+            theta_operator(f, True)
 
     def test_scalar_multiplication_both_sides(self):
         f = rep_numbers(gram_a(2), 2, 2)

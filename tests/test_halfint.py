@@ -15,6 +15,7 @@ from siegelq.halfint import (
     det,
     enumerate_indices,
     identity,
+    is_int,
     key_sort,
     mat_inverse,
     mat_mul,
@@ -100,8 +101,9 @@ class TestHalfIntegralMatrix:
             HalfIntegralMatrix([[2, 1], [0, 2]])
 
     def test_rejects_nonint(self):
-        with pytest.raises(ValueError):
-            HalfIntegralMatrix([[2.0, 0], [0, 2]])
+        for rows in ([[2.0, 0], [0, 2]], [[2, True], [True, 2]]):
+            with pytest.raises(ValueError):
+                HalfIntegralMatrix(rows)
 
     def test_psd(self):
         assert HalfIntegralMatrix([[2, 1], [1, 2]]).is_psd()
@@ -297,3 +299,9 @@ class TestEnumerateIndices:
         assert got[0].doubled == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
         # exactly the zero matrix plus the rank-one forms of trace 1
         assert len(got) == 1 + 3
+
+
+def test_is_int_rejects_bool():
+    assert is_int(0) and is_int(-7) and is_int(2 ** 100)
+    for x in (True, False, 1.0, "1", None, Fraction(1)):
+        assert not is_int(x)

@@ -1,9 +1,15 @@
-"""Every name a siegelq module imports is used in that module.
+"""Every name a siegelq module imports is used in that module, and every
+module-level private function is referenced somewhere in the package.
 
 No linter ships with the package, so this walks the syntax tree: a name
 bound by an import must occur as a name somewhere else in the module (an
 attribute access counts through its leftmost name).  The package
 __init__ is exempt, since its imports are the public re-exports.
+
+A private function (a module-level def whose name starts with one
+underscore) is referenced if some other top-level statement of any
+package module names it: as a name, an attribute or an imported name.
+Calls from its own body do not count.
 """
 
 import ast
@@ -13,8 +19,8 @@ import pytest
 
 import siegelq
 
-MODULES = sorted(p for p in Path(siegelq.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(siegelq.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -29,12 +35,61 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _referenced(statement):
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_functions(sources):
+    """(module, name) of each module-level private def in the mapping
+    module -> source that no other top-level statement references."""
+    statements = [(module, statement) for module, source in sources.items()
+                  for statement in ast.parse(source).body]
+    out = []
+    for module, statement in statements:
+        if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = statement.name
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        if not any(name in _referenced(other)
+                   for _, other in statements if other is not statement):
+            out.append((module, name))
+    return sorted(out)
+
+
 def test_checker_sees_unused_and_used_names():
     source = ("import json\nimport os.path\nfrom math import comb, lcm as l\n"
               "print(os.path.sep, l(2, 3))\n")
     assert unused_imports(source) == [(1, "json"), (3, "comb")]
 
 
+def test_checker_sees_unreferenced_private_functions():
+    sources = {
+        "a": ("def _local():\n    pass\n\n"
+              "def _shared():\n    pass\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+              "def _dead():\n    pass\n\n"
+              "def public():\n    return _local()\n\n"
+              "def __dunder__():\n    pass\n"),
+        "b": "from .a import _shared\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        ("a", "_dead"), ("a", "_recursive")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unreferenced_private_functions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_functions(sources) == []

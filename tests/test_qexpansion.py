@@ -450,7 +450,7 @@ class TestValidation:
     def test_cannot_extend(self):
         f = FourierExpansion.constant(1, 1, 2)
         # nor shrink to a negative or non-integral bound
-        for bound in (5, -1, 2.5):
+        for bound in (5, -1, 2.5, True):
             with pytest.raises(ValueError):
                 f.truncate(bound)
         assert eisenstein(4, 5).truncate(0).trace_bound == 0
@@ -479,6 +479,27 @@ class TestValidation:
                 FourierExpansion(1, 2, {key1(1): 1}, **meta)
         f = FourierExpansion(1, 2, {}, weight=Fraction(1, 2), level=4)
         assert (f.weight, f.level) == (Fraction(1, 2), 4)
+
+    def test_character_checked_at_construction(self):
+        # a set would make dumps raise TypeError; a list would be written
+        # as a document that cannot be read back
+        for character in ({1}, [1], 1.5, True):
+            with pytest.raises(ValueError, match="character"):
+                FourierExpansion(1, 2, {key1(1): 1}, character=character)
+        for character in ("chi_4", -4, None):
+            f = FourierExpansion(1, 2, {key1(1): 1}, character=character)
+            assert loads(dumps(f)).character == character
+
+    def test_bools_are_not_integers(self):
+        for args in ((True, 1), (1, True), (1, 2, {}, "scalar", True)):
+            with pytest.raises(ValueError):
+                FourierExpansion(*args)
+        f = eisenstein(4, 3)
+        for op in (lambda: f ** True,
+                   lambda: f.u_p(True), lambda: f.dilate(True),
+                   lambda: eisenstein(True, 3)):
+            with pytest.raises(ValueError):
+                op()
 
 
 class TestMeta:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from siegelq.symplectic import (
+    MAX_LISTING,
     CosetRep,
     SymplecticModP,
     coset_count,
@@ -158,7 +159,7 @@ class TestGenerators:
         assert m.block(0, 1) == ((0, 1), (1, 2))
 
     def test_partial_involution_range(self):
-        for n, j in ((2, 3), (0, 0), (2, -1)):
+        for n, j in ((2, 3), (0, 0), (2, -1), (True, 0), (2, True), (2, 1.5)):
             with pytest.raises(ValueError):
                 partial_involution(n, j, 3)
         ident = partial_involution(2, 0, 3)
@@ -207,6 +208,11 @@ class TestGlParabolicReps:
             gl_parabolic_reps(2, 3, 3)
         with pytest.raises(ValueError):
             gl_parabolic_reps(2, 1, 4)
+        with pytest.raises(ValueError):
+            gl_parabolic_reps(True, 0, 3)
+        for j in (True, 1.5):
+            with pytest.raises(ValueError):
+                gl_parabolic_reps(2, j, 3)
 
 
 class TestCosetSystem:
@@ -237,19 +243,28 @@ class TestCosetSystem:
         assert cells == sorted(cells)
 
     def test_rep_fields_consistent(self):
-        for r in coset_reps(2, 3):
-            assert isinstance(r, CosetRep)
-            assert len(r.b) == r.cell
-            built = (
-                partial_involution(2, r.cell, 3)
-                * unipotent(_embed(r.b, 2), 3)
-                * levi(r.a, 3)
-            )
-            assert built == r.mat
+        # the closed-form blocks against the group product of the builders
+        for n, p in ((1, 3), (1, 5), (2, 3), (2, 5), (2, 7), (3, 3)):
+            for r in coset_reps(n, p):
+                assert isinstance(r, CosetRep)
+                assert len(r.b) == r.cell
+                built = (
+                    partial_involution(n, r.cell, p)
+                    * unipotent(_embed(r.b, n), p)
+                    * levi(r.a, p)
+                )
+                assert built == r.mat
+                assert_checked(r.mat)
+
+    def test_listing_limit(self):
+        assert coset_count(3, 5) <= MAX_LISTING < coset_count(3, 7)
+        for n, p in ((3, 7), (2, 101), (3, 101)):
+            with pytest.raises(ValueError, match="--count-only"):
+                coset_reps(n, p)
 
     def test_validation(self):
         for build in (coset_reps, coset_count):
-            for n, p in ((4, 3), (0, 3), (2, 9), (2, 2)):
+            for n, p in ((4, 3), (0, 3), (2, 9), (2, 2), (True, 3), (1, True)):
                 with pytest.raises(ValueError):
                     build(n, p)
 
