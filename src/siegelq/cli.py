@@ -1,23 +1,27 @@
 """Command-line front end.
 
-Every subcommand reads and writes the documented JSON formats; output is
-deterministic (sorted keys, rationals in lowest terms).  Exit codes:
+Every subcommand reads and writes the documented JSON formats.  Input is
+read by qexpansion.json_parse, which rejects duplicate object keys and
+documents nested too deeply to parse.  Output is written by
+qexpansion.json_text and is deterministic, byte for byte: two-space
+indent, sorted keys, non-ASCII as \\u escapes, a trailing newline, and
+rationals in lowest terms; the bytes are those of Python's
+json.dumps(obj, sort_keys=True, indent=2) plus the newline.  Exit codes:
 0 success, 1 a check ran fine but the verdict is negative (congruence
 fails), 2 usage or input errors.
 """
 
 import argparse
 import functools
-import json
 import sys
 
 from . import diffops, padic, qexpansion, symplectic, theta
-from .qexpansion import rational_from_str
+from .qexpansion import json_parse, json_text, rational_from_str
 
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json_parse(handle.read())
 
 
 def _read_expansion(path):
@@ -29,7 +33,7 @@ def _read_gram(path):
 
 
 def _emit(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json_text(obj) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -270,8 +274,7 @@ def run(argv):
         return 2 if exc.code else 0
     try:
         return _run_command(args)
-    except (ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -448,6 +448,91 @@ def delta(trace_bound):
 
 # -- JSON serialization ----------------------------------------------------
 
+_escape = json.encoder.encode_basestring_ascii
+_LEAF_TYPES = {int, str}
+_STR_TYPE = {str}
+
+
+def json_text(obj):
+    """obj as JSON text, exactly json.dumps(obj, sort_keys=True, indent=2):
+    two-space indent, keys sorted, non-ASCII as \\u escapes (through the
+    stdlib's own string escaper).  obj is built of dicts with str keys,
+    lists, tuples, strs, ints, bools and None, not their subclasses;
+    anything else is a TypeError.
+
+    The stdlib writes indented JSON with one Python generator per nesting
+    level and one chunk per token.  Here each container is one join, and
+    an array of ints and strs (a matrix row, a row of rationals) is
+    formatted once per call for each depth and content, since rows repeat
+    (a coset listing mod p has at most p^(2n) distinct rows)."""
+    return _json_text(obj, "\n", {})
+
+
+def _json_text(obj, newline, memo):
+    """obj at the depth whose line break and indent is newline; memo maps
+    (newline, items) to the text of a leaf array."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _LEAF_TYPES:
+            key = (newline, tuple(obj))
+            text = memo.get(key)
+            if text is None:
+                inner = newline + "  "
+                items = [_escape(x) if type(x) is str else int.__repr__(x)
+                         for x in obj]
+                text = memo[key] = (
+                    "[" + inner + ("," + inner).join(items) + newline + "]")
+            return text
+        inner = newline + "  "
+        items = [_json_text(x, inner, memo) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not set(map(type, obj)) <= _STR_TYPE:
+            bad = next(k for k in obj if type(k) is not str)
+            raise TypeError("JSON object keys must be str, not %s"
+                            % type(bad).__name__)
+        inner = newline + "  "
+        items = [_escape(k) + ": " + _json_text(v, inner, memo)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a repeated key is a
+    ValueError naming it, not a silent last-wins overwrite."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError("duplicate key %r in a JSON object" % key)
+            seen.add(key)
+    return out
+
+
+def json_parse(text):
+    """The JSON value in text.  Duplicate object keys and nesting too deep
+    for the parser are ValueErrors, like any other malformed input."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
 
 def json_int(x, field):
     """A JSON integer field as an int.  Non-integral numbers, strings and
@@ -548,8 +633,8 @@ def from_json_dict(d):
 
 
 def dumps(f):
-    return json.dumps(to_json_dict(f), sort_keys=True, indent=2) + "\n"
+    return json_text(to_json_dict(f)) + "\n"
 
 
 def loads(text):
-    return from_json_dict(json.loads(text))
+    return from_json_dict(json_parse(text))

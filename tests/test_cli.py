@@ -311,6 +311,37 @@ class TestRobustness:
             assert run(["vp", "--value", "3", "--prime", prime]) == 2
         capsys.readouterr()
 
+    def test_duplicate_keys_exit_two(self, tmp_path, capsys):
+        # read last-wins, each of these files passes as valid input
+        path = str(tmp_path / "dup.json")
+        expansion = qexpansion.dumps(qexpansion.eisenstein(4, 2))
+        vp = ["vp", "--f", path, "--prime", "5"]
+        for key, text, argv in (
+                ("degree", expansion.replace(
+                    '"degree": 1', '"degree": 2, "degree": 1', 1), vp),
+                ("weight", expansion.replace(
+                    '"weight": "4/1"', '"weight": "6/1", "weight": "4/1"', 1), vp),
+                ("gram", '{"rank": 1, "gram": [[4]], "gram": [[2]]}',
+                 ["theta", "--gram", path, "--degree", "1", "--trace-bound", "2"])):
+            assert text != expansion
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "duplicate key '%s'" % key in captured.err
+
+    def test_deep_nesting_exits_two(self, tmp_path, capsys):
+        # the parser's recursion limit is an input error, not a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        assert run(["vp", "--f", str(deep), "--prime", "5"]) == 2
+        assert run(["theta", "--gram", str(deep), "--degree", "1",
+                    "--trace-bound", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("nested too deeply") == 2
+
     def test_parser_reuse_keeps_no_state(self, tmp_path, capsys):
         # one process: an error, then outputs equal to a fresh parser's
         assert run(["eisenstein", "--weight", "4"]) == 2

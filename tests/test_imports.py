@@ -10,6 +10,10 @@ A private function (a module-level def whose name starts with one
 underscore) is referenced if some other top-level statement of any
 package module names it: as a name, an attribute or an imported name.
 Calls from its own body do not count.
+
+No module calls json.dump or json.dumps: every output goes through the
+one writer, qexpansion.json_text, so the package has one encoder and one
+byte format.
 """
 
 import ast
@@ -65,6 +69,33 @@ def unreferenced_private_functions(sources):
     return sorted(out)
 
 
+DUMPERS = {"dump", "dumps"}
+
+
+def json_dump_calls(source):
+    """Lines of the calls of json.dump or json.dumps in source, through
+    any name the json module or either function is bound to."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update(alias.asname or alias.name
+                             for alias in node.names if alias.name in DUMPERS)
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in DUMPERS
+                and isinstance(func.value, ast.Name) and func.value.id in modules
+                or isinstance(func, ast.Name) and func.id in functions):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_checker_sees_unused_and_used_names():
     source = ("import json\nimport os.path\nfrom math import comb, lcm as l\n"
               "print(os.path.sep, l(2, 3))\n")
@@ -83,6 +114,18 @@ def test_checker_sees_unreferenced_private_functions():
     }
     assert unreferenced_private_functions(sources) == [
         ("a", "_dead"), ("a", "_recursive")]
+
+
+def test_checker_sees_json_dump_calls():
+    source = ("import json\nimport json as j\nfrom json import dumps as d\n"
+              "json.dumps(1)\nj.dump(1, f)\nd(1)\njson.loads('1')\n"
+              "def dumps(f):\n    return f\ndumps(1)\nx.dumps(1)\n")
+    assert json_dump_calls(source) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_one_json_writer(path):
+    assert json_dump_calls(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -4,7 +4,8 @@ Oracles: Eisenstein coefficients recomputed from raw divisor sums with
 the Bernoulli recurrence written out independently; delta pinned against
 the eta product q prod (1 - q^n)^24 expanded by plain list convolution;
 the integer product kernel against a pairwise Fraction product with its
-own key addition, truncation and zero-dropping.
+own key addition, truncation and zero-dropping; the JSON writer against
+the stdlib's json.dumps(obj, sort_keys=True, indent=2).
 """
 
 import json
@@ -24,6 +25,8 @@ from siegelq.qexpansion import (
     dumps,
     eisenstein,
     from_json_dict,
+    json_parse,
+    json_text,
     loads,
     rational_from_str,
     rational_to_str,
@@ -636,3 +639,68 @@ class TestJson:
 
     def test_json_is_valid_json(self):
         json.loads(dumps(eisenstein(4, 3)))
+
+
+# -- the JSON writer against the stdlib --------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_json_strings = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a0\xe9\u20ac\u2028\U0001d11e\U0001f600')
+    | st.characters(), max_size=6)
+_big_ints = st.integers() | st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def json_trees(draw):
+    """Nested dicts, lists and tuples (empty ones too) of None, bools,
+    big and negative ints and awkward strings; one drawn leaf array
+    recurs at several depths so the writer's row memo is hit, and int
+    arrays sit next to bool arrays of equal value."""
+    row = draw(st.lists(_big_ints | _json_strings, max_size=4))
+    flags = [bool(x) for x in row if isinstance(x, int)]
+    leaves = (st.none() | st.booleans() | _big_ints | _json_strings
+              | st.just(row) | st.just(tuple(row)) | st.just(flags)
+              | st.just([int(x) for x in flags])
+              | st.lists(st.booleans() | st.integers(-2, 2), max_size=4))
+    return draw(st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids, max_size=4)
+                      | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(_json_strings, kids, max_size=4)),
+        max_leaves=40))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tree=json_trees())
+def test_json_text_is_stdlib_indented_dumps(tree):
+    assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+class TestJsonText:
+    def test_memo_keeps_ints_and_bools_apart(self):
+        for tree in ([[1, 0], [True, False], [1, 0]],
+                     [[True], {"a": [1]}, [[1], [True]]],
+                     [["1"], [1], ("1",), (1,)]):
+            assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        1.5, [0, 0.0], {"a": [1, {"b": 2.5}]}, {1, 2}, {"a": {3}},
+        {1: "a"}, {"a": {None: 1}}, {("t",): 1}, Fraction(1, 2), b"x"],
+        ids=repr)
+    def test_other_types_are_type_errors(self, obj):
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+class TestJsonParse:
+    @pytest.mark.parametrize("text", [
+        '{"a": 1, "a": 2}', '[{"b": {"c": 1, "c": 1}}]', '{"x": {}, "x": []}'])
+    def test_duplicate_keys_rejected(self, text):
+        with pytest.raises(ValueError, match="duplicate key"):
+            json_parse(text)
+
+    def test_deep_nesting_is_a_value_error(self):
+        depth = 200000
+        for text in ("[" * depth + "]" * depth, '{"a": ' * depth + "1" + "}" * depth):
+            with pytest.raises(ValueError, match="nested too deeply"):
+                loads(text)
