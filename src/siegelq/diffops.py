@@ -103,7 +103,8 @@ class BracketParams:
 def theta_operator(f, r):
     """Order-r minor theta operator: a(T) -> compound(T, r) a(T), with the
     (2 pi i)^{-r} normalization absorbed.  Takes scalar input; the result
-    is ('compound', r)-shaped."""
+    is ('compound', r)-shaped and keeps f's weight: as for rankin_cohen,
+    the weight records the power of det and the shape carries the rest."""
     if f.shape != SCALAR:
         raise ValueError("theta operator needs a scalar expansion")
     if not is_int(r) or not 1 <= r <= f.degree:
@@ -144,6 +145,12 @@ def rankin_cohen(f, g, params):
     compound(T1 + lambda T2, r), i.e. the polarized piece of degree alpha
     in T1.  For n = r = 1 this is k f theta(g) - l theta(f) g.  Result
     shape ('compound', r), exact to the shared trace bound.
+
+    The result's weight is k + l, the power of det in its automorphy
+    factor; the ('compound', r) shape carries the rest.  So at degree 1,
+    where each order adds a factor (c z + d)^2, [E4, E6] = -3456 Delta
+    records weight 10 although Delta has weight 12 = 10 + 2r.  The weight
+    is None unless both f and g carry one.
 
     Computed entry by entry through _laplace_split: entry (I, J) is the
     weighted, signed sum of the ring products M_(I-K, J-L) f * M_(K, L) g

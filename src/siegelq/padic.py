@@ -49,6 +49,11 @@ def _vp(x, p):
     return count
 
 
+def valuation_to_json(v):
+    """A valuation as JSON: the int itself, or "inf" for +inf."""
+    return "inf" if v == math.inf else int(v)
+
+
 def _valuations(f, p):
     """(key, valuation) for each stored coefficient of f in (trace,
     entries) order, a block valued by its least entry; p already
@@ -90,9 +95,7 @@ class CongruenceReport:
             "p": self.prime,
             "m": self.power,
             "holds": self.holds,
-            "min_valuation": (
-                "inf" if self.min_valuation == math.inf else int(self.min_valuation)
-            ),
+            "min_valuation": valuation_to_json(self.min_valuation),
             "witness_t2": (
                 None if self.witness is None else [list(row) for row in self.witness]
             ),

@@ -46,11 +46,14 @@ MAX_LISTING = 50_000
 
 def _freeze_mod(rows, p):
     """rows reduced mod p as a tuple matrix; ValueError unless it is a
-    non-empty square matrix."""
-    m = tuple(tuple(int(x) % p for x in row) for row in rows)
+    non-empty square matrix of ints (is_int: not a bool, float, string or
+    Fraction, which would otherwise be coerced)."""
+    m = tuple(tuple(row) for row in rows)
     if not m or any(len(row) != len(m) for row in m):
         raise ValueError("matrix must be non-empty and square")
-    return m
+    if not all(is_int(x) for row in m for x in row):
+        raise ValueError("matrix entries must be integers")
+    return tuple(tuple(x % p for x in row) for row in m)
 
 
 def _require_degree(n):
@@ -270,9 +273,9 @@ class CosetRep:
     def to_json_dict(self):
         return {
             "cell": self.cell,
-            "b": [list(row) for row in self.b],
-            "a": [list(row) for row in self.a],
-            "mat": [list(row) for row in self.mat.mat],
+            "b": self.b,
+            "a": self.a,
+            "mat": self.mat.mat,
         }
 
 

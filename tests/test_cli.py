@@ -1,8 +1,10 @@
 """Command-line interface: formats, determinism and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +13,9 @@ from fractions import Fraction
 import siegelq
 from siegelq import cli, diffops, padic, qexpansion, theta
 from siegelq.cli import run
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 def read(path):
@@ -375,3 +380,27 @@ class TestRobustness:
     def test_stdout_default(self, capsys):
         assert run(["gram-a", "--rank", "1"]) == 0
         assert json.loads(capsys.readouterr().out) == {"rank": 1, "gram": [[2]]}
+
+
+class TestParser:
+    def subcommands(self):
+        parser = cli.build_parser()
+        (subs,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        return subs.choices
+
+    def test_readme_table_matches_parser(self):
+        with open(README, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        names = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                names += re.findall(r"`([^`]+)`", line.split("|")[1])
+        assert sorted(names) == sorted(self.subcommands())
+        assert len(names) == len(set(names))
+
+    def test_every_subcommand_has_an_action(self):
+        for name, sub in self.subcommands().items():
+            assert callable(sub.get_default("run")), name
+            assert sub.get_default("output") is None, name

@@ -1,6 +1,7 @@
 """Symplectic mod-p elements and the coset system."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -77,6 +78,11 @@ def assert_checked(m):
     assert SymplecticModP(m.mat, m.prime).mat == m.mat
 
 
+# 1.9 and Fraction(3, 2) truncate to 1, "1" parses and True is 1: not
+# integers, so every matrix input rejects them instead of coercing them
+NON_INTEGERS = (1.9, "1", True, Fraction(3, 2))
+
+
 def identity_element(n, p):
     return SymplecticModP([[int(i == k) for k in range(2 * n)]
                            for i in range(2 * n)], p)
@@ -94,6 +100,10 @@ class TestSymplecticModP:
             SymplecticModP([[1, 0], [0, 2]], 3)
         with pytest.raises(ValueError):
             SymplecticModP([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+        # entries that int(x) % p would turn into the identity
+        for bad in NON_INTEGERS:
+            with pytest.raises(ValueError):
+                SymplecticModP([[bad, 0], [0, 1]], 3)
 
     def test_rejects_bad_prime(self):
         for bad in (2, 4, 9, 1):
@@ -147,12 +157,16 @@ class TestGenerators:
         assert m.block(0, 1) == ((0, 0), (0, 0))
 
     def test_levi_rejects_singular(self):
-        for a in (((1, 1), (2, 2)), ((3,),), ((1, 2, 0), (0, 1, 1)), ()):
+        for a in (((1, 1), (2, 2)), ((3,),), ((1, 2, 0), (0, 1, 1)), (),
+                  *(((bad,),) for bad in NON_INTEGERS),
+                  ((1, 0), (0, 2.5))):
             with pytest.raises(ValueError):
                 levi(a, 3)
 
     def test_unipotent_needs_symmetric(self):
-        for b in (((0, 1), (2, 0)), ((0, 1, 0), (1, 0, 0)), ((0, 1), (1,)), ()):
+        for b in (((0, 1), (2, 0)), ((0, 1, 0), (1, 0, 0)), ((0, 1), (1,)), (),
+                  *(((bad,),) for bad in NON_INTEGERS),
+                  *(((0, bad), (bad, 0)) for bad in NON_INTEGERS)):
             with pytest.raises(ValueError):
                 unipotent(b, 3)
         m = unipotent(((0, 1), (1, 2)), 3)
