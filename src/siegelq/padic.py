@@ -133,10 +133,11 @@ def congruent(f, g, p, m, normalized=False):
 
 
 def frobenius_descent(g, p):
-    """(g^p)|U(p), congruent to g mod p for p-integral scalar g; the
-    result keeps g's trace bound.  (Raising to the p-th power puts every
-    cross term of the multinomial in p Z, and U(p) picks the diagonal
-    back out.)"""
+    """(g^p)|U(p), congruent to g mod p for p-integral scalar g; U(p)
+    drops the trace bound N of g to N // p, so a congruence against g is
+    checked only that far.  (Raising to the p-th power puts every cross
+    term of the multinomial in p Z, and U(p) picks the diagonal back
+    out.)"""
     require_odd_prime(p)
     if g.shape != SCALAR:
         raise ValueError("needs a scalar expansion")

@@ -11,17 +11,26 @@ theta of an orthogonal direct sum is the product of the summands' series
 (permuting coordinates changes nothing), so each distinct component is
 enumerated once and the factors are multiplied.
 
-A component is enumerated by backtracking over its short vectors, in the
-style of Fincke-Pohst.  The quadratic completion (Cholesky without square
-roots) Q = sum_i c_i (x_i + sum_{j>i} u_ij x_j)^2, c_i > 0, is computed
-once and scaled to integer coefficients, so the search itself uses only
-integer arithmetic: each coordinate range is an exact integer interval
-bounded with math.isqrt, and neither Fraction nor floating point enters
-the recursion.
+A component's short vectors are found by backtracking, in the style of
+Fincke-Pohst.  The quadratic completion (Cholesky without square roots)
+Q = sum_i c_i (x_i + sum_{j>i} u_ij x_j)^2, c_i > 0, is computed once and
+scaled to integer coefficients, so the search itself uses only integer
+arithmetic: each coordinate range is an exact integer interval bounded
+with math.isqrt, and neither Fraction nor floating point enters the
+recursion.
+
+The n-tuples of short vectors (the columns of X) are then counted up to
+signed permutations: permuting or negating columns of X permutes or
+negates rows and columns of X^t Q X alike.  So only non-decreasing tuples
+of representatives of the pairs +-v are visited, each tallied with the
+number of orderings it stands for, and at the end each tallied Gram
+matrix is spread over its orbit under those moves.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import permutations, product
+from math import factorial, isqrt, lcm
+from operator import mul
 
 from .halfint import (det, even_symmetric, freeze, identity, is_int, mat_inverse,
                       mat_mul, transpose)
@@ -217,41 +226,68 @@ def _components(gram):
 
 
 def _enumerate_theta(gram, n, trace_bound):
-    """Degree-n representation numbers of the Gram matrix by visiting every
-    ordered n-tuple of short vectors within the trace budget; no metadata."""
+    """Degree-n representation numbers of the Gram matrix, counting each
+    n-tuple of short vectors once per orbit of signed column permutations;
+    no metadata.
+
+    Every short vector is +-r for one representative r >= 0
+    (lexicographically; zero is its own).  Columns e_i r_i (signs e_i) put
+    in the order of a permutation P give X^t Q X = P (e G e) P^t, with G
+    the Gram of r_1..r_n.  So the walk visits only non-decreasing tuples
+    of representatives, sorted by norm, within the trace budget, computing
+    each new column's inner products with the earlier columns as it is
+    placed.  It tallies the flat key of G (diagonal norms, then upper inner
+    products column by column) with weight n!/|stabiliser|, the stabiliser
+    being the permutations within runs of equal columns.  Then each
+    distinct key is spread over all n! permutations and the signs of its
+    nonzero columns (a zero column has one sign only), and the sums are
+    divided by n! exactly."""
     m = len(gram)
     budget = 2 * trace_bound
     vectors = _short_vectors(gram, budget)
-    qvs = [
-        tuple(sum(gram[i][j] * v[j] for j in range(m)) for i in range(m))
-        for v in vectors
-    ]
-    norms = [sum(x * y for x, y in zip(v, qv)) for v, qv in zip(vectors, qvs)]
-    by_norm = sorted(range(len(vectors)), key=lambda i: norms[i])
-    counts = {}
-    chosen = [0] * n
+    rows = []
+    # sorted, so the representatives are the tail from the zero vector on
+    for v in vectors[vectors.index((0,) * m):]:
+        qv = tuple(sum(map(mul, row, v)) for row in gram)
+        rows.append((sum(map(mul, v, qv)), v, qv))
+    norms, reps, qvs = zip(*sorted(rows))
+    size = len(reps)
+    full = factorial(n)
+    tally = {}
 
-    def place(col, used):
-        if col == n:
-            d = [[0] * n for _ in range(n)]
-            for i in range(n):
-                d[i][i] = norms[chosen[i]]
-                vi = vectors[chosen[i]]
-                for j in range(i + 1, n):
-                    cross = sum(x * y for x, y in zip(vi, qvs[chosen[j]]))
-                    d[i][j] = cross
-                    d[j][i] = cross
-            key = tuple(tuple(row) for row in d)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        for idx in by_norm:
-            if norms[idx] + used > budget:
+    def walk(start, used, cols, diag, cross, stab, run):
+        last = n - 1 == len(cols)
+        prev = cols[-1] if cols else -1
+        for pos in range(start, size):
+            norm = norms[pos]
+            if used + norm > budget:
                 break
-            chosen[col] = idx
-            place(col + 1, used + norms[idx])
+            v = reps[pos]
+            key_cross = cross + tuple(sum(map(mul, v, qvs[c])) for c in cols)
+            r = run + 1 if pos == prev else 1
+            if last:
+                key = diag + (norm,) + key_cross
+                tally[key] = tally.get(key, 0) + full // (stab * r)
+            else:
+                walk(pos, used + norm, cols + (pos,), diag + (norm,),
+                     key_cross, stab * r, r)
 
-    place(0, 0)
-    return _trusted(n, trace_bound, {k: Fraction(c) for k, c in counts.items()})
+    walk(0, 0, (), (), (), 1, 0)
+    counts = {}
+    for key, weight in tally.items():
+        g = [[0] * n for _ in range(n)]
+        at = n
+        for j in range(n):
+            g[j][j] = key[j]
+            for i in range(j):
+                g[i][j] = g[j][i] = key[at]
+                at += 1
+        signs = [(1, -1) if g[i][i] else (1,) for i in range(n)]
+        for perm in permutations(range(n)):
+            for e in product(*signs):
+                t = tuple(tuple(e[a] * e[b] * g[a][b] for b in perm) for a in perm)
+                counts[t] = counts.get(t, 0) + weight
+    return _trusted(n, trace_bound, {t: Fraction(c, full) for t, c in counts.items()})
 
 
 def rep_numbers(lattice, degree, trace_bound):

@@ -282,6 +282,15 @@ class TestFrobeniusDescent:
         assert h.coefficient(key1(1)) == 8
 
 
+    def test_bound_drops_to_n_over_p(self):
+        g = eisenstein(4, 60)
+        h = frobenius_descent(g, 7)
+        assert h.trace_bound == 8
+        report = congruent(h, g, 7, 1)
+        assert report.holds
+        assert report.bound == 8
+
+
 class TestUnitLadder:
     def test_weights_and_congruence(self):
         base = rep_numbers(direct_sum(gram_a(2), gram_a(2)), 1, 4)

@@ -1,15 +1,20 @@
 """Lattices, isometries and exact representation numbers.
 
-The independent oracle enumerates every integer matrix in the coordinate
-box given by the diagonal of 2N Q^{-1} and tallies X^t Q X directly; the
-library path goes through quadratic-completion backtracking instead, so
-agreement is a two-route check.  A block-diagonal Gram takes the product
-path of rep_numbers and a connected one the enumeration, so comparing a
-block-diagonal Q with U^t Q U for a U that mixes the blocks checks the two
-paths against each other.
+The independent oracles enumerate the integer vectors in the coordinate
+box given by the diagonal of 2N Q^{-1} and tally X^t Q X directly, over
+every ordered tuple of columns; the library path goes through
+quadratic-completion backtracking and counts tuples up to signed column
+permutations instead, so agreement is a two-route check.  A block-diagonal
+Gram takes the product path of rep_numbers and a connected one the
+enumeration, so comparing a block-diagonal Q with U^t Q U for a U that
+mixes the blocks checks the two paths against each other.  Two structural
+identities the enumerator does not use are checked as well: theta of E8
+is the Siegel Eisenstein series E_4, and theta coefficients are
+GL_n(Z)-invariant, a(U^t T U) = a(T).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -74,6 +79,24 @@ def box_short_vectors(gram, bound):
     return out
 
 
+def box_tuple_oracle(gram, degree, bound):
+    """Representation numbers by tallying X^t Q X over every ordered
+    degree-tuple of box_short_vectors(gram, 2 bound) within the trace
+    budget."""
+    m = len(gram)
+    short = box_short_vectors(gram, 2 * bound)
+    counts = {}
+    for cols in product(short, repeat=degree):
+        if sum(norm for norm, _ in cols) > 2 * bound:
+            continue
+        key = tuple(
+            tuple(sum(u[a] * gram[a][b] * w[b] for a in range(m) for b in range(m))
+                  for _, w in cols)
+            for _, u in cols)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def conjugate(gram, u):
     """U^t Q U."""
     return mat_mul(transpose(u), mat_mul(gram, u))
@@ -82,6 +105,20 @@ def conjugate(gram, u):
 def permute(gram, perm):
     """The Gram matrix in the coordinate order perm."""
     return [[gram[i][j] for j in perm] for i in perm]
+
+
+def dynkin_gram(m, edges):
+    """The root lattice of a simply-laced Dynkin diagram on m nodes: 2 on
+    the diagonal, -1 at each edge."""
+    g = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return GramLattice(g)
+
+
+D4 = dynkin_gram(4, ((0, 1), (1, 2), (1, 3)))
+# a chain of seven nodes, the eighth joined to the third
+E8 = dynkin_gram(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)))
 
 
 class TestGramLattice:
@@ -212,6 +249,60 @@ class TestRepNumbers:
         assert all(sum(k[i][i] for i in range(2)) // 2 <= 2 for k in th.coeffs)
 
 
+class TestBoxTuples:
+    """Connected Grams against the ordered-tuple box oracle, at sizes whose
+    keys include zero columns, repeated columns and negative off-diagonal
+    entries, each of which the enumerator folds into an orbit."""
+
+    def check(self, gram, degree, bound):
+        oracle = box_tuple_oracle(gram, degree, bound)
+        keys = list(oracle)
+        assert any(0 in (k[i][i] for i in range(degree)) for k in keys)
+        assert any(k[i] == k[j] != (0,) * degree
+                   for k in keys for i in range(degree) for j in range(i))
+        assert any(x < 0 for k in keys for row in k for x in row)
+        assert rep_numbers(GramLattice(gram), degree, bound).coeffs == oracle
+
+    def test_degree_three(self):
+        for gram in (gram_a(3).gram, TestShortVectors.SKEWED[4]):
+            assert len(_components(gram)) == 1
+            self.check(gram, 3, 2)
+
+    def test_degree_two_bound_three(self):
+        for lat in (gram_a(4), D4):
+            self.check(lat.gram, 2, 3)
+
+
+def reduced_binary(t2):
+    """The GL_2(Z)-reduced form (a, b, c), 0 <= b <= a <= c, of the psd
+    binary form a x^2 + b xy + c y^2 with doubled matrix t2."""
+    a, b, c = t2[0][0] // 2, t2[0][1], t2[1][1] // 2
+    while True:
+        if a > c:
+            a, c = c, a
+        if a == 0 or abs(b) <= a:
+            return a, abs(b), c
+        k = (b + a) // (2 * a)
+        b, c = b - 2 * k * a, c - k * b + k * k * a
+
+
+class TestE8:
+    # E_4 of degree 2 at the reduced forms of trace <= 2: rank 1 of
+    # content c gives 240 sigma_3(c); [[1, 1/2], [1/2, 1]] and 1_2 are
+    # the classical 13440 and 30240
+    E4 = {(0, 0, 0): 1, (0, 0, 1): 240, (0, 0, 2): 2160,
+          (1, 1, 1): 13440, (1, 0, 1): 30240}
+
+    def test_degree_two_is_eisenstein(self):
+        assert E8.det() == 1 and E8.level() == 1
+        th = rep_numbers(E8, 2, 2)
+        indices = list(enumerate_indices(2, 2))
+        assert len(th.support()) == len(indices) == 10
+        for t in indices:
+            assert th.coefficient(t.doubled) == self.E4[reduced_binary(t.doubled)]
+        assert th.coefficient(((2, 2), (2, 2))) == 240
+
+
 class TestProductPath:
     """Block-diagonal Grams, possibly with interleaved coordinates, are
     split into components whose theta series are multiplied."""
@@ -301,3 +392,50 @@ def test_product_path_matches_enumeration(pair, degree):
     bound = BOUNDS[degree]
     assert (dumps(rep_numbers(blocks, degree, bound))
             == dumps(rep_numbers(mixed, degree, bound)))
+
+
+GL_LATTICES = {"A2": gram_a(2), "A3": gram_a(3), "D4": D4,
+               "skewed": GramLattice(TestShortVectors.SKEWED[4])}
+
+
+@lru_cache(maxsize=None)
+def gl_theta(name, degree):
+    return rep_numbers(GL_LATTICES[name], degree, BOUNDS[degree])
+
+
+@st.composite
+def unimodular(draw, n):
+    """A matrix of GL_n(Z) made of elementary column operations: adding a
+    multiple of one column to another, then possibly negating one."""
+    u = [list(row) for row in identity(n)]
+    ops = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from((-1, 1))),
+        min_size=1, max_size=n + 1))
+    for i, j, c in ops:
+        if i != j:
+            for row in u:
+                row[j] += c * row[i]
+    flip = draw(st.sampled_from((None,) + tuple(range(n))))
+    if flip is not None:
+        for row in u:
+            row[flip] = -row[flip]
+    return u
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), name=st.sampled_from(sorted(GL_LATTICES)),
+       degree=st.sampled_from((2, 3)))
+def test_gl_invariance(data, name, degree):
+    """a(U^t T U) = a(T) for every key whose image stays within the bound:
+    the columns X U represent U^t T U when X represents T."""
+    u = data.draw(unimodular(degree))
+    th = gl_theta(name, degree)
+    bound = BOUNDS[degree]
+    moved = 0  # nonzero coefficients checked at a key other than T
+    for t in enumerate_indices(degree, bound):
+        image = conjugate(t.doubled, u)
+        if sum(image[i][i] for i in range(degree)) <= 2 * bound:
+            assert th.coefficient(image) == th.coefficient(t.doubled)
+            moved += image != t.doubled and th.coefficient(image) != 0
+    assume(moved)
