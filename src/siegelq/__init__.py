@@ -38,6 +38,7 @@ from .padic import (
 )
 from .symplectic import (
     CosetRep,
+    CosetSystem,
     SymplecticModP,
     coset_count,
     coset_reps,
@@ -78,6 +79,7 @@ __all__ = [
     "vp",
     "vp_expansion",
     "CosetRep",
+    "CosetSystem",
     "SymplecticModP",
     "coset_count",
     "coset_reps",

@@ -3,24 +3,26 @@
 Each subcommand is declared once, in build_parser: its options and its
 action, a function of the parsed arguments set as the subparser's run
 default.  An action returns an expansion, a congruence report or plain
-JSON data, and one function, _run_command, turns that into the output
-and the exit code.  Every subcommand reads and writes the documented
-JSON formats.  Input is read by qexpansion.json_parse, which rejects
-duplicate object keys and documents nested too deeply to parse.  Output
-is written by qexpansion.json_text and is deterministic, byte for byte:
-two-space indent, sorted keys, non-ASCII as \\u escapes, a trailing
-newline, and rationals in lowest terms; the bytes are those of Python's
-json.dumps(obj, sort_keys=True, indent=2) plus the newline.  Exit codes:
-0 success, 1 only for a congruence report (congruent, thm41) that does
-not hold, 2 usage or input errors.
+JSON data (the coset listing as an iterator of its elements), and one
+function, _run_command, turns that into the output and the exit code.
+Every subcommand reads and writes the documented JSON formats.  Input is
+read by qexpansion.json_parse, which rejects duplicate object keys and
+documents nested too deeply to parse.  Output is written by
+qexpansion.json_write, a listing one element at a time, and is
+deterministic, byte for byte: two-space indent, sorted keys, non-ASCII
+as \\u escapes, a trailing newline, and rationals in lowest terms; the
+bytes are those of Python's json.dumps(obj, sort_keys=True, indent=2)
+plus the newline.  Exit codes: 0 success, 1 only for a congruence
+report (congruent, thm41) that does not hold, 2 usage or input errors.
 """
 
 import argparse
+import contextlib
 import functools
 import sys
 
 from . import diffops, padic, qexpansion, symplectic, theta
-from .qexpansion import json_parse, json_text, rational_from_str
+from .qexpansion import json_parse, json_write, rational_from_str
 
 
 def _read_json(path):
@@ -37,12 +39,13 @@ def _read_gram(path):
 
 
 def _emit(obj, path):
-    text = json_text(obj) + "\n"
+    """Write obj through json_write to the file at path, or to stdout if
+    path is None; an iterator, such as a coset listing, is written one
+    element at a time."""
     if path is None:
-        sys.stdout.write(text)
+        json_write(obj, lambda: contextlib.nullcontext(sys.stdout))
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        json_write(obj, lambda: open(path, "w", encoding="utf-8"))
 
 
 def _rational(text):
@@ -77,7 +80,9 @@ def _cosets(a):
     if a.count_only:
         return {"degree": a.degree, "p": a.prime,
                 "count": symplectic.coset_count(a.degree, a.prime)}
-    return [r.to_json_dict() for r in symplectic.coset_reps(a.degree, a.prime)]
+    # coset_reps runs, and refuses an oversized system, when this
+    # generator is made: before _emit opens the output
+    return (r.to_json_dict() for r in symplectic.coset_reps(a.degree, a.prime))
 
 
 def build_parser():

@@ -35,6 +35,7 @@ output keys are decoded, once each.
 
 import json
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter
@@ -330,21 +331,34 @@ class FourierExpansion:
         return _trusted(n, bound, coeffs, shape, weight, level, character)
 
     def __pow__(self, exponent):
+        """A new expansion, by square and multiply from the lowest set bit
+        of exponent: bit_length - 1 squarings and popcount - 1 products.
+        It has weight exponent * weight (or None), this level and no
+        character; exponent 0 gives the constant 1."""
         if self.shape != SCALAR:
             raise ValueError("powers are defined for scalar expansions only")
         if not is_int(exponent) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = FourierExpansion.constant(
-            1, self.degree, self.trace_bound,
-            weight=0 if self.weight is not None else None,
-            level=self.level)
+        if exponent == 0:
+            return FourierExpansion.constant(
+                1, self.degree, self.trace_bound,
+                weight=0 if self.weight is not None else None,
+                level=self.level)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
+            if not e:
+                break
+            base = base * base
+        if result is self:
+            result = _trusted(self.degree, self.trace_bound, dict(self.coeffs))
+        result.weight = None if self.weight is None else exponent * self.weight
+        result.level = self.level
+        result.character = None
         return result
 
     # -- index reparametrizations ----------------------------------------
@@ -466,6 +480,30 @@ def json_text(obj):
     formatted once per call for each depth and content, since rows repeat
     (a coset listing mod p has at most p^(2n) distinct rows)."""
     return _json_text(obj, "\n", {})
+
+
+def json_write(obj, opener):
+    """Write json_text(obj) and a newline to the text handle that the
+    context manager opener() gives.
+
+    An iterator is written as the JSON array of its elements, one element
+    at a time, so the array is never held whole: each element is
+    formatted by _json_text, with one memo for the whole array, and the
+    bytes are those of json_text(list(obj)).  Any other value is formatted
+    whole before opener is called, so a value that cannot be written
+    opens nothing."""
+    if not isinstance(obj, Iterator):
+        text = json_text(obj) + "\n"
+        with opener() as handle:
+            handle.write(text)
+        return
+    memo = {}
+    with opener() as handle:
+        start = "[\n  "
+        for x in obj:
+            handle.write(start + _json_text(x, "\n  ", memo))
+            start = ",\n  "
+        handle.write("[]\n" if start == "[\n  " else "\n]\n")
 
 
 def _json_text(obj, newline, memo):

@@ -21,19 +21,22 @@ closed form,
     [[E A, -F A^{-t}], [F A, (B_f + E) A^{-t}]]  mod p,
 
 and coset_reps writes these blocks directly instead of multiplying.  It
-refuses, before building anything, a system of more than MAX_LISTING
-elements.  The limit is set by the CLI's JSON output, which costs about
-0.1 ms and 6-10 KB of peak memory per element (Python 3.11) and so keeps
-the largest listing (degree 3 at p = 5, degree 2 at p = 31) near 2.5 s
-and 200 MB; building the list alone is far cheaper, but the check stays
-here so that there is one place for it.  coset_count gives the size of
-any system.
+returns a CosetSystem, a sequence that builds each element only when it
+is asked for, so the CLI writes a listing one element at a time and
+never holds it whole.  It refuses, at once, a system of more than
+MAX_LISTING elements.  The limit bounds time and output size, not
+memory.  The largest listings allowed (degree 3 at p = 5, degree 2 at
+p = 31) take about 1 to 1.3 s, write 15 to 17 MB of JSON and allocate
+at most 0.9 and 1.7 MB at once (tracemalloc, Python 3.11).  coset_count
+gives the size of any system.
 
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
 of M1 M2^{-1} vanishes mod p: both say (C1 | D1) = g (C2 | D2), g in GL_n.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -279,52 +282,116 @@ class CosetRep:
         }
 
 
-def _symmetric_mats(j, p):
-    """Symmetric j x j matrices over F_p, upper-triangle entries running
-    lexicographically (row-major)."""
+def _symmetric(j, values):
+    """The symmetric j x j matrix with the given upper-triangle entries,
+    row-major."""
+    b = [[0] * j for _ in range(j)]
     positions = [(i, k) for i in range(j) for k in range(i, j)]
-    for values in product(range(p), repeat=len(positions)):
-        b = [[0] * j for _ in range(j)]
-        for (i, k), v in zip(positions, values):
-            b[i][k] = v
-            b[k][i] = v
-        yield tuple(tuple(row) for row in b)
+    for (i, k), v in zip(positions, values):
+        b[i][k] = v
+        b[k][i] = v
+    return tuple(tuple(row) for row in b)
 
 
 def coset_reps(n, p):
-    """The full coset system: cells j = 0..n, within a cell ordered by
-    (B entries, A representative); prod_{i=1..n} (p^i + 1) elements in
-    total.  The lower-left block of every element has rank j, which is a
-    coset invariant.  ValueError, before anything is built, if the count
-    exceeds MAX_LISTING.  Per element only B times the bottom j rows of
-    A^{-t} is computed; every other row is built once per A."""
-    count = coset_count(n, p)
-    if count > MAX_LISTING:
-        raise ValueError(
-            "the degree-%d coset system at p = %d has %d elements, more than "
-            "the listing limit %d; coset_count (cosets --count-only) gives "
-            "the count without a listing"
-            % (n, p, count, MAX_LISTING))
-    zero = (0,) * n
-    out = []
-    for j in range(n + 1):
-        h = n - j
-        fixed = []
-        for a in gl_parabolic_reps(n, j, p):
-            ait = transpose(_inverse_mod(a, p))
-            head = (
-                tuple(row + zero for row in a[:h])
-                + tuple(zero + tuple(-x % p for x in row) for row in ait[h:])
-                + tuple(zero + row for row in ait[:h]))
-            fixed.append((a, head, a[h:], tuple(zip(*ait[h:]))))
-        for b in _symmetric_mats(j, p):
-            for a, head, lower_a, cols in fixed:
-                tail = tuple(
-                    left + tuple(sum(x * y for x, y in zip(b_row, col)) % p
-                                 for col in cols)
-                    for b_row, left in zip(b, lower_a))
-                out.append(CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, p)))
-    return out
+    """The full coset system as a CosetSystem: cells j = 0..n, within a
+    cell ordered by (B entries, A representative); prod_{i=1..n} (p^i + 1)
+    elements in total.  The lower-left block of every element has rank j,
+    which is a coset invariant.  ValueError, at once, if the count exceeds
+    MAX_LISTING.  No element is built until it is asked for."""
+    return CosetSystem(n, p)
+
+
+class CosetSystem(Sequence):
+    """The coset system of Sp_n(F_p) as a read-only sequence whose
+    elements are built when asked for, so a listing never exists whole.
+
+    len() is coset_count(n, p).  Iterating builds the elements in order;
+    s[i] decodes i into (cell j, B, A) and builds that one element.  Both
+    go through one builder, which computes per element only B times the
+    bottom j rows of A^{-t}; every other row is built once per (cell, A)
+    and kept."""
+
+    def __init__(self, n, p):
+        count = coset_count(n, p)
+        if count > MAX_LISTING:
+            raise ValueError(
+                "the degree-%d coset system at p = %d has %d elements, more "
+                "than the listing limit %d; coset_count (cosets --count-only) "
+                "gives the count without a listing"
+                % (n, p, count, MAX_LISTING))
+        self.degree = n
+        self.prime = p
+        self._count = count
+        self._cells = {}
+
+    def __len__(self):
+        return self._count
+
+    def _cell(self, j):
+        """For each A of cell j, in order: (A, the rows that do not depend
+        on B, the bottom j rows of A, the columns of the bottom j rows of
+        A^{-t})."""
+        fixed = self._cells.get(j)
+        if fixed is None:
+            n, p = self.degree, self.prime
+            h = n - j
+            zero = (0,) * n
+            fixed = self._cells[j] = []
+            for a in gl_parabolic_reps(n, j, p):
+                ait = transpose(_inverse_mod(a, p))
+                head = (
+                    tuple(row + zero for row in a[:h])
+                    + tuple(zero + tuple(-x % p for x in row) for row in ait[h:])
+                    + tuple(zero + row for row in ait[:h]))
+                fixed.append((a, head, a[h:], tuple(zip(*ait[h:]))))
+        return fixed
+
+    def _element(self, j, b, fixed):
+        """The element of cell j with symmetric block b and the A that
+        fixed (an entry of _cell(j)) describes."""
+        a, head, lower_a, cols = fixed
+        p = self.prime
+        tail = tuple(
+            left + tuple(sum(x * y for x, y in zip(b_row, col)) % p
+                         for col in cols)
+            for b_row, left in zip(b, lower_a))
+        return CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, p))
+
+    def __iter__(self):
+        p = self.prime
+        for j in range(self.degree + 1):
+            cell = self._cell(j)
+            for values in product(range(p), repeat=j * (j + 1) // 2):
+                b = _symmetric(j, values)
+                for fixed in cell:
+                    yield self._element(j, b, fixed)
+
+    def __getitem__(self, index):
+        """The element at index (negative counts from the end), or the list
+        of those a slice selects; IndexError beyond either end."""
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._count))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("coset index out of range")
+        p = self.prime
+        for j in range(self.degree + 1):
+            cell = self._cell(j)
+            entries = j * (j + 1) // 2
+            size = p ** entries * len(cell)
+            if i < size:
+                break
+            i -= size
+        # B's upper-triangle entries are the base-p digits of b_index, the
+        # first entry most significant, as product(range(p)) orders them
+        b_index, a_index = divmod(i, len(cell))
+        values = [0] * entries
+        for pos in reversed(range(entries)):
+            b_index, values[pos] = divmod(b_index, p)
+        return self._element(j, _symmetric(j, values), cell[a_index])
 
 
 def coset_count(n, p):

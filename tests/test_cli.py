@@ -215,7 +215,7 @@ class TestCosetsCommand:
             assert len(data) == size
             assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_oversized_listing_fails_fast(self, capsys):
+    def test_oversized_listing_fails_fast(self, tmp_path, capsys):
         start = time.perf_counter()
         assert run(["cosets", "--degree", "3", "--prime", "101"]) == 2
         assert time.perf_counter() - start < 1.0
@@ -223,6 +223,13 @@ class TestCosetsCommand:
         assert captured.out == ""
         assert "1072136382408" in captured.err
         assert "--count-only" in captured.err
+        # the refusal comes before the output file is opened
+        out = tmp_path / "big.json"
+        assert run(["cosets", "--degree", "3", "--prime", "7", "-o", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "137600" in captured.err
 
 
 class TestRobustness:

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelq.diffops import theta_operator
 from siegelq.halfint import enumerate_indices
@@ -289,6 +291,29 @@ class TestFrobeniusDescent:
         report = congruent(h, g, 7, 1)
         assert report.holds
         assert report.bound == 8
+
+
+@st.composite
+def p_integral_series(draw):
+    """A prime p in {3, 5, 7} and a degree-1 or degree-2 scalar series
+    whose coefficients have denominators prime to p."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    degree = draw(st.integers(1, 2))
+    bound = draw(st.integers(0, {1: 30, 2: 7}[degree]))
+    keys = [t.doubled for t in enumerate_indices(degree, bound)]
+    values = st.builds(Fraction, st.integers(-50, 50),
+                       st.integers(1, 30).filter(lambda d: d % p))
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), values))
+    return p, FourierExpansion(degree, bound, coeffs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=p_integral_series())
+def test_frobenius_descent_congruent_on_random_series(case):
+    p, g = case
+    report = congruent(frobenius_descent(g, p), g, p, 1)
+    assert report.holds
+    assert report.bound == g.trace_bound // p
 
 
 class TestUnitLadder:

@@ -8,6 +8,8 @@ own key addition, truncation and zero-dropping; the JSON writer against
 the stdlib's json.dumps(obj, sort_keys=True, indent=2).
 """
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -27,6 +29,7 @@ from siegelq.qexpansion import (
     from_json_dict,
     json_parse,
     json_text,
+    json_write,
     loads,
     rational_from_str,
     rational_to_str,
@@ -209,6 +212,36 @@ class TestRingLaws:
         assert f ** 5 == f * f * f * f * f
         with pytest.raises(ValueError):
             f ** -1
+
+    def test_pow_product_count_and_metadata(self, monkeypatch):
+        # square and multiply from the lowest set bit: bit_length - 1
+        # squarings and popcount - 1 products, no product with the constant 1
+        calls = []
+        convolve = FourierExpansion._convolve
+
+        def counting(self, other):
+            calls.append(other)
+            return convolve(self, other)
+
+        monkeypatch.setattr(FourierExpansion, "_convolve", counting)
+        rng = random.Random(37)
+        coeffs = rand_expansion(rng, 1, 4).coeffs
+        for weight in (Fraction(4), None):
+            f = FourierExpansion(1, 4, coeffs, weight=weight, level=3, character="chi")
+            for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3),
+                                (7, 4), (8, 3)):
+                calls.clear()
+                g = f ** e
+                assert len(calls) == products
+                assert g is not f
+                assert g.trace_bound == 4
+                assert (g.weight, g.level, g.character) == (
+                    None if weight is None else e * weight, 3, None)
+            # a fresh object: tagging the power leaves f as it was
+            g = f ** 1
+            g.weight = Fraction(99)
+            assert g == f and g.coeffs is not f.coeffs
+            assert f.weight == weight and f.character == "chi"
 
     def test_mul_bound_is_min(self):
         rng = random.Random(35)
@@ -674,6 +707,31 @@ def json_trees(draw):
 @given(tree=json_trees())
 def test_json_text_is_stdlib_indented_dumps(tree):
     assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(tree=json_trees())
+def test_json_write_streams_an_iterator_as_an_array(tree):
+    items = tree if isinstance(tree, (list, tuple)) else [tree, tree]
+    handle = io.StringIO()
+    json_write(iter(items), lambda: contextlib.nullcontext(handle))
+    assert handle.getvalue() == json.dumps(items, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonWrite:
+    def test_whole_values_and_empty_iterator(self):
+        for obj, text in (({"a": [1, 2]}, '{\n  "a": [\n    1,\n    2\n  ]\n}'),
+                          ([], "[]"), (iter([]), "[]"), (iter([[]]), "[\n  []\n]"),
+                          ((x for x in (1, "a")), "[\n  1,\n  \"a\"\n]")):
+            handle = io.StringIO()
+            json_write(obj, lambda: contextlib.nullcontext(handle))
+            assert handle.getvalue() == text + "\n"
+
+    def test_unwritable_value_opens_nothing(self):
+        opened = []
+        with pytest.raises(TypeError):
+            json_write({"a": 1.5}, lambda: opened.append(1))
+        assert opened == []
 
 
 class TestJsonText:

@@ -1,14 +1,18 @@
 """Symplectic mod-p elements and the coset system."""
 
 import random
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from siegelq import cli, symplectic
 from siegelq.symplectic import (
     MAX_LISTING,
     CosetRep,
+    CosetSystem,
     SymplecticModP,
     coset_count,
     coset_reps,
@@ -229,9 +233,12 @@ class TestGlParabolicReps:
                 gl_parabolic_reps(2, j, 3)
 
 
+COUNT_CASES = ((1, 3), (1, 5), (2, 3), (2, 5), (3, 3))
+
+
 class TestCosetSystem:
     def test_counts(self):
-        for n, p in ((1, 3), (1, 5), (2, 3), (2, 5), (3, 3)):
+        for n, p in COUNT_CASES:
             want = 1
             for i in range(1, n + 1):
                 want *= p ** i + 1
@@ -275,6 +282,59 @@ class TestCosetSystem:
         for n, p in ((3, 7), (2, 101), (3, 101)):
             with pytest.raises(ValueError, match="--count-only"):
                 coset_reps(n, p)
+
+    def test_indexing_matches_iteration(self):
+        for n, p in COUNT_CASES:
+            s = coset_reps(n, p)
+            assert isinstance(s, Sequence)
+            elements = list(s)
+            assert [s[i] for i in range(len(s))] == elements
+            assert s[-1] == elements[-1] and s[-len(s)] == elements[0]
+            assert s[::-7] == elements[::-7]
+            assert list(reversed(s)) == elements[::-1]
+            for bad in (len(s), -len(s) - 1):
+                with pytest.raises(IndexError):
+                    s[bad]
+        with pytest.raises(TypeError):
+            s[1.0]
+
+    def test_len_builds_nothing(self, monkeypatch):
+        built = []
+        element = CosetSystem._element
+        parabolic = symplectic.gl_parabolic_reps
+
+        def counting_element(self, *args):
+            built.append("element")
+            return element(self, *args)
+
+        def counting_parabolic(*args):
+            built.append("parabolic")
+            return parabolic(*args)
+
+        monkeypatch.setattr(CosetSystem, "_element", counting_element)
+        monkeypatch.setattr(symplectic, "gl_parabolic_reps", counting_parabolic)
+        s = coset_reps(3, 5)
+        assert len(s) == coset_count(3, 5) == 19656
+        assert built == []
+        assert s[12345].cell == 3
+        assert built.count("element") == 1
+        assert isinstance(random.Random(3).choice(s), CosetRep)
+        assert built.count("element") == 2
+
+    def test_listing_streams(self, tmp_path):
+        # a listing is written element by element: the peak of memory
+        # allocated during cosets -o stays a fraction of the output size
+        out = tmp_path / "c.json"
+        argv = ["cosets", "--degree", "3", "--prime", "3", "-o", str(out)]
+        assert cli.run(argv) == 0  # builds the cached parser first
+        tracemalloc.start()
+        try:
+            assert cli.run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 935691
+        assert peak < 935691 // 2
 
     def test_validation(self):
         for build in (coset_reps, coset_count):
