@@ -10,15 +10,22 @@ term the congruence pipeline compares against.
 The polarized pieces split by the generalized Laplace expansion into
 products of minors det T1[A, B] det T2[C, D], so each entry of the bracket
 is a signed sum of ring products of minor-weighted series
-a(T) -> det T[A, B] a(T); no polynomial arithmetic is needed.
+a(T) -> det T[A, B] a(T); no polynomial arithmetic is needed.  Every
+minor is taken by _minor; each block result, a theta operator's too, is
+assembled from scalar entry series by qexpansion._blocks.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .halfint import compound, det, is_int, key_half, subset_order
-from .qexpansion import SCALAR, _trusted
+from .halfint import as_rational, det, is_int, subset_order
+from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted
+
+
+def _minor(m, rows, cols):
+    """The minor det m[rows, cols]; the empty minor is 1."""
+    return det([[m[i][j] for j in cols] for i in rows])
 
 
 def _laplace_split(rows, cols, q):
@@ -48,7 +55,7 @@ def half_rising(s, h):
     if not is_int(h) or h < 0:
         raise ValueError("step count must be a nonnegative integer")
     out = Fraction(1)
-    s = Fraction(s)
+    s = as_rational(s, "rising product base")
     for i in range(h):
         out *= s + Fraction(i, 2)
     return out
@@ -66,15 +73,13 @@ def polarize_compound(r_mat, s_mat, r):
         raise ValueError("first matrix must be square")
     if len(s_mat) != n or any(len(row) != n for row in s_mat):
         raise ValueError("size mismatch")
-    if not 1 <= r <= n:
+    if not is_int(r) or not 1 <= r <= n:
         raise ValueError("minor order out of range")
     subs = subset_order(n, r)
-
-    def minor(m, rows, cols):
-        return det([[Fraction(m[i][j]) for j in cols] for i in rows])
+    r_mat, s_mat = ([[Fraction(x) for x in row] for row in m] for m in (r_mat, s_mat))
 
     def piece(rows, cols, q):
-        return sum((sign * minor(r_mat, rr, rc) * minor(s_mat, sr, sc)
+        return sum((sign * _minor(r_mat, rr, rc) * _minor(s_mat, sr, sc)
                     for sign, rr, rc, sr, sc in _laplace_split(rows, cols, q)),
                    Fraction(0))
 
@@ -96,8 +101,19 @@ class BracketParams:
             raise ValueError("degree must be a positive integer")
         if not is_int(self.minor_order) or not 1 <= self.minor_order <= self.degree:
             raise ValueError("minor order out of range")
-        object.__setattr__(self, "weight_f", Fraction(self.weight_f))
-        object.__setattr__(self, "weight_g", Fraction(self.weight_g))
+        object.__setattr__(self, "weight_f", as_rational(self.weight_f, "weight_f"))
+        object.__setattr__(self, "weight_g", as_rational(self.weight_g, "weight_g"))
+
+
+def _bracket_weights(params):
+    """The weights of the bracket's polarized pieces, alpha = 0..r (see
+    rankin_cohen); alpha = r gives the factor of the derivative-free part."""
+    r = params.minor_order
+    half = Fraction(r - 1, 2)
+    kp = params.weight_f - half
+    lp = params.weight_g - half
+    return [(-1) ** alpha * half_rising(lp, alpha) * half_rising(kp, r - alpha)
+            for alpha in range(r + 1)]
 
 
 def theta_operator(f, r):
@@ -109,13 +125,9 @@ def theta_operator(f, r):
         raise ValueError("theta operator needs a scalar expansion")
     if not is_int(r) or not 1 <= r <= f.degree:
         raise ValueError("minor order out of range")
-    coeffs = {}
-    for key, value in f.coeffs.items():
-        block = compound(key_half(key), r)
-        if any(x for row in block for x in row):
-            coeffs[key] = tuple(tuple(value * x for x in row) for row in block)
-    return _trusted(f.degree, f.trace_bound, coeffs, ("compound", r),
-                    f.weight, f.level, f.character)
+    subs = subset_order(f.degree, r)
+    return _blocks([[_minor_weighted(f, rows, cols) for cols in subs] for rows in subs],
+                   ("compound", r), f.trace_bound, f.weight, f.level, f.character)
 
 
 def _minor_weighted(h, rows, cols):
@@ -124,7 +136,7 @@ def _minor_weighted(h, rows, cols):
     scale = Fraction(1, 2 ** len(rows))
     coeffs = {}
     for key, value in h.coeffs.items():
-        m = det([[key[i][j] for j in cols] for i in rows])
+        m = _minor(key, rows, cols)
         if m:
             coeffs[key] = value * m * scale
     return _trusted(h.degree, h.trace_bound, coeffs)
@@ -161,42 +173,27 @@ def rankin_cohen(f, g, params):
     r = params.minor_order
     if f.degree != n or g.degree != n:
         raise ValueError("degree mismatch")
-    half = Fraction(r - 1, 2)
-    kp = params.weight_f - half
-    lp = params.weight_g - half
-    weights = [
-        (-1) ** alpha * half_rising(lp, alpha) * half_rising(kp, r - alpha)
-        for alpha in range(r + 1)
-    ]
+    weights = _bracket_weights(params)
     minors = [
         {(rows, cols): _minor_weighted(h, rows, cols)
          for s in range(r + 1)
          for rows in subset_order(n, s) for cols in subset_order(n, s)}
         for h in (f, g)
     ]
-    subs = subset_order(n, r)
-    size = len(subs)
-    acc = {}
-    for i, rows in enumerate(subs):
-        for j, cols in enumerate(subs):
-            for q in range(r + 1):
-                w = weights[r - q]
-                if w == 0:
-                    continue
-                for sign, fr, fc, gr, gc in _laplace_split(rows, cols, q):
-                    c = sign * w
-                    term = minors[0][fr, fc] * minors[1][gr, gc]
-                    for key, value in term.coeffs.items():
-                        block = acc.setdefault(
-                            key, [[Fraction(0)] * size for _ in range(size)])
-                        block[i][j] += c * value
+    zero = FourierExpansion.zero(n, min(f.trace_bound, g.trace_bound))
+
+    def entry(rows, cols):
+        return sum(((minors[0][fr, fc] * minors[1][gr, gc]).scale(sign * weights[r - q])
+                    for q in range(r + 1) if weights[r - q]
+                    for sign, fr, fc, gr, gc in _laplace_split(rows, cols, q)),
+                   zero)
+
     weight = None
     if f.weight is not None and g.weight is not None:
         weight = f.weight + g.weight
-    coeffs = {key: tuple(map(tuple, block)) for key, block in acc.items()
-              if any(x for row in block for x in row)}
-    return _trusted(n, min(f.trace_bound, g.trace_bound), coeffs,
-                    ("compound", r), weight)
+    subs = subset_order(n, r)
+    return _blocks([[entry(rows, cols) for cols in subs] for rows in subs],
+                   ("compound", r), zero.trace_bound, weight, None, None)
 
 
 def leading_part(f, g, params):
@@ -205,5 +202,4 @@ def leading_part(f, g, params):
     r = params.minor_order
     if f.degree != params.degree or g.degree != params.degree:
         raise ValueError("degree mismatch")
-    c = (-1) ** r * half_rising(params.weight_g - Fraction(r - 1, 2), r)
-    return (theta_operator(f, r) * g).scale(c)
+    return (theta_operator(f, r) * g).scale(_bracket_weights(params)[r])

@@ -27,6 +27,14 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def as_rational(x, name):
+    """x as a Fraction if it is an int (not a bool) or a Fraction, else
+    ValueError naming it: a float 0.1 never becomes a binary fraction."""
+    if not (is_int(x) or isinstance(x, Fraction)):
+        raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
+    return Fraction(x)
+
+
 # Strong-probable-prime bases 2..41; every composite below PRIME_LIMIT fails
 # one of them (Sorenson and Webster, Math. Comp. 2017: the smallest strong
 # pseudoprime to all thirteen is PRIME_LIMIT itself).
@@ -167,7 +175,7 @@ def subset_order(n, r):
 
     This ordering is the row/column convention for every compound matrix
     in the package; length is comb(n, r)."""
-    if not 0 <= r <= n:
+    if not (is_int(n) and is_int(r) and 0 <= r <= n):
         raise ValueError("need 0 <= r <= n")
     return tuple(combinations(range(n), r))
 
@@ -179,7 +187,7 @@ def compound(m, r):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if not 0 <= r <= n:
+    if not is_int(r) or not 0 <= r <= n:
         raise ValueError("minor order out of range")
     subs = subset_order(n, r)
     return tuple(
@@ -273,9 +281,9 @@ def enumerate_indices(degree, trace_bound):
     Candidates come from the box |2T_ij|^2 <= (2T_ii)(2T_jj) forced by the
     2x2 principal minors, then the full psd check filters."""
     n = degree
-    if not 1 <= n <= 4:
+    if not is_int(n) or not 1 <= n <= 4:
         raise ValueError("degree out of supported range 1..4")
-    if trace_bound < 0:
+    if not is_int(trace_bound) or trace_bound < 0:
         raise ValueError("trace bound must be nonnegative")
     out = []
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

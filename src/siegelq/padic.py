@@ -20,9 +20,10 @@ derivative-free theta-operator term.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .diffops import BracketParams, half_rising, rankin_cohen, theta_operator
-from .halfint import is_int, require_odd_prime
+from .diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
+from .halfint import as_rational, is_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion
 from .theta import direct_sum, gram_a, rep_numbers
 
@@ -30,7 +31,7 @@ from .theta import direct_sum, gram_a, rep_numbers
 def vp(x, p):
     """p-adic valuation of a rational: vp(p) = 1, vp(0) = +inf."""
     require_odd_prime(p)
-    return _vp(Fraction(x), p)
+    return _vp(as_rational(x, "value"), p)
 
 
 def _vp(x, p):
@@ -117,12 +118,8 @@ def congruent(f, g, p, m, normalized=False):
         raise ValueError("the power m must be a positive integer")
     diff = f - g
     bound = diff.trace_bound
-    best = math.inf
-    witness = None
-    for key, v in _valuations(diff, p):
-        if v < best:
-            best = v
-            witness = key
+    witness, best = min(_valuations(diff, p), key=itemgetter(1),
+                        default=(None, math.inf))
     threshold = m
     if normalized:
         threshold = m + vp_expansion(f.truncate(bound), p)
@@ -173,11 +170,7 @@ def limit_profile(seq, target, p):
     require_odd_prime(p)
     if not seq:
         raise ValueError("empty sequence")
-    out = []
-    for member in seq:
-        report = congruent(member, target, p, 1)
-        out.append(report.min_valuation)
-    return out
+    return [congruent(member, target, p, 1).min_valuation for member in seq]
 
 
 def bracket_theta_congruence(f, k, p, m, r, m_dilate):
@@ -203,11 +196,9 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     if not is_int(m_dilate) or m_dilate < 1:
         raise ValueError("m_dilate must be a positive integer")
     n = f.degree
-    if not 1 <= r <= n:
-        raise ValueError("minor order out of range")
+    params = BracketParams(n, r, k, (p - 1) * p ** (m - 1))
     if vp_expansion(f, p) < 0:
         raise ValueError("expansion is not p-integral")
-    k = Fraction(k)
     dil = p ** (m_dilate - 1)
     base_bound = -(-f.trace_bound // dil)
     unit = rep_numbers(direct_sum(gram_a(p - 1), gram_a(p - 1)), n, base_bound)
@@ -217,11 +208,8 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     g = (unit ** (p ** (m - 1))).dilate(dil)
     if g.trace_bound < f.trace_bound:
         raise ValueError("insufficient trace bound")
-    weight_g = Fraction((p - 1) * p ** (m - 1))
-    g.weight = weight_g
-    params = BracketParams(n, r, k, weight_g)
     bracket = rankin_cohen(f, g, params)
-    c = (-1) ** r * half_rising(weight_g - Fraction(r - 1, 2), r)
+    c = _bracket_weights(params)[r]
     if c == 0:
         raise ValueError("vanishing reference factor")
     nu = vp(c, p)

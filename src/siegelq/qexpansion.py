@@ -9,22 +9,22 @@ returns.
 
 Values are scalars, or square blocks of size comb(n, r) for the image of
 an order-r minor theta operator; the shape field is "scalar" or
-("compound", r).
+("compound", r).  All arithmetic is on scalar series: a block result is
+computed as scalar entry series, which one function, _blocks, assembles.
 
 Keys are checked once, at the boundary.  FourierExpansion(...) is for
 outside input (JSON, user code, constant, zero, eisenstein): it checks
 every key (2T integral, symmetric, even diagonal, of the degree, within
-the bound, positive semidefinite) and the metadata, makes values
-Fractions and drops zeros.  A series computed from valid series (the
+the bound, positive semidefinite) and the metadata, takes int or
+Fraction values and drops zeros.  A series computed from valid series (the
 ring operations, theta_operator, rankin_cohen, theta series) is wrapped
 by the private _trusted without checks; each such builder stores only
 nonzero Fraction values and blocks that are not all zero.
 
-A product runs one pair loop over Python ints.  Each operand's values are
-scaled to integer numerators over one common denominator, the lcm of its
-value denominators; a block's numerators are packed into one int as
-signed digits in a base wider than any entry of the result, so a block
-scales and adds like a scalar.  Each key 2T is coded as one int: the
+A product of scalar series runs one pair loop over Python ints; a block
+times a scalar is C(n, r)^2 such products, one per entry.  Each operand's
+values are scaled to integer numerators over one common denominator, the
+lcm of its value denominators.  Each key 2T is coded as one int: the
 signed digits of its upper triangle in base 4N + 1, N the product's trace
 bound.  For T >= 0 with trace(T) <= N, the diagonal of 2T lies in
 [0, 2N] and |2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it; a sum of two keys
@@ -42,12 +42,12 @@ from operator import itemgetter
 
 from .halfint import (
     HalfIntegralMatrix,
+    as_rational,
+    block_count,
     freeze,
     is_int,
     key_sort,
     key_trace,
-    mat_add,
-    mat_scale,
     zero_matrix,
 )
 
@@ -107,20 +107,18 @@ def _unpack(code, base, count):
     return digits
 
 
-def _numerators(f, bound):
-    """The terms of f with trace at most bound as (trace, key, integer
-    numerators), sorted by trace, and their common denominator: the lcm of
-    the value denominators.  A block's entries are listed row by row."""
+def _numerators(f, bound, upper, key_base):
+    """The terms of the scalar series f with trace at most bound as
+    (trace, code of the key's entries at upper in key_base, integer
+    numerator), sorted by trace, and the lcm of the value denominators."""
     terms = []
     for k, v in f.coeffs.items():
         t = key_trace(k)
         if t <= bound:
-            terms.append((t, k, (v,) if f.shape == SCALAR else
-                          [x for row in v for x in row]))
-    den = lcm(*(x.denominator for _, _, xs in terms for x in xs))
+            terms.append((t, _pack([k[i][j] for i, j in upper], key_base), v))
+    den = lcm(*(v.denominator for _, _, v in terms))
     terms.sort(key=itemgetter(0))
-    return [(t, k, [x.numerator * (den // x.denominator) for x in xs])
-            for t, k, xs in terms], den
+    return [(t, c, v.numerator * (den // v.denominator)) for t, c, v in terms], den
 
 
 class FourierExpansion:
@@ -138,16 +136,17 @@ class FourierExpansion:
             raise ValueError("degree must be a positive integer")
         if not is_int(trace_bound) or trace_bound < 0:
             raise ValueError("trace bound must be a nonnegative integer")
-        if not (weight is None or is_int(weight) or isinstance(weight, Fraction)):
-            raise ValueError("weight must be an integer or a Fraction, got %r" % (weight,))
+        weight = None if weight is None else as_rational(weight, "weight")
+        if not (level is None or is_int(level) and level >= 1):
+            raise ValueError("level must be a positive integer, got %r" % (level,))
         if not (character is None or is_int(character) or isinstance(character, str)):
             raise ValueError("character must be null, an integer or a string, got %r"
                              % (character,))
         self.degree = degree
         self.trace_bound = trace_bound
         self.shape = _normalize_shape(shape, degree)
-        self.weight = None if weight is None else Fraction(weight)
-        self.level = None if level is None else json_int(level, "level")
+        self.weight = weight
+        self.level = level
         self.character = character
         size = self.block_size
         stored = {}
@@ -156,11 +155,11 @@ class FourierExpansion:
             if not t.is_psd():
                 raise ValueError("keys must be positive semidefinite")
             if self.shape == SCALAR:
-                v = Fraction(value)
+                v = as_rational(value, "coefficient")
                 if v == 0:
                     continue
             else:
-                v = freeze([[Fraction(x) for x in row] for row in value])
+                v = freeze([[as_rational(x, "coefficient") for x in row] for row in value])
                 if len(v) != size:
                     raise ValueError("block size mismatch")
                 if all(x == 0 for row in v for x in row):
@@ -177,14 +176,14 @@ class FourierExpansion:
     @classmethod
     def constant(cls, value, degree, trace_bound, weight=None, level=None):
         key = zero_matrix(degree)
-        return cls(degree, trace_bound, {key: Fraction(value)},
+        return cls(degree, trace_bound, {key: value},
                    weight=weight, level=level)
 
     # -- basic access ---------------------------------------------------
 
     @property
     def block_size(self):
-        return 1 if self.shape == SCALAR else comb(self.degree, self.shape[1])
+        return 1 if self.shape == SCALAR else block_count(self.degree, self.shape[1])
 
     def support(self):
         """Keys with nonzero coefficient, sorted by (trace, entries)."""
@@ -233,23 +232,19 @@ class FourierExpansion:
         if other.shape != self.shape:
             raise ValueError("shape mismatch")
         bound = min(self.trace_bound, other.trace_bound)
-        acc = {k: v for k, v in self.coeffs.items() if key_trace(k) <= bound}
-        scalar = self.shape == SCALAR
-        for k, v in other.coeffs.items():
-            if key_trace(k) > bound:
-                continue
-            if k in acc:
-                s = acc[k] + v if scalar else mat_add(acc[k], v)
-                if (s == 0) if scalar else all(x == 0 for row in s for x in row):
-                    del acc[k]
-                else:
-                    acc[k] = s
-            else:
-                acc[k] = v
         weight = self.weight if self.weight == other.weight else None
         level = self.level if self.level == other.level else None
         character = self.character if self.character == other.character else None
-        return _trusted(self.degree, bound, acc, self.shape, weight, level, character)
+        if self.shape != SCALAR:
+            sums = [[a + b for a, b in zip(*rows)]
+                    for rows in zip(self._entries(), other._entries())]
+            return _blocks(sums, self.shape, bound, weight, level, character)
+        acc = {k: v for k, v in self.coeffs.items() if key_trace(k) <= bound}
+        for k, v in other.coeffs.items():
+            if key_trace(k) <= bound:
+                acc[k] = acc.get(k, 0) + v
+        coeffs = {k: v for k, v in acc.items() if v}
+        return _trusted(self.degree, bound, coeffs, SCALAR, weight, level, character)
 
     def __neg__(self):
         return self.scale(-1)
@@ -259,49 +254,52 @@ class FourierExpansion:
 
     def scale(self, c):
         """Multiply every coefficient by the rational c."""
-        c = Fraction(c)
-        if c == 0:
-            coeffs = {}
-        elif self.shape == SCALAR:
-            coeffs = {k: c * v for k, v in self.coeffs.items()}
-        else:
-            coeffs = {k: mat_scale(c, v) for k, v in self.coeffs.items()}
-        return _trusted(self.degree, self.trace_bound, coeffs, self.shape,
+        c = as_rational(c, "scale factor")
+        if self.shape != SCALAR:
+            return _blocks([[e.scale(c) for e in row] for row in self._entries()],
+                           self.shape, self.trace_bound, self.weight, self.level,
+                           self.character)
+        coeffs = {k: c * v for k, v in self.coeffs.items()} if c else {}
+        return _trusted(self.degree, self.trace_bound, coeffs, SCALAR,
                         self.weight, self.level, self.character)
 
     def __mul__(self, other):
-        if isinstance(other, FourierExpansion):
+        """The ring product, or the multiple by a rational.  A block-valued
+        factor is multiplied entry by entry."""
+        if not isinstance(other, FourierExpansion):
+            return self.scale(other)
+        self._require_compatible(other)
+        if self.shape == SCALAR and other.shape == SCALAR:
             return self._convolve(other)
-        return self.scale(other)
+        if self.shape != SCALAR and other.shape != SCALAR:
+            raise ValueError("cannot multiply two block-valued expansions")
+        block, scalar = (self, other) if other.shape == SCALAR else (other, self)
+        products = [[scalar._convolve(e) for e in row] for row in block._entries()]
+        first = products[0][0]
+        return _blocks(products, block.shape, first.trace_bound, first.weight,
+                       first.level, None)
 
     def __rmul__(self, other):
         return self.scale(other)
 
+    def _entries(self):
+        """The entry series of a block series, with its bound and metadata."""
+        size = self.block_size
+        return [[_trusted(self.degree, self.trace_bound,
+                          {k: v[i][j] for k, v in self.coeffs.items() if v[i][j]},
+                          SCALAR, self.weight, self.level, self.character)
+                 for j in range(size)] for i in range(size)]
+
     def _convolve(self, other):
-        """The product truncated at the smaller bound, by one pair loop
-        over integer key codes and numerators (see the module docstring)."""
-        self._require_compatible(other)
-        if self.shape != SCALAR and other.shape != SCALAR:
-            raise ValueError("cannot multiply two block-valued expansions")
-        block = other if self.shape == SCALAR else self
-        shape, size = block.shape, block.block_size
+        """The product of two scalar series, truncated at the smaller
+        bound, by one pair loop over integer key codes and numerators (see
+        the module docstring).  No character: for chi it would be chi^2."""
         bound = min(self.trace_bound, other.trace_bound)
         n = self.degree
         upper = [(i, j) for i in range(n) for j in range(i, n)]
         key_base = 4 * bound + 1
-        f_terms, f_den = _numerators(self, bound)
-        g_terms, g_den = _numerators(other, bound)
-        # No entry of the result's numerator sums exceeds peak in absolute
-        # value, so a block packed in value_base scales and adds digit-wise.
-        peak = (sum(abs(x) for _, _, xs in f_terms for x in xs)
-                * sum(abs(x) for _, _, xs in g_terms for x in xs))
-        value_base = 2 * peak + 1
-
-        def coded(terms):
-            return [(t, _pack([k[i][j] for i, j in upper], key_base),
-                     _pack(xs, value_base)) for t, k, xs in terms]
-
-        left, right = coded(f_terms), coded(g_terms)
+        left, f_den = _numerators(self, bound, upper, key_base)
+        right, g_den = _numerators(other, bound, upper, key_base)
         acc = {}
         get = acc.get
         for ta, ca, na in left:
@@ -319,16 +317,12 @@ class FourierExpansion:
             key = [[0] * n for _ in range(n)]
             for (i, j), x in zip(upper, _unpack(c, key_base, len(upper))):
                 key[i][j] = key[j][i] = x
-            values = [Fraction(x, den) for x in _unpack(s, value_base, size * size)]
-            coeffs[tuple(map(tuple, key))] = (
-                values[0] if shape == SCALAR
-                else tuple(tuple(values[i:i + size]) for i in range(0, size * size, size)))
+            coeffs[tuple(map(tuple, key))] = Fraction(s, den)
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
         level = self.level if self.level == other.level else None
-        character = self.character if self.character == other.character else None
-        return _trusted(n, bound, coeffs, shape, weight, level, character)
+        return _trusted(n, bound, coeffs, SCALAR, weight, level)
 
     def __pow__(self, exponent):
         """A new expansion, by square and multiply from the lowest set bit
@@ -358,7 +352,6 @@ class FourierExpansion:
             result = _trusted(self.degree, self.trace_bound, dict(self.coeffs))
         result.weight = None if self.weight is None else exponent * self.weight
         result.level = self.level
-        result.character = None
         return result
 
     # -- index reparametrizations ----------------------------------------
@@ -400,6 +393,18 @@ class FourierExpansion:
     def __repr__(self):
         return "FourierExpansion(degree=%d, trace_bound=%d, shape=%r, %d terms)" % (
             self.degree, self.trace_bound, self.shape, len(self.coeffs))
+
+
+def _blocks(entries, shape, bound, weight, level, character):
+    """The ("compound", r) series whose entry (i, j) is the scalar series
+    entries[i][j], a C(n, r) x C(n, r) array: a key is stored wherever some
+    entry is nonzero.  The one place where scalar entries become blocks."""
+    keys = dict.fromkeys(k for row in entries for e in row for k in e.coeffs)
+    zero = Fraction(0)
+    coeffs = {k: tuple(tuple(e.coeffs.get(k, zero) for e in row) for row in entries)
+              for k in keys}
+    return _trusted(entries[0][0].degree, bound, coeffs, shape,
+                    weight, level, character)
 
 
 def _trusted(degree, trace_bound, coeffs, shape=SCALAR,

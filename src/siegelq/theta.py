@@ -106,6 +106,8 @@ def cycle_isometry(m):
     """The coordinate (m+1)-cycle of A_m in the root basis: order m + 1,
     fixes only the origin.  Columns: e_i -> e_{i+1} for i < m - 1 and
     e_{m-1} -> -(e_0 + ... + e_{m-1})."""
+    if not is_int(m) or m < 1:
+        raise ValueError("rank must be a positive integer")
     s = [[0] * m for _ in range(m)]
     for i in range(m):
         s[i][m - 1] = -1

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelq.diffops import (
     BracketParams,
@@ -17,6 +19,7 @@ from siegelq.diffops import (
 from siegelq.halfint import (
     compound,
     enumerate_indices,
+    key_half,
     mat_add,
     mat_inverse,
     mat_scale,
@@ -60,6 +63,9 @@ class TestHalfRising:
     def test_validation(self):
         with pytest.raises(ValueError):
             half_rising(1, -1)
+        for s in (0.1, "1/2", True):
+            with pytest.raises(ValueError):
+                half_rising(s, 2)
 
 
 class TestPolarizeCompound:
@@ -108,6 +114,9 @@ class TestPolarizeCompound:
             polarize_compound(((Fraction(1),),), ((Fraction(1), 0), (0, Fraction(1))), 1)
         with pytest.raises(ValueError):
             polarize_compound(((Fraction(1),),), ((Fraction(1),),), 2)
+        for r in (True, 1.0):
+            with pytest.raises(ValueError):
+                polarize_compound(((Fraction(1),),), ((Fraction(1),),), r)
 
 
 class TestThetaOperator:
@@ -156,6 +165,46 @@ class TestThetaOperator:
         th = theta_operator(rep_numbers(gram_a(2), 2, 2), 1)
         with pytest.raises(ValueError):
             th * th
+
+
+@st.composite
+def rational_series(draw):
+    """A random rational series of degree 1-3 and a minor order r.  The
+    key T = diag(1, ..., 1, 0) is always stored: its order-r block, r < n,
+    has zero entries next to nonzero ones."""
+    degree = draw(st.integers(1, 3))
+    top = {1: 6, 2: 3, 3: 2}[degree]
+    keys = [t.doubled for t in enumerate_indices(degree, top)]
+    values = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(bool)
+    coeffs = {k: draw(values)
+              for k in draw(st.lists(st.sampled_from(keys), max_size=len(keys)))}
+    coeffs[diag_key(degree)] = draw(values)
+    return FourierExpansion(degree, top, coeffs), draw(st.integers(1, degree))
+
+
+def diag_key(degree):
+    return tuple(tuple(2 if i == j < degree - 1 else 0 for j in range(degree))
+                 for i in range(degree))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=rational_series())
+def test_theta_operator_is_compound_times_coefficient(case):
+    """At every key, theta_operator(f, r) is compound(T, r) a(T) with T
+    and its minors taken over the rationals; an all-zero block is not
+    stored."""
+    f, r = case
+    expect = {}
+    for key, value in f.coeffs.items():
+        block = compound(key_half(key), r)
+        if any(x for row in block for x in row):
+            expect[key] = tuple(tuple(value * x for x in row) for row in block)
+    th = theta_operator(f, r)
+    assert (th.shape, th.trace_bound) == (("compound", r), f.trace_bound)
+    assert th.coeffs == expect
+    if r < f.degree:
+        entries = [x for row in th.coeffs[diag_key(f.degree)] for x in row]
+        assert 0 in entries and any(entries)
 
 
 class TestBracket:
@@ -270,6 +319,10 @@ class TestBracket:
             BracketParams(2, 3, 4, 6)
         with pytest.raises(ValueError):
             BracketParams(0, 1, 4, 6)
+        # weights are exact: 0.1 is not 3602879701896397/2^55
+        for k, l in ((0.1, 4), (4, 0.5), ("4", 6), (True, 6)):
+            with pytest.raises(ValueError):
+                BracketParams(1, 1, k, l)
         f = rep_numbers(gram_a(2), 2, 2)
         th = theta_operator(f, 1)
         with pytest.raises(ValueError):

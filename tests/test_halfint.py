@@ -196,6 +196,9 @@ class TestSubsetOrder:
             subset_order(3, 4)
         with pytest.raises(ValueError):
             subset_order(3, -1)
+        for n, r in ((2, True), (True, 1), (2, 1.0)):
+            with pytest.raises(ValueError):
+                subset_order(n, r)
 
 
 class TestCompound:
@@ -204,6 +207,9 @@ class TestCompound:
         assert compound(m, 0) == ((1,),)
         assert compound(m, 2) == ((-2,),)
         assert compound(m, 1) == m
+        for r in (True, False, 1.0):
+            with pytest.raises(ValueError):
+                compound(m, r)
 
     def test_identity(self):
         for n in range(1, 5):
@@ -292,6 +298,11 @@ class TestEnumerateIndices:
             enumerate_indices(0, 1)
         with pytest.raises(ValueError):
             enumerate_indices(2, -1)
+        # a bool is not a degree, and a non-integral bound is a
+        # ValueError, not a TypeError from range()
+        for degree, bound in ((True, 1), (1, True), (1, 1.5), (2.0, 1)):
+            with pytest.raises(ValueError):
+                enumerate_indices(degree, bound)
 
     def test_degree_three_spot(self):
         got = enumerate_indices(3, 1)

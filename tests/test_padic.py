@@ -52,6 +52,13 @@ class TestVp:
                 vp(6, bad)
         assert require_odd_prime(13) == 13
 
+    def test_value_must_be_exact(self):
+        # a float would be read as its binary expansion, 0.1 as
+        # 3602879701896397/2^55
+        for bad in (0.1, 5.0, "1/5", True):
+            with pytest.raises(ValueError):
+                vp(bad, 5)
+
     def test_multiplicative(self):
         rng = random.Random(71)
         for _ in range(60):

@@ -516,6 +516,38 @@ class TestValidation:
         f = FourierExpansion(1, 2, {}, weight=Fraction(1, 2), level=4)
         assert (f.weight, f.level) == (Fraction(1, 2), 4)
 
+    def test_level_is_positive(self):
+        for level in (0, -3, True):
+            with pytest.raises(ValueError, match="level"):
+                FourierExpansion(1, 2, {}, level=level)
+        d = to_json_dict(eisenstein(4, 2))
+        d["meta"]["level"] = -3
+        with pytest.raises(ValueError, match="level"):
+            from_json_dict(d)
+        d["meta"]["level"] = 0
+        with pytest.raises(ValueError, match="level"):
+            loads(json.dumps(d))
+
+    def test_values_are_exact(self):
+        # a float is never read as its binary expansion, nor a string as
+        # a rational: only ints and Fractions are exact values
+        k0 = zero_matrix(1)
+        for bad in (0.1, 1.0, "1/2", True):
+            with pytest.raises(ValueError):
+                FourierExpansion(1, 1, {k0: bad})
+            with pytest.raises(ValueError):
+                FourierExpansion(1, 1, {k0: [[bad]]}, ("compound", 1))
+            with pytest.raises(ValueError):
+                FourierExpansion.constant(bad, 1, 1)
+            with pytest.raises(ValueError):
+                eisenstein(4, 2).scale(bad)
+            with pytest.raises(ValueError):
+                eisenstein(4, 2) * bad
+            with pytest.raises(ValueError):
+                bad * eisenstein(4, 2)
+        f = FourierExpansion.constant(Fraction(1, 10), 1, 1)
+        assert f.scale(3).coefficient(k0) == Fraction(3, 10)
+
     def test_character_checked_at_construction(self):
         # a set would make dumps raise TypeError; a list would be written
         # as a document that cannot be read back
@@ -544,6 +576,15 @@ class TestMeta:
         e6 = eisenstein(6, 3)
         assert (e4 * e6).weight == 10
         assert (e4 ** 3).weight == 12
+
+    def test_products_drop_the_character(self):
+        # a product of two forms with character chi has chi^2, not chi
+        f = FourierExpansion(1, 3, {key1(0): 1, key1(1): 2}, character="chi")
+        b = FourierExpansion(1, 3, {key1(1): [[3]]}, ("compound", 1), character="chi")
+        assert (f * f).character is None
+        assert (f * f).character == (f ** 2).character
+        assert (f * b).character is None and (b * f).character is None
+        assert f.scale(2).character == (f + f).character == "chi"
 
     def test_weight_drops_on_mixed_add(self):
         e4 = eisenstein(4, 3)

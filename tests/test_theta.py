@@ -166,6 +166,11 @@ class TestFreeIsometry:
             lat = gram_a(p - 1)
             assert is_free_isometry(lat, cycle_isometry(p - 1), p)
 
+    def test_cycle_isometry_validation(self):
+        for m in (True, 0, -2, 2.0):
+            with pytest.raises(ValueError):
+                cycle_isometry(m)
+
     def test_identity_is_not_free(self):
         assert not is_free_isometry(gram_a(2), identity(2), 3)
 
