@@ -11,7 +11,7 @@ The polarized pieces split by the generalized Laplace expansion into
 products of minors det T1[A, B] det T2[C, D], so each entry of the bracket
 is a signed sum of ring products of minor-weighted series
 a(T) -> det T[A, B] a(T); no polynomial arithmetic is needed.  Every
-minor is taken by _minor; each block result, a theta operator's too, is
+minor is taken by halfint.minor; each block result, a theta operator's too, is
 assembled from scalar entry series by qexpansion._blocks.
 """
 
@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .halfint import as_rational, det, is_int, subset_order
+from .halfint import as_rational, minor, require_int, subset_order
 from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted
-
-
-def _minor(m, rows, cols):
-    """The minor det m[rows, cols]; the empty minor is 1."""
-    return det([[m[i][j] for j in cols] for i in rows])
 
 
 def _laplace_split(rows, cols, q):
@@ -52,8 +47,7 @@ def _laplace_split(rows, cols, q):
 def half_rising(s, h):
     """Rising product with half-integer steps:
     s (s + 1/2) (s + 1) ... (s + (h-1)/2); the empty product is 1."""
-    if not is_int(h) or h < 0:
-        raise ValueError("step count must be a nonnegative integer")
+    require_int(h, "h", 0)
     out = Fraction(1)
     s = as_rational(s, "rising product base")
     for i in range(h):
@@ -73,13 +67,13 @@ def polarize_compound(r_mat, s_mat, r):
         raise ValueError("first matrix must be square")
     if len(s_mat) != n or any(len(row) != n for row in s_mat):
         raise ValueError("size mismatch")
-    if not is_int(r) or not 1 <= r <= n:
-        raise ValueError("minor order out of range")
+    require_int(r, "minor_order", 1, n)
     subs = subset_order(n, r)
-    r_mat, s_mat = ([[Fraction(x) for x in row] for row in m] for m in (r_mat, s_mat))
+    r_mat, s_mat = ([[as_rational(x, "matrix entry") for x in row] for row in m]
+                    for m in (r_mat, s_mat))
 
     def piece(rows, cols, q):
-        return sum((sign * _minor(r_mat, rr, rc) * _minor(s_mat, sr, sc)
+        return sum((sign * minor(r_mat, rr, rc) * minor(s_mat, sr, sc)
                     for sign, rr, rc, sr, sc in _laplace_split(rows, cols, q)),
                    Fraction(0))
 
@@ -97,10 +91,8 @@ class BracketParams:
     weight_g: Fraction
 
     def __post_init__(self):
-        if not is_int(self.degree) or self.degree < 1:
-            raise ValueError("degree must be a positive integer")
-        if not is_int(self.minor_order) or not 1 <= self.minor_order <= self.degree:
-            raise ValueError("minor order out of range")
+        require_int(self.degree, "degree", 1)
+        require_int(self.minor_order, "minor_order", 1, self.degree)
         object.__setattr__(self, "weight_f", as_rational(self.weight_f, "weight_f"))
         object.__setattr__(self, "weight_g", as_rational(self.weight_g, "weight_g"))
 
@@ -123,8 +115,7 @@ def theta_operator(f, r):
     the weight records the power of det and the shape carries the rest."""
     if f.shape != SCALAR:
         raise ValueError("theta operator needs a scalar expansion")
-    if not is_int(r) or not 1 <= r <= f.degree:
-        raise ValueError("minor order out of range")
+    require_int(r, "minor_order", 1, f.degree)
     subs = subset_order(f.degree, r)
     return _blocks([[_minor_weighted(f, rows, cols) for cols in subs] for rows in subs],
                    ("compound", r), f.trace_bound, f.weight, f.level, f.character)
@@ -136,7 +127,7 @@ def _minor_weighted(h, rows, cols):
     scale = Fraction(1, 2 ** len(rows))
     coeffs = {}
     for key, value in h.coeffs.items():
-        m = _minor(key, rows, cols)
+        m = minor(key, rows, cols)
         if m:
             coeffs[key] = value * m * scale
     return _trusted(h.degree, h.trace_bound, coeffs)

@@ -6,6 +6,12 @@ so they can serve as dict keys.  A half-integral symmetric matrix T
 doubled matrix 2T, which is integral with even diagonal; all hashing,
 ordering and serialization go through 2T so nothing ever leaves exact
 integer arithmetic.
+
+Every integer argument of the package (a degree, a trace bound, a level,
+a weight, a minor order, a prime, a matrix entry) is checked by one rule,
+require_int: it must be an int, not a bool, within its range, and
+anything else is one ValueError of the form "<name> must be an integer
+[>= lo | in lo..hi], got <repr of the value>".
 """
 
 from fractions import Fraction
@@ -27,10 +33,26 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_int(x, name, lo=None, hi=None):
+    """x if it is an int (not a bool) with lo <= x <= hi, a missing end
+    unbounded; else a ValueError naming the argument, its range and x."""
+    if is_int(x) and (lo is None or lo <= x) and (hi is None or x <= hi):
+        return x
+    if hi is not None:
+        span = " in %d..%d" % (lo, hi)
+    elif lo is not None:
+        span = " >= %d" % lo
+    else:
+        span = ""
+    raise ValueError("%s must be an integer%s, got %r" % (name, span, x))
+
+
 def as_rational(x, name):
-    """x as a Fraction if it is an int (not a bool) or a Fraction, else
-    ValueError naming it: a float 0.1 never becomes a binary fraction."""
-    if not (is_int(x) or isinstance(x, Fraction)):
+    """x as a Fraction (x itself if it is one) if it is an int (not a bool)
+    or a Fraction, else ValueError naming it: a float is never converted."""
+    if isinstance(x, Fraction):
+        return x
+    if not is_int(x):
         raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
     return Fraction(x)
 
@@ -46,15 +68,14 @@ def require_odd_prime(p):
     """Return p if it is an odd prime int below PRIME_LIMIT, else raise
     ValueError.  Deterministic Miller-Rabin; p < 41^2 is settled by
     division by the bases alone."""
-    if not is_int(p) or p < 3:
-        raise ValueError("p must be an odd prime")
+    require_int(p, "p", 3)
     if p >= PRIME_LIMIT:
-        raise ValueError("p must be below %d" % PRIME_LIMIT)
+        raise ValueError("p must be below %d, got %r" % (PRIME_LIMIT, p))
     for q in _PRIME_BASES:
         if p % q == 0:
             if p == q:
                 return p
-            raise ValueError("p must be an odd prime")
+            raise ValueError("p must be an odd prime, got %r" % p)
     if p < 41 * 41:
         return p
     d, s = p - 1, 0
@@ -69,7 +90,7 @@ def require_odd_prime(p):
             if x == p - 1:
                 break
         else:
-            raise ValueError("p must be an odd prime")
+            raise ValueError("p must be an odd prime, got %r" % p)
     return p
 
 
@@ -175,9 +196,14 @@ def subset_order(n, r):
 
     This ordering is the row/column convention for every compound matrix
     in the package; length is comb(n, r)."""
-    if not (is_int(n) and is_int(r) and 0 <= r <= n):
-        raise ValueError("need 0 <= r <= n")
+    require_int(n, "n", 0)
+    require_int(r, "r", 0, n)
     return tuple(combinations(range(n), r))
+
+
+def minor(m, rows, cols):
+    """The minor det m[rows, cols]; the empty minor is 1."""
+    return det([[m[i][j] for j in cols] for i in rows])
 
 
 def compound(m, r):
@@ -187,13 +213,8 @@ def compound(m, r):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if not is_int(r) or not 0 <= r <= n:
-        raise ValueError("minor order out of range")
     subs = subset_order(n, r)
-    return tuple(
-        tuple(det([[m[i][j] for j in cols] for i in rows]) for cols in subs)
-        for rows in subs
-    )
+    return tuple(tuple(minor(m, rows, cols) for cols in subs) for rows in subs)
 
 
 def even_symmetric(rows, name):
@@ -206,8 +227,7 @@ def even_symmetric(rows, name):
         raise ValueError("%s must not be empty" % name)
     for i in range(n):
         for j in range(n):
-            if not is_int(d[i][j]):
-                raise ValueError("%s must have integer entries" % name)
+            require_int(d[i][j], name + " entry")
             if d[i][j] != d[j][i]:
                 raise ValueError("%s must be symmetric" % name)
         if d[i][i] % 2:
@@ -242,8 +262,7 @@ class HalfIntegralMatrix:
         d = self.doubled
         for size in range(1, n + 1):
             for rows in combinations(range(n), size):
-                sub = [[d[i][j] for j in rows] for i in rows]
-                if det(sub) < 0:
+                if minor(d, rows, rows) < 0:
                     return False
         return True
 
@@ -280,11 +299,8 @@ def enumerate_indices(degree, trace_bound):
 
     Candidates come from the box |2T_ij|^2 <= (2T_ii)(2T_jj) forced by the
     2x2 principal minors, then the full psd check filters."""
-    n = degree
-    if not is_int(n) or not 1 <= n <= 4:
-        raise ValueError("degree out of supported range 1..4")
-    if not is_int(trace_bound) or trace_bound < 0:
-        raise ValueError("trace bound must be nonnegative")
+    n = require_int(degree, "degree", 1, 4)
+    require_int(trace_bound, "trace_bound", 0)
     out = []
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag in product(range(trace_bound + 1), repeat=n):
@@ -311,4 +327,6 @@ def enumerate_indices(degree, trace_bound):
 
 def block_count(degree, r):
     """Side length of an order-r compound block in degree n."""
+    require_int(degree, "degree", 1)
+    require_int(r, "r", 0, degree)
     return comb(degree, r)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
-from .halfint import as_rational, is_int, require_odd_prime
+from .halfint import as_rational, require_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion
 from .theta import direct_sum, gram_a, rep_numbers
 
@@ -114,8 +114,7 @@ def congruent(f, g, p, m, normalized=False):
     mode sets the threshold to +inf, reachable only by g vanishing up to
     the bound as well."""
     require_odd_prime(p)
-    if not is_int(m) or m < 1:
-        raise ValueError("the power m must be a positive integer")
+    require_int(m, "m", 1)
     diff = f - g
     bound = diff.trace_bound
     witness, best = min(_valuations(diff, p), key=itemgetter(1),
@@ -150,10 +149,8 @@ def unit_ladder(base, k, i, p):
     If base = 1 mod p and carries weight k(p-1), each factor is = 1 mod p,
     and the whole ladder satisfies ladder^(p^(i-1)) = 1 mod p^i."""
     require_odd_prime(p)
-    if not is_int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
-    if not is_int(i) or i < 1:
-        raise ValueError("i must be a positive integer")
+    require_int(k, "k", 1)
+    require_int(i, "i", 1)
     one = FourierExpansion.constant(1, base.degree, base.trace_bound)
     if not congruent(base, one, p, 1).holds:
         raise ValueError("base must be congruent to 1 mod p")
@@ -191,10 +188,8 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     require_odd_prime(p)
     if f.shape != SCALAR:
         raise ValueError("needs a scalar expansion")
-    if not is_int(m) or m < 1:
-        raise ValueError("m must be a positive integer")
-    if not is_int(m_dilate) or m_dilate < 1:
-        raise ValueError("m_dilate must be a positive integer")
+    require_int(m, "m", 1)
+    require_int(m_dilate, "m_dilate", 1)
     n = f.degree
     params = BracketParams(n, r, k, (p - 1) * p ** (m - 1))
     if vp_expansion(f, p) < 0:

@@ -48,6 +48,7 @@ from .halfint import (
     is_int,
     key_sort,
     key_trace,
+    require_int,
     zero_matrix,
 )
 
@@ -55,7 +56,7 @@ SCALAR = "scalar"
 
 
 def rational_to_str(x):
-    f = Fraction(x)
+    f = as_rational(x, "value")
     return "%d/%d" % (f.numerator, f.denominator)
 
 
@@ -74,15 +75,11 @@ def rational_from_str(s):
 def _normalize_shape(shape, degree):
     if shape == SCALAR:
         return shape
-    if (
-        isinstance(shape, tuple)
-        and len(shape) == 2
-        and shape[0] == "compound"
-        and is_int(shape[1])
-        and 1 <= shape[1] <= degree
-    ):
+    if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == "compound":
+        require_int(shape[1], "compound", 1, degree)
         return shape
-    raise ValueError("shape must be 'scalar' or ('compound', r) with 1 <= r <= degree")
+    raise ValueError("shape must be 'scalar' or ('compound', r), got %r"
+                     % (shape,))
 
 
 def _pack(digits, base):
@@ -132,13 +129,11 @@ class FourierExpansion:
 
     def __init__(self, degree, trace_bound, coeffs=None, shape=SCALAR,
                  weight=None, level=None, character=None):
-        if not is_int(degree) or degree < 1:
-            raise ValueError("degree must be a positive integer")
-        if not is_int(trace_bound) or trace_bound < 0:
-            raise ValueError("trace bound must be a nonnegative integer")
+        require_int(degree, "degree", 1)
+        require_int(trace_bound, "trace_bound", 0)
         weight = None if weight is None else as_rational(weight, "weight")
-        if not (level is None or is_int(level) and level >= 1):
-            raise ValueError("level must be a positive integer, got %r" % (level,))
+        if level is not None:
+            require_int(level, "level", 1)
         if not (character is None or is_int(character) or isinstance(character, str)):
             raise ValueError("character must be null, an integer or a string, got %r"
                              % (character,))
@@ -211,10 +206,7 @@ class FourierExpansion:
 
     def truncate(self, new_bound):
         """Forget coefficients above new_bound (<= current bound)."""
-        if not is_int(new_bound) or new_bound < 0:
-            raise ValueError("trace bound must be a nonnegative integer")
-        if new_bound > self.trace_bound:
-            raise ValueError("cannot extend a truncated expansion")
+        require_int(new_bound, "new_bound", 0, self.trace_bound)
         kept = {k: v for k, v in self.coeffs.items() if key_trace(k) <= new_bound}
         return _trusted(self.degree, new_bound, kept, self.shape,
                         self.weight, self.level, self.character)
@@ -331,8 +323,7 @@ class FourierExpansion:
         character; exponent 0 gives the constant 1."""
         if self.shape != SCALAR:
             raise ValueError("powers are defined for scalar expansions only")
-        if not is_int(exponent) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        require_int(exponent, "exponent", 0)
         if exponent == 0:
             return FourierExpansion.constant(
                 1, self.degree, self.trace_bound,
@@ -358,8 +349,7 @@ class FourierExpansion:
 
     def u_p(self, p):
         """Coefficient extraction a(T) -> a(pT); the bound drops to N // p."""
-        if not is_int(p) or p < 2:
-            raise ValueError("p must be an integer >= 2")
+        require_int(p, "p", 2)
         coeffs = {}
         for k, v in self.coeffs.items():
             if all(x % p == 0 for row in k for x in row):
@@ -369,8 +359,7 @@ class FourierExpansion:
 
     def dilate(self, c):
         """Substitution q^T -> q^(cT); the bound grows to c * N."""
-        if not is_int(c) or c < 1:
-            raise ValueError("dilation factor must be a positive integer")
+        require_int(c, "factor", 1)
         coeffs = {
             tuple(tuple(c * x for x in row) for row in k): v
             for k, v in self.coeffs.items()
@@ -432,6 +421,7 @@ _BERNOULLI = [Fraction(1)]
 def bernoulli(n):
     """Bernoulli number B_n (B_1 = -1/2 convention), by the standard
     recurrence over exact rationals."""
+    require_int(n, "n", 0)
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         s = sum(comb(m + 1, k) * _BERNOULLI[k] for k in range(m))
@@ -440,14 +430,18 @@ def bernoulli(n):
 
 
 def divisor_power_sum(k, m):
+    require_int(k, "k", 0)
+    require_int(m, "m", 1)
     return sum(d ** k for d in range(1, m + 1) if m % d == 0)
 
 
 def eisenstein(weight, trace_bound):
     """Degree-1 Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(m) q^m,
     for even weight k >= 4."""
-    if not is_int(weight) or weight < 4 or weight % 2:
-        raise ValueError("unsupported Eisenstein weight")
+    require_int(weight, "weight", 4)
+    if weight % 2:
+        raise ValueError("weight must be even, got %r" % weight)
+    require_int(trace_bound, "trace_bound", 0)
     c = Fraction(-2 * weight) / bernoulli(weight)
     coeffs = {((0,),): Fraction(1)}
     for m in range(1, trace_bound + 1):
@@ -577,14 +571,6 @@ def json_parse(text):
         raise ValueError("JSON document nested too deeply") from None
 
 
-def json_int(x, field):
-    """A JSON integer field as an int.  Non-integral numbers, strings and
-    booleans are rejected, not truncated or coerced."""
-    if not is_int(x):
-        raise ValueError("%s must be an integer, got %r" % (field, x))
-    return x
-
-
 def json_fields(d, what, *fields):
     """The named fields of the JSON object d, in order.  A d that is not
     an object, or lacks a field, is a ValueError naming what d should be
@@ -614,7 +600,7 @@ def _shape_from_json(obj):
     if obj == SCALAR:
         return SCALAR
     if isinstance(obj, dict) and set(obj) == {"compound"}:
-        return ("compound", json_int(obj["compound"], "compound"))
+        return ("compound", obj["compound"])
     raise ValueError("bad shape field")
 
 
@@ -660,7 +646,7 @@ def from_json_dict(d):
     coeffs = {}
     for entry in entries:
         t2, value = json_fields(entry, "coefficient entry", "t2", "value")
-        key = tuple(tuple(json_int(x, "t2 entry") for x in row)
+        key = tuple(tuple(require_int(x, "t2 entry") for x in row)
                     for row in json_rows(t2, "t2"))
         if key in coeffs:
             raise ValueError("duplicate t2 %r" % (t2,))
@@ -670,7 +656,7 @@ def from_json_dict(d):
             coeffs[key] = [[rational_from_str(x) for x in row]
                            for row in json_rows(value, "block value")]
     return FourierExpansion(
-        json_int(degree, "degree"), json_int(bound, "trace_bound"), coeffs, shape,
+        degree, bound, coeffs, shape,
         weight=None if weight is None else rational_from_str(weight),
         level=level, character=character)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .halfint import (identity, is_int, mat_scale, require_odd_prime, transpose,
+from .halfint import (identity, mat_scale, require_int, require_odd_prime, transpose,
                       zero_matrix)
 
 MAX_LISTING = 50_000
@@ -49,19 +49,12 @@ MAX_LISTING = 50_000
 
 def _freeze_mod(rows, p):
     """rows reduced mod p as a tuple matrix; ValueError unless it is a
-    non-empty square matrix of ints (is_int: not a bool, float, string or
-    Fraction, which would otherwise be coerced)."""
+    non-empty square matrix of ints (require_int: not a bool, float,
+    string or Fraction, which would otherwise be coerced)."""
     m = tuple(tuple(row) for row in rows)
     if not m or any(len(row) != len(m) for row in m):
         raise ValueError("matrix must be non-empty and square")
-    if not all(is_int(x) for row in m for x in row):
-        raise ValueError("matrix entries must be integers")
-    return tuple(tuple(x % p for x in row) for row in m)
-
-
-def _require_degree(n):
-    if not is_int(n) or not 1 <= n <= 3:
-        raise ValueError("degree out of supported range 1..3")
+    return tuple(tuple(require_int(x, "matrix entry") % p for x in row) for row in m)
 
 
 def _from_blocks(a, b, c, d):
@@ -118,6 +111,7 @@ def _inverse_mod(m, p):
 
 def rank_mod(m, p):
     """Row rank of an integer matrix over F_p."""
+    require_odd_prime(p)
     return len(_rref_mod(m, p)[1])
 
 
@@ -200,10 +194,8 @@ def partial_involution(n, j, p):
     """The element with A = D = diag(1_{n-j}, 0_j), the lower-right j x j
     of B equal to -1, and of C equal to +1; j = 0 gives the identity and
     j = n the standard symplectic involution (up to sign convention)."""
-    if not is_int(n) or n < 1:
-        raise ValueError("degree must be a positive integer")
-    if not is_int(j) or not 0 <= j <= n:
-        raise ValueError("cell index out of range")
+    require_int(n, "degree", 1)
+    require_int(j, "cell", 0, n)
     require_odd_prime(p)
     one, zero = identity(n), zero_matrix(n)
     a = one[:n - j] + zero[n - j:]
@@ -236,9 +228,8 @@ def gl_parabolic_reps(n, j, p):
     rows the standard vectors of the non-pivot columns.  Ordered by
     (pivot columns, echelon free entries), both lexicographic; the count
     is the Gaussian binomial [n choose j]_p."""
-    _require_degree(n)
-    if not is_int(j) or not 0 <= j <= n:
-        raise ValueError("cell index out of range")
+    require_int(n, "degree", 1, 3)
+    require_int(j, "cell", 0, n)
     require_odd_prime(p)
     if j == 0:
         return [identity(n)]
@@ -397,7 +388,7 @@ class CosetSystem(Sequence):
 def coset_count(n, p):
     """prod_{i=1..n} (p^i + 1), the length of coset_reps(n, p), computed
     without building the system."""
-    _require_degree(n)
+    require_int(n, "degree", 1, 3)
     require_odd_prime(p)
     return prod(p ** i + 1 for i in range(1, n + 1))
 

@@ -32,9 +32,9 @@ from itertools import permutations, product
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .halfint import (det, even_symmetric, freeze, identity, is_int, mat_inverse,
-                      mat_mul, transpose)
-from .qexpansion import _trusted, json_fields, json_int, json_rows
+from .halfint import (det, even_symmetric, freeze, identity, mat_inverse, mat_mul,
+                      minor, require_int, require_odd_prime, transpose)
+from .qexpansion import _trusted, json_fields, json_rows
 
 
 class GramLattice:
@@ -48,8 +48,7 @@ class GramLattice:
         # Sylvester: positive leading minors suffice for definiteness (all
         # principal minors would be 255 determinants at rank 8)
         for k in range(1, m + 1):
-            sub = [row[:k] for row in g[:k]]
-            if det(sub) <= 0:
+            if minor(g, range(k), range(k)) <= 0:
                 raise ValueError("Gram matrix must be positive definite")
         self.rank = m
         self.gram = g
@@ -78,8 +77,7 @@ class GramLattice:
 def gram_a(m):
     """Root lattice A_m: tridiagonal Gram with 2 on the diagonal and -1 off
     it; rank m, determinant m + 1."""
-    if not is_int(m) or m < 1:
-        raise ValueError("rank must be a positive integer")
+    require_int(m, "rank", 1)
     g = [[0] * m for _ in range(m)]
     for i in range(m):
         g[i][i] = 2
@@ -106,8 +104,7 @@ def cycle_isometry(m):
     """The coordinate (m+1)-cycle of A_m in the root basis: order m + 1,
     fixes only the origin.  Columns: e_i -> e_{i+1} for i < m - 1 and
     e_{m-1} -> -(e_0 + ... + e_{m-1})."""
-    if not is_int(m) or m < 1:
-        raise ValueError("rank must be a positive integer")
+    require_int(m, "rank", 1)
     s = [[0] * m for _ in range(m)]
     for i in range(m):
         s[i][m - 1] = -1
@@ -123,12 +120,11 @@ def is_free_isometry(lattice, sigma, p):
     A lattice carrying such an isometry for an odd prime p has every
     theta coefficient at T != 0 divisible by p: the isometry acts freely
     on nonzero representations, cutting them into orbits of size p."""
-    s = freeze(sigma)
+    require_odd_prime(p)
+    s = freeze([[require_int(x, "sigma entry") for x in row] for row in sigma])
     m = lattice.rank
     if len(s) != m:
         raise ValueError("size mismatch")
-    if any(not is_int(x) for row in s for x in row):
-        raise ValueError("the isometry must be integral")
     q = lattice.gram
     if mat_mul(transpose(s), mat_mul(q, s)) != q:
         return False
@@ -162,8 +158,10 @@ def _quadratic_completion(gram):
 
 
 def _short_vectors(gram, norm_bound):
-    """All integer vectors v with v^t Q v <= norm_bound, sorted, by
-    backtracking on the quadratic completion from the last coordinate down.
+    """(v^t Q v, v) for one representative v of each pair +-v of integer
+    vectors with v^t Q v <= norm_bound, sorted: v = 0 and the v whose last
+    nonzero coordinate is positive.  Found by backtracking on the
+    quadratic completion from the last coordinate down.
 
     The completion is scaled to integers once: with d_i the common
     denominator of row i of u, U_ij = d_i u_ij, and K the common
@@ -171,7 +169,8 @@ def _short_vectors(gram, norm_bound):
     integers and K v^t Q v = sum_i w_i (d_i v_i + sum_{j>i} U_ij v_j)^2.
     So the search runs on integers only: coordinate i ranges over the v
     with |d_i v + s_i| <= isqrt(R // w_i), where s_i = sum_{j>i} U_ij v_j
-    and R is the scaled norm still left."""
+    and R is the scaled norm still left, so a vector's norm is what its
+    search used of the scaled budget, divided by K."""
     m = len(gram)
     cs, us = _quadratic_completion(gram)
     dens = [lcm(*[us[i][j].denominator for j in range(i + 1, m)])
@@ -183,23 +182,29 @@ def _short_vectors(gram, norm_bound):
             for i in range(m)]
     out = []
     coords = [0] * m
+    budget = k * norm_bound
 
-    def descend(i, remaining):
+    def descend(i, remaining, signed):
         shift = sum(u * coords[j] for j, u in rows[i])
         d, w = dens[i], weights[i]
         r = isqrt(remaining // w)
-        # the integers v with -r <= d v + shift <= r
+        # the integers v with -r <= d v + shift <= r; unless signed (some
+        # later coordinate is nonzero), shift is 0 and only v >= 0 is kept
         lo, hi = -((r + shift) // d), (r - shift) // d
+        if not signed:
+            lo = 0
         if i == 0:
             rest = tuple(coords[1:])
-            out.extend((v,) + rest for v in range(lo, hi + 1))
+            used = budget - remaining
+            out.extend(((used + w * (d * v + shift) ** 2) // k, (v,) + rest)
+                       for v in range(lo, hi + 1))
             return
         for v in range(lo, hi + 1):
             coords[i] = v
             t = d * v + shift
-            descend(i - 1, remaining - w * t * t)
+            descend(i - 1, remaining - w * t * t, signed or v != 0)
 
-    descend(m - 1, k * norm_bound)
+    descend(m - 1, budget, False)
     return sorted(out)
 
 
@@ -232,9 +237,9 @@ def _enumerate_theta(gram, n, trace_bound):
     n-tuple of short vectors once per orbit of signed column permutations;
     no metadata.
 
-    Every short vector is +-r for one representative r >= 0
-    (lexicographically; zero is its own).  Columns e_i r_i (signs e_i) put
-    in the order of a permutation P give X^t Q X = P (e G e) P^t, with G
+    Every short vector is +-r for one representative r that _short_vectors
+    returns with its norm (zero is its own).  Columns e_i r_i (signs e_i)
+    put in the order of a permutation P give X^t Q X = P (e G e) P^t, with G
     the Gram of r_1..r_n.  So the walk visits only non-decreasing tuples
     of representatives, sorted by norm, within the trace budget, computing
     each new column's inner products with the earlier columns as it is
@@ -244,15 +249,10 @@ def _enumerate_theta(gram, n, trace_bound):
     distinct key is spread over all n! permutations and the signs of its
     nonzero columns (a zero column has one sign only), and the sums are
     divided by n! exactly."""
-    m = len(gram)
     budget = 2 * trace_bound
-    vectors = _short_vectors(gram, budget)
-    rows = []
-    # sorted, so the representatives are the tail from the zero vector on
-    for v in vectors[vectors.index((0,) * m):]:
-        qv = tuple(sum(map(mul, row, v)) for row in gram)
-        rows.append((sum(map(mul, v, qv)), v, qv))
-    norms, reps, qvs = zip(*sorted(rows))
+    norms, reps = zip(*_short_vectors(gram, budget))
+    # Qv gives the inner products with later columns; degree 1 has none
+    qvs = [tuple(sum(map(mul, row, v)) for row in gram) for v in reps] if n > 1 else ()
     size = len(reps)
     full = factorial(n)
     tally = {}
@@ -303,11 +303,8 @@ def rep_numbers(lattice, degree, trace_bound):
     the Gram matrix is split into its connected components (see
     _components; they may interleave), each distinct component Gram is
     enumerated once, and the factors are multiplied."""
-    n = degree
-    if not is_int(n) or not 1 <= n <= 3:
-        raise ValueError("degree out of supported range 1..3")
-    if not is_int(trace_bound) or trace_bound < 0:
-        raise ValueError("trace bound must be a nonnegative integer")
+    n = require_int(degree, "degree", 1, 3)
+    require_int(trace_bound, "trace_bound", 0)
     q = lattice.gram
     thetas = {}
     result = None
@@ -327,8 +324,8 @@ def gram_to_json(lattice):
 
 def gram_from_json(d):
     (rows,) = json_fields(d, "Gram", "gram")
-    g = [[json_int(x, "gram entry") for x in row] for row in json_rows(rows, "gram")]
+    g = [[require_int(x, "gram entry") for x in row] for row in json_rows(rows, "gram")]
     lattice = GramLattice(g)
-    if "rank" in d and json_int(d["rank"], "rank") != lattice.rank:
+    if "rank" in d and require_int(d["rank"], "rank") != lattice.rank:
         raise ValueError("rank field disagrees with the Gram matrix")
     return lattice

@@ -301,12 +301,16 @@ class TestRobustness:
                 (dict(read(f), coeffs=[[0]]),
                  "coefficient entry: expected a JSON object, got list"),
                 (dict(read(f), shape="scalar", coeffs=missing["coeffs"]),
-                 "coefficient entry object has no 'value' field")):
+                 "coefficient entry object has no 'value' field"),
+                (dict(read(f), coeffs=[{"t2": [[[0]]], "value": "1"}]),
+                 "t2 entry must be an integer, got [0]")):
             write(bad, doc)
             assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
             assert capsys.readouterr().err == "error: %s\n" % expansion_error
-        for doc, gram_error in (([[2]], "Gram: expected a JSON object, got list"),
-                                ({"rank": 1}, "Gram object has no 'gram' field")):
+        for doc, gram_error in (
+                ([[2]], "Gram: expected a JSON object, got list"),
+                ({"rank": 1}, "Gram object has no 'gram' field"),
+                ({"gram": [[[2]]]}, "gram entry must be an integer, got [2]")):
             write(bad, doc)
             assert run(["theta", "--gram", str(bad), "--degree", "1",
                         "--trace-bound", "2"]) == 2

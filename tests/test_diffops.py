@@ -117,6 +117,12 @@ class TestPolarizeCompound:
         for r in (True, 1.0):
             with pytest.raises(ValueError):
                 polarize_compound(((Fraction(1),),), ((Fraction(1),),), r)
+        # entries are ints or Fractions: no float or string is converted
+        for bad in ([[0.1]], [["1/2"]]):
+            with pytest.raises(ValueError):
+                polarize_compound(bad, [[1]], 1)
+            with pytest.raises(ValueError):
+                polarize_compound([[1]], bad, 1)
 
 
 class TestThetaOperator:

@@ -14,9 +14,14 @@ Calls from its own body do not count.
 No module calls json.dump or json.dumps: every output goes through the
 one writer, qexpansion.json_text, so the package has one encoder and one
 byte format.
+
+No module but halfint checks an integer argument by hand with
+"if not is_int(": every such check is halfint.require_int, so the
+package has one rule and one message for a rejected integer.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -126,6 +131,16 @@ def test_checker_sees_json_dump_calls():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_one_json_writer(path):
     assert json_dump_calls(path.read_text(encoding="utf-8")) == []
+
+
+HAND_INT_CHECK = re.compile(r"if not is_int\(")
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "halfint.py"],
+                         ids=lambda p: p.name)
+def test_one_integer_rule(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if HAND_INT_CHECK.search(line)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -613,6 +613,9 @@ class TestJson:
     def test_rational_strings(self):
         assert rational_to_str(Fraction(-3, 4)) == "-3/4"
         assert rational_to_str(5) == "5/1"
+        for bad in (0.1, "1/2", True):
+            with pytest.raises(ValueError):
+                rational_to_str(bad)
         assert rational_from_str("7/2") == Fraction(7, 2)
         assert rational_from_str("7") == 7
         with pytest.raises(ValueError):

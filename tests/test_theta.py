@@ -354,7 +354,9 @@ class TestShortVectors:
             assert max(abs(x) for row in gram for x in row) >= 10
             box = box_short_vectors(gram, 8)
             for bound in range(9):
-                want = [v for norm, v in box if norm <= bound]
+                # one of each pair +-v: zero, or last nonzero coordinate > 0
+                want = sorted((norm, v) for norm, v in box if norm <= bound
+                              and ((0,) + tuple(filter(None, v)))[-1] >= 0)
                 assert _short_vectors(gram, bound) == want
 
 
