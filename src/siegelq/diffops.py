@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .halfint import as_rational, minor, require_int, subset_order
+from .halfint import as_rational, minor, require_int, square_matrix, subset_order
 from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted
 
 
@@ -62,15 +62,13 @@ def polarize_compound(r_mat, s_mat, r):
 
     returned as a list of r + 1 rational matrices.  coeffs[0] is
     compound(R, r) and coeffs[r] is compound(S, r)."""
+    r_mat = square_matrix(r_mat, "first matrix", as_rational)
+    s_mat = square_matrix(s_mat, "second matrix", as_rational)
     n = len(r_mat)
-    if any(len(row) != n for row in r_mat):
-        raise ValueError("first matrix must be square")
-    if len(s_mat) != n or any(len(row) != n for row in s_mat):
+    if len(s_mat) != n:
         raise ValueError("size mismatch")
     require_int(r, "minor_order", 1, n)
     subs = subset_order(n, r)
-    r_mat, s_mat = ([[as_rational(x, "matrix entry") for x in row] for row in m]
-                    for m in (r_mat, s_mat))
 
     def piece(rows, cols, q):
         return sum((sign * minor(r_mat, rr, rc) * minor(s_mat, sr, sc)

@@ -12,19 +12,16 @@ a weight, a minor order, a prime, a matrix entry) is checked by one rule,
 require_int: it must be an int, not a bool, within its range, and
 anything else is one ValueError of the form "<name> must be an integer
 [>= lo | in lo..hi], got <repr of the value>".
+
+Every matrix argument is read by one rule, square_matrix, and anything
+it refuses is one ValueError, "<name> must be a non-empty square array
+of arrays, got <repr of the value>".  The package has one block builder,
+from_blocks, one upper-triangle builder, symmetric, and one power loop.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, isqrt, lcm, prod
-
-
-def freeze(rows):
-    """Copy a nested sequence into a tuple-of-tuples matrix."""
-    m = tuple(tuple(row) for row in rows)
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
-    return m
 
 
 def is_int(x):
@@ -45,6 +42,24 @@ def require_int(x, name, lo=None, hi=None):
     else:
         span = ""
     raise ValueError("%s must be an integer%s, got %r" % (name, span, x))
+
+
+def square_matrix(rows, name, entry=require_int):
+    """rows as a tuple-of-tuples matrix of entry(x, name + " entry") if it
+    is a non-empty list or tuple of lists or tuples, each row as long as
+    the matrix; else a ValueError naming the matrix and quoting rows.  The
+    whole shape is checked before any entry, so a ragged matrix is
+    reported as ragged whatever its entries are."""
+    if isinstance(rows, (list, tuple)) and rows:
+        n = len(rows)
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                break
+        else:
+            label = name + " entry"
+            return tuple([tuple([entry(x, label) for x in row]) for row in rows])
+    raise ValueError("%s must be a non-empty square array of arrays, got %r"
+                     % (name, rows))
 
 
 def as_rational(x, name):
@@ -119,6 +134,38 @@ def mat_mul(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def from_blocks(a, b, c, d):
+    """The block matrix [[A, B], [C, D]]: rows of A joined to rows of B,
+    then rows of C joined to rows of D (rows are tuples)."""
+    return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(
+        rc + rd for rc, rd in zip(c, d))
+
+
+def symmetric(n, values):
+    """The symmetric n x n matrix with upper triangle values, row by row."""
+    m = [[0] * n for _ in range(n)]
+    values = iter(values)
+    for i in range(n):
+        row = m[i]
+        for j in range(i, n):
+            row[j] = m[j][i] = next(values)
+    return tuple(map(tuple, m))
+
+
+def power(x, e, mul):
+    """x to the power e >= 1 under the associative product mul, by square
+    and multiply from the lowest set bit of e: bit_length - 1 squarings
+    and popcount - 1 products, so about 2 log2(e) in all."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
 
 
 def det(m):
@@ -218,18 +265,13 @@ def compound(m, r):
 
 
 def even_symmetric(rows, name):
-    """rows as a frozen matrix if it is nonempty, integral and symmetric
-    with even diagonal (a doubled index 2T or an even Gram matrix), else
-    ValueError naming the matrix."""
-    d = freeze(rows)
-    n = len(d)
-    if n < 1:
-        raise ValueError("%s must not be empty" % name)
-    for i in range(n):
-        for j in range(n):
-            require_int(d[i][j], name + " entry")
-            if d[i][j] != d[j][i]:
-                raise ValueError("%s must be symmetric" % name)
+    """rows as a frozen matrix if square_matrix accepts it and it is
+    symmetric with even diagonal (a doubled index 2T or an even Gram
+    matrix), else ValueError naming the matrix."""
+    d = square_matrix(rows, name)
+    if transpose(d) != d:
+        raise ValueError("%s must be symmetric" % name)
+    for i in range(len(d)):
         if d[i][i] % 2:
             raise ValueError("%s must have even diagonal" % name)
     return d
@@ -302,23 +344,18 @@ def enumerate_indices(degree, trace_bound):
     n = require_int(degree, "degree", 1, 4)
     require_int(trace_bound, "trace_bound", 0)
     out = []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
     for diag in product(range(trace_bound + 1), repeat=n):
         if sum(diag) > trace_bound:
             continue
         dd = [2 * t for t in diag]
         ranges = []
-        for i, j in pairs:
+        for i, j in upper:
             s = isqrt(dd[i] * dd[j])
-            ranges.append(range(-s, s + 1))
-        for off in product(*ranges):
-            d = [[0] * n for _ in range(n)]
-            for i in range(n):
-                d[i][i] = dd[i]
-            for (i, j), v in zip(pairs, off):
-                d[i][j] = v
-                d[j][i] = v
-            t = HalfIntegralMatrix(d)
+            # on the diagonal s is 2T_ii itself
+            ranges.append((s,) if i == j else range(-s, s + 1))
+        for values in product(*ranges):
+            t = HalfIntegralMatrix(symmetric(n, values))
             if t.is_psd():
                 out.append(t)
     out.sort(key=lambda t: key_sort(t.doubled))

@@ -38,17 +38,19 @@ import re
 from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .halfint import (
     HalfIntegralMatrix,
     as_rational,
     block_count,
-    freeze,
     is_int,
     key_sort,
     key_trace,
+    power,
     require_int,
+    square_matrix,
+    symmetric,
     zero_matrix,
 )
 
@@ -63,12 +65,12 @@ def rational_to_str(x):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def rational_from_str(s):
+def rational_from_str(s, name="rational"):
     """Parse 'a/b' or a plain integer string.  Anything else, including
-    decimals, exponents and non-strings, is a ValueError; a zero
-    denominator raises ZeroDivisionError."""
+    decimals, exponents and non-strings, is a ValueError that names the
+    field and quotes s; a zero denominator raises ZeroDivisionError."""
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise ValueError("rational must be a 'num/den' or integer string, got %r" % (s,))
+        raise ValueError("%s must be a 'num/den' or integer string, got %r" % (name, s))
     return Fraction(s)
 
 
@@ -154,7 +156,7 @@ class FourierExpansion:
                 if v == 0:
                     continue
             else:
-                v = freeze([[as_rational(x, "coefficient") for x in row] for row in value])
+                v = square_matrix(value, "block value", as_rational)
                 if len(v) != size:
                     raise ValueError("block size mismatch")
                 if all(x == 0 for row in v for x in row):
@@ -302,14 +304,8 @@ class FourierExpansion:
                 c = ca + cb
                 acc[c] = get(c, 0) + na * nb
         den = f_den * g_den
-        coeffs = {}
-        for c, s in acc.items():
-            if not s:
-                continue
-            key = [[0] * n for _ in range(n)]
-            for (i, j), x in zip(upper, _unpack(c, key_base, len(upper))):
-                key[i][j] = key[j][i] = x
-            coeffs[tuple(map(tuple, key))] = Fraction(s, den)
+        coeffs = {symmetric(n, _unpack(c, key_base, len(upper))): Fraction(s, den)
+                  for c, s in acc.items() if s}
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
@@ -329,16 +325,7 @@ class FourierExpansion:
                 1, self.degree, self.trace_bound,
                 weight=0 if self.weight is not None else None,
                 level=self.level)
-        result = None
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                break
-            base = base * base
+        result = power(self, exponent, mul)
         if result is self:
             result = _trusted(self.degree, self.trace_bound, dict(self.coeffs))
         result.weight = None if self.weight is None else exponent * self.weight
@@ -583,13 +570,6 @@ def json_fields(d, what, *fields):
     return [d[field] for field in fields]
 
 
-def json_rows(x, field):
-    """A JSON array of arrays, else ValueError naming the field."""
-    if not (isinstance(x, list) and all(isinstance(row, list) for row in x)):
-        raise ValueError("%s must be an array of arrays, got %r" % (field, x))
-    return x
-
-
 def _shape_to_json(shape):
     if shape == SCALAR:
         return SCALAR
@@ -646,18 +626,16 @@ def from_json_dict(d):
     coeffs = {}
     for entry in entries:
         t2, value = json_fields(entry, "coefficient entry", "t2", "value")
-        key = tuple(tuple(require_int(x, "t2 entry") for x in row)
-                    for row in json_rows(t2, "t2"))
+        key = square_matrix(t2, "t2")
         if key in coeffs:
             raise ValueError("duplicate t2 %r" % (t2,))
         if shape == SCALAR:
-            coeffs[key] = rational_from_str(value)
+            coeffs[key] = rational_from_str(value, "value")
         else:
-            coeffs[key] = [[rational_from_str(x) for x in row]
-                           for row in json_rows(value, "block value")]
+            coeffs[key] = square_matrix(value, "block value", rational_from_str)
     return FourierExpansion(
         degree, bound, coeffs, shape,
-        weight=None if weight is None else rational_from_str(weight),
+        weight=None if weight is None else rational_from_str(weight, "weight"),
         level=level, character=character)
 
 

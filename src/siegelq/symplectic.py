@@ -41,33 +41,18 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .halfint import (identity, mat_scale, require_int, require_odd_prime, transpose,
+from .halfint import (from_blocks, identity, mat_mul, mat_scale, require_int,
+                      require_odd_prime, square_matrix, symmetric, transpose,
                       zero_matrix)
 
 MAX_LISTING = 50_000
 
 
 def _freeze_mod(rows, p):
-    """rows reduced mod p as a tuple matrix; ValueError unless it is a
-    non-empty square matrix of ints (require_int: not a bool, float,
-    string or Fraction, which would otherwise be coerced)."""
-    m = tuple(tuple(row) for row in rows)
-    if not m or any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be non-empty and square")
-    return tuple(tuple(require_int(x, "matrix entry") % p for x in row) for row in m)
-
-
-def _from_blocks(a, b, c, d):
-    """The 2n x 2n matrix [[A, B], [C, D]] from n x n blocks."""
-    return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(
-        rc + rd for rc, rd in zip(c, d))
-
-
-def _mat_mul_mod(a, b, p):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
+    """rows reduced mod p as a tuple matrix; ValueError unless
+    square_matrix reads it as a matrix of ints (not a bool, float, string
+    or Fraction, which would otherwise be coerced)."""
+    return tuple(tuple(x % p for x in row) for row in square_matrix(rows, "matrix"))
 
 
 def _rref_mod(rows, p):
@@ -110,8 +95,9 @@ def _inverse_mod(m, p):
 
 
 def rank_mod(m, p):
-    """Row rank of an integer matrix over F_p."""
+    """Row rank of an integer matrix over F_p; it may be rectangular."""
     require_odd_prime(p)
+    m = [[require_int(x, "matrix entry") for x in row] for row in m]
     return len(_rref_mod(m, p)[1])
 
 
@@ -127,8 +113,8 @@ class SymplecticModP:
             raise ValueError("matrix must be square of even size")
         n = len(m) // 2
         one, zero = identity(n), zero_matrix(n)
-        j = _freeze_mod(_from_blocks(zero, one, mat_scale(-1, one), zero), p)
-        if _mat_mul_mod(_mat_mul_mod(transpose(m), j, p), m, p) != j:
+        j = _freeze_mod(from_blocks(zero, one, mat_scale(-1, one), zero), p)
+        if _freeze_mod(mat_mul(mat_mul(transpose(m), j), m), p) != j:
             raise ValueError("matrix is not symplectic mod p")
         self.degree = n
         self.prime = p
@@ -140,13 +126,13 @@ class SymplecticModP:
             return NotImplemented
         if other.degree != self.degree or other.prime != self.prime:
             raise ValueError("degree or prime mismatch")
-        return _trusted(_mat_mul_mod(self.mat, other.mat, self.prime), self.prime)
+        return _trusted(_freeze_mod(mat_mul(self.mat, other.mat), self.prime), self.prime)
 
     def inverse(self):
         """J^{-1} M^t J = [[D^t, -B^t], [-C^t, A^t]], the inverse of a
         symplectic M."""
         a, b, c, d = (transpose(self.block(i, k)) for i in (0, 1) for k in (0, 1))
-        inv = _from_blocks(d, mat_scale(-1, b), mat_scale(-1, c), a)
+        inv = from_blocks(d, mat_scale(-1, b), mat_scale(-1, c), a)
         return _trusted(_freeze_mod(inv, self.prime), self.prime)
 
     def coset_key(self):
@@ -200,7 +186,7 @@ def partial_involution(n, j, p):
     one, zero = identity(n), zero_matrix(n)
     a = one[:n - j] + zero[n - j:]
     c = zero[:n - j] + one[n - j:]
-    return _trusted(_freeze_mod(_from_blocks(a, mat_scale(-1, c), c, a), p), p)
+    return _trusted(_freeze_mod(from_blocks(a, mat_scale(-1, c), c, a), p), p)
 
 
 def levi(a, p):
@@ -208,7 +194,7 @@ def levi(a, p):
     require_odd_prime(p)
     a = _freeze_mod(a, p)
     zero = zero_matrix(len(a))
-    return _trusted(_from_blocks(a, zero, zero, transpose(_inverse_mod(a, p))), p)
+    return _trusted(from_blocks(a, zero, zero, transpose(_inverse_mod(a, p))), p)
 
 
 def unipotent(b, p):
@@ -218,7 +204,7 @@ def unipotent(b, p):
     if b != transpose(b):
         raise ValueError("B must be symmetric mod p")
     one, zero = identity(len(b)), zero_matrix(len(b))
-    return _trusted(_from_blocks(one, b, zero, one), p)
+    return _trusted(from_blocks(one, b, zero, one), p)
 
 
 def gl_parabolic_reps(n, j, p):
@@ -271,17 +257,6 @@ class CosetRep:
             "a": self.a,
             "mat": self.mat.mat,
         }
-
-
-def _symmetric(j, values):
-    """The symmetric j x j matrix with the given upper-triangle entries,
-    row-major."""
-    b = [[0] * j for _ in range(j)]
-    positions = [(i, k) for i in range(j) for k in range(i, j)]
-    for (i, k), v in zip(positions, values):
-        b[i][k] = v
-        b[k][i] = v
-    return tuple(tuple(row) for row in b)
 
 
 def coset_reps(n, p):
@@ -354,7 +329,7 @@ class CosetSystem(Sequence):
         for j in range(self.degree + 1):
             cell = self._cell(j)
             for values in product(range(p), repeat=j * (j + 1) // 2):
-                b = _symmetric(j, values)
+                b = symmetric(j, values)
                 for fixed in cell:
                     yield self._element(j, b, fixed)
 
@@ -382,7 +357,7 @@ class CosetSystem(Sequence):
         values = [0] * entries
         for pos in reversed(range(entries)):
             b_index, values[pos] = divmod(b_index, p)
-        return self._element(j, _symmetric(j, values), cell[a_index])
+        return self._element(j, symmetric(j, values), cell[a_index])
 
 
 def coset_count(n, p):

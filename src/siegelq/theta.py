@@ -32,9 +32,10 @@ from itertools import permutations, product
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .halfint import (det, even_symmetric, freeze, identity, mat_inverse, mat_mul,
-                      minor, require_int, require_odd_prime, transpose)
-from .qexpansion import _trusted, json_fields, json_rows
+from .halfint import (det, even_symmetric, from_blocks, identity, mat_inverse, mat_mul,
+                      minor, power, require_int, require_odd_prime, square_matrix,
+                      transpose)
+from .qexpansion import _trusted, json_fields
 
 
 class GramLattice:
@@ -90,14 +91,7 @@ def gram_a(m):
 def direct_sum(a, b):
     """Orthogonal direct sum of two lattices (block-diagonal Gram)."""
     m, k = a.rank, b.rank
-    g = [[0] * (m + k) for _ in range(m + k)]
-    for i in range(m):
-        for j in range(m):
-            g[i][j] = a.gram[i][j]
-    for i in range(k):
-        for j in range(k):
-            g[m + i][m + j] = b.gram[i][j]
-    return GramLattice(g)
+    return GramLattice(from_blocks(a.gram, ((0,) * k,) * m, ((0,) * m,) * k, b.gram))
 
 
 def cycle_isometry(m):
@@ -110,7 +104,7 @@ def cycle_isometry(m):
         s[i][m - 1] = -1
         if i + 1 < m:
             s[i + 1][i] = 1
-    return freeze(s)
+    return tuple(map(tuple, s))
 
 
 def is_free_isometry(lattice, sigma, p):
@@ -121,17 +115,14 @@ def is_free_isometry(lattice, sigma, p):
     theta coefficient at T != 0 divisible by p: the isometry acts freely
     on nonzero representations, cutting them into orbits of size p."""
     require_odd_prime(p)
-    s = freeze([[require_int(x, "sigma entry") for x in row] for row in sigma])
+    s = square_matrix(sigma, "sigma")
     m = lattice.rank
     if len(s) != m:
         raise ValueError("size mismatch")
     q = lattice.gram
     if mat_mul(transpose(s), mat_mul(q, s)) != q:
         return False
-    power = s
-    for _ in range(p - 1):
-        power = mat_mul(power, s)
-    if power != identity(m):
+    if power(s, p, mat_mul) != identity(m):
         return False
     if s == identity(m):
         return False
@@ -324,8 +315,7 @@ def gram_to_json(lattice):
 
 def gram_from_json(d):
     (rows,) = json_fields(d, "Gram", "gram")
-    g = [[require_int(x, "gram entry") for x in row] for row in json_rows(rows, "gram")]
-    lattice = GramLattice(g)
+    lattice = GramLattice(square_matrix(rows, "gram"))
     if "rank" in d and require_int(d["rank"], "rank") != lattice.rank:
         raise ValueError("rank field disagrees with the Gram matrix")
     return lattice

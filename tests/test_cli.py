@@ -327,6 +327,28 @@ class TestRobustness:
             assert run(["vp", "--value", "3", "--prime", prime]) == 2
         capsys.readouterr()
 
+    def test_malformed_matrices_exit_two(self, tmp_path, capsys):
+        # each message names the JSON field and quotes what it holds
+        path = str(tmp_path / "bad.json")
+        scalar = qexpansion.to_json_dict(qexpansion.FourierExpansion(2, 1))
+        scalar["coeffs"].append({"t2": [[0, 0], [0]], "value": "1"})
+        block = qexpansion.to_json_dict(
+            qexpansion.FourierExpansion(2, 1, shape=("compound", 1)))
+        block["coeffs"].append({"t2": [[0, 0], [0, 0]], "value": [["1", "0"], ["0"]]})
+        for doc, argv, field, rows in (
+                (scalar, ["up", "--f", path, "--prime", "3"], "t2", [[0, 0], [0]]),
+                ({"gram": []}, ["theta", "--gram", path, "--degree", "1",
+                                "--trace-bound", "2"], "gram", []),
+                (block, ["dilate", "--f", path, "--factor", "2"], "block value",
+                 [["1", "0"], ["0"]])):
+            write(path, doc)
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: %s must be a non-empty square array of arrays, got %r\n"
+                % (field, rows))
+
     def test_duplicate_keys_exit_two(self, tmp_path, capsys):
         # read last-wins, each of these files passes as valid input
         path = str(tmp_path / "dup.json")

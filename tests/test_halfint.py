@@ -14,13 +14,16 @@ from siegelq.halfint import (
     compound,
     det,
     enumerate_indices,
+    from_blocks,
     identity,
     is_int,
     key_sort,
     mat_inverse,
     mat_mul,
+    power,
     require_odd_prime,
     subset_order,
+    symmetric,
     transpose,
 )
 
@@ -310,6 +313,37 @@ class TestEnumerateIndices:
         assert got[0].doubled == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
         # exactly the zero matrix plus the rank-one forms of trace 1
         assert len(got) == 1 + 3
+
+
+class TestBuilders:
+    def test_power_counts_products(self):
+        # bit_length - 1 squarings and popcount - 1 products
+        for e in (1, 2, 3, 5, 8, 13, 2 ** 61 - 1, 2 ** 64):
+            calls = []
+
+            def mul(a, b):
+                calls.append(None)
+                return a * b % 1000003
+
+            assert power(3, e, mul) == pow(3, e, 1000003)
+            assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+
+    def test_power_of_matrices(self):
+        s = ((0, -1), (1, -1))
+        assert power(s, 3, mat_mul) == identity(2)
+        assert power(s, 7, mat_mul) == s
+
+    def test_symmetric(self):
+        assert symmetric(0, ()) == ()
+        assert symmetric(1, [5]) == ((5,),)
+        assert symmetric(3, range(1, 7)) == ((1, 2, 3), (2, 4, 5), (3, 5, 6))
+
+    def test_from_blocks(self):
+        one, zero = identity(2), ((0, 0), (0, 0))
+        assert from_blocks(one, zero, zero, one) == identity(4)
+        # blocks need not be square: a 1 x 1 and a 2 x 2 block on the diagonal
+        assert from_blocks(((2,),), ((0, 0),), ((0,), (0,)), one) == (
+            (2, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_is_int_rejects_bool():

@@ -18,6 +18,10 @@ byte format.
 No module but halfint checks an integer argument by hand with
 "if not is_int(": every such check is halfint.require_int, so the
 package has one rule and one message for a rejected integer.
+
+No module but halfint compares a row's length by hand with
+"len(row) != ": every matrix argument is read by halfint.square_matrix,
+so the package has one rule and one message for a malformed matrix.
 """
 
 import ast
@@ -141,6 +145,16 @@ HAND_INT_CHECK = re.compile(r"if not is_int\(")
 def test_one_integer_rule(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if HAND_INT_CHECK.search(line)] == []
+
+
+HAND_ROW_CHECK = re.compile(r"len\(row\) != ")
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "halfint.py"],
+                         ids=lambda p: p.name)
+def test_one_matrix_rule(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if HAND_ROW_CHECK.search(line)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -122,6 +122,9 @@ TABLE = {
     "coset_count n": (lambda x: symplectic.coset_count(x, 3), "degree", 1, 3),
     "coset_count p": (lambda x: symplectic.coset_count(1, x), "p", *P),
     "rank_mod p": (lambda x: symplectic.rank_mod([[1]], x), "p", *P),
+    "rank_mod entry": (
+        lambda x: symplectic.rank_mod([[1, 0, 2], [0, x, 1]], 3), "matrix entry",
+        None, None),
 }
 
 

@@ -10,7 +10,8 @@ enumeration, so comparing a block-diagonal Q with U^t Q U for a U that
 mixes the blocks checks the two paths against each other.  Two structural
 identities the enumerator does not use are checked as well: theta of E8
 is the Siegel Eisenstein series E_4, and theta coefficients are
-GL_n(Z)-invariant, a(U^t T U) = a(T).
+GL_n(Z)-invariant, a(U^t T U) = a(T); and Siegel's Phi operator restricts
+degree n to degree n - 1.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from siegelq import theta
 from siegelq.halfint import enumerate_indices, identity, mat_inverse, mat_mul, transpose
 from siegelq.qexpansion import dumps
 from siegelq.theta import (
@@ -185,6 +187,21 @@ class TestFreeIsometry:
         with pytest.raises(ValueError):
             is_free_isometry(gram_a(2), ((1,),), 3)
 
+    def test_large_prime_takes_logarithmically_many_products(self, monkeypatch):
+        # the order check raises sigma to the p-th power by square and
+        # multiply, so a 61-bit prime costs about 2 * 61 products, not p - 1
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append(None)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(theta, "mat_mul", counting_mul)
+        # cycle_isometry(2) has order 3, and 2^61 - 1 = 1 mod 3
+        assert not is_free_isometry(gram_a(2), cycle_isometry(2), 2 ** 61 - 1)
+        assert len(calls) <= 2 * 61 + 2
+        assert is_free_isometry(gram_a(2), cycle_isometry(2), 3)
+
     def test_block_cycle_on_direct_sum(self):
         s = cycle_isometry(2)
         block = tuple(
@@ -306,6 +323,35 @@ class TestE8:
         for t in indices:
             assert th.coefficient(t.doubled) == self.E4[reduced_binary(t.doubled)]
         assert th.coefficient(((2, 2), (2, 2))) == 240
+
+
+PHI_LATTICES = {
+    "A2": gram_a(2),
+    "A2+A2": direct_sum(gram_a(2), gram_a(2)),
+    "D4": D4,
+    "A4": gram_a(4),
+    "E8": E8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHI_LATTICES))
+@pytest.mark.parametrize("degree", (2, 3))
+def test_siegel_phi_restricts_degree(name, degree):
+    """Siegel's Phi operator: the degree-n coefficient at diag(T', 0)
+    equals the degree-(n - 1) coefficient at T', since Q is definite and
+    X^t Q X = diag(2T', 0) forces the last column of X to vanish.  The
+    restriction is written here, keys with a zero last row cut to their
+    leading (n - 1) x (n - 1) block; dict equality checks both directions,
+    every such key against degree n - 1 and every degree-(n - 1) key
+    against degree n.  A2+A2 goes through the product path."""
+    lattice = PHI_LATTICES[name]
+    bound = 3 if degree == 2 else 1 if name == "E8" else 2
+    high = rep_numbers(lattice, degree, bound)
+    low = rep_numbers(lattice, degree - 1, bound)
+    restricted = {tuple(row[:-1] for row in key[:-1]): value
+                  for key, value in high.coeffs.items() if not any(key[-1])}
+    assert len(restricted) > 1
+    assert restricted == low.coeffs
 
 
 class TestProductPath:
