@@ -66,7 +66,8 @@ def polarize_compound(r_mat, s_mat, r):
     s_mat = square_matrix(s_mat, "second matrix", as_rational)
     n = len(r_mat)
     if len(s_mat) != n:
-        raise ValueError("size mismatch")
+        raise ValueError("second matrix must be %d x %d like the first matrix, "
+                         "got %d x %d" % (n, n, len(s_mat), len(s_mat)))
     require_int(r, "minor_order", 1, n)
     subs = subset_order(n, r)
 

@@ -13,10 +13,11 @@ require_int: it must be an int, not a bool, within its range, and
 anything else is one ValueError of the form "<name> must be an integer
 [>= lo | in lo..hi], got <repr of the value>".
 
-Every matrix argument is read by one rule, square_matrix, and anything
-it refuses is one ValueError, "<name> must be a non-empty square array
-of arrays, got <repr of the value>".  The package has one block builder,
-from_blocks, one upper-triangle builder, symmetric, and one power loop.
+Every matrix argument is read by square_matrix or rectangular_matrix,
+which share one shape check and one ValueError, "<name> must be a
+non-empty square (or rectangular) array of arrays, got <repr>".  There is
+one block builder, from_blocks, one upper-triangle builder, symmetric,
+one power loop and one elimination, row_reduce, over Q and over F_p.
 """
 
 from fractions import Fraction
@@ -44,32 +45,42 @@ def require_int(x, name, lo=None, hi=None):
     raise ValueError("%s must be an integer%s, got %r" % (name, span, x))
 
 
-def square_matrix(rows, name, entry=require_int):
-    """rows as a tuple-of-tuples matrix of entry(x, name + " entry") if it
-    is a non-empty list or tuple of lists or tuples, each row as long as
-    the matrix; else a ValueError naming the matrix and quoting rows.  The
-    whole shape is checked before any entry, so a ragged matrix is
-    reported as ragged whatever its entries are."""
-    if isinstance(rows, (list, tuple)) and rows:
-        n = len(rows)
-        for row in rows:
-            if not isinstance(row, (list, tuple)) or len(row) != n:
-                break
-        else:
-            label = name + " entry"
-            return tuple([tuple([entry(x, label) for x in row]) for row in rows])
-    raise ValueError("%s must be a non-empty square array of arrays, got %r"
-                     % (name, rows))
+def _matrix_rule(shape, width):
+    """A matrix reader: rows as a tuple-of-tuples matrix of entry(x, name +
+    " entry") if it is a non-empty list or tuple of lists or tuples, each
+    width(rows) long, else a ValueError naming the matrix and quoting rows.
+    The shape is checked first, so a ragged matrix is reported as ragged."""
+    def read(rows, name, entry=require_int):
+        if isinstance(rows, (list, tuple)) and rows:
+            n = width(rows)
+            for row in rows:
+                if not isinstance(row, (list, tuple)) or len(row) != n:
+                    break
+            else:
+                label = name + " entry"
+                return tuple([tuple([entry(x, label) for x in row]) for row in rows])
+        raise ValueError("%s must be a non-empty %s array of arrays, got %r"
+                         % (name, shape, rows))
+    return read
+
+
+square_matrix = _matrix_rule("square", len)
+# each row as long as the first; -1 fails a first row that is no array
+rectangular_matrix = _matrix_rule(
+    "rectangular", lambda rows: len(rows[0]) if isinstance(rows[0], (list, tuple)) else -1)
+
+
+def require_exact(x, name):
+    """x itself if it is an int (not a bool) or a Fraction, else ValueError
+    naming it: a float is never converted, and int input stays int."""
+    if is_int(x) or isinstance(x, Fraction):
+        return x
+    raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
 
 
 def as_rational(x, name):
-    """x as a Fraction (x itself if it is one) if it is an int (not a bool)
-    or a Fraction, else ValueError naming it: a float is never converted."""
-    if isinstance(x, Fraction):
-        return x
-    if not is_int(x):
-        raise ValueError("%s must be an integer or a Fraction, got %r" % (name, x))
-    return Fraction(x)
+    """x as a Fraction (x itself if it is one) if require_exact accepts it."""
+    return x if isinstance(x, Fraction) else Fraction(require_exact(x, name))
 
 
 # Strong-probable-prime bases 2..41; every composite below PRIME_LIMIT fails
@@ -168,11 +179,24 @@ def power(x, e, mul):
         x = mul(x, x)
 
 
+def _exact_square(m, entry=require_exact):
+    """m read by square_matrix(m, "matrix", entry), or () if m is empty."""
+    return () if m in ((), []) else square_matrix(m, "matrix", entry)
+
+
 def det(m):
-    """Exact determinant of a square int/Fraction matrix (det of the empty
-    matrix is 1).  Small sizes use cofactor formulas, larger ones fraction-
+    """Exact determinant of a square int/Fraction matrix read by
+    square_matrix; det of the empty matrix is 1."""
+    m = _exact_square(m)
+    return minor(m, range(len(m)), range(len(m)))
+
+
+def minor(m, rows, cols):
+    """The minor det m[rows, cols] of a matrix already read; the empty
+    minor is 1.  Small sizes use cofactor formulas, larger ones fraction-
     free Bareiss elimination after clearing denominators; int input gives
     an int result."""
+    m = [[m[i][j] for j in cols] for i in rows]
     n = len(m)
     if n == 0:
         return 1
@@ -187,7 +211,7 @@ def det(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
     if all(isinstance(x, int) for row in m for x in row):
-        return _det_bareiss([list(row) for row in m])
+        return _det_bareiss(m)
     # clear denominators row by row: det(m) = det(D m) / det(D)
     dens = [lcm(*(Fraction(x).denominator for x in row)) for row in m]
     scaled = [[int(x * d) for x in row] for row, d in zip(m, dens)]
@@ -215,27 +239,42 @@ def _det_bareiss(a):
     return sign * a[n - 1][n - 1]
 
 
-def mat_inverse(m):
-    """Exact inverse as a Fraction matrix; raises ValueError if singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                pivot = i
-                break
+def row_reduce(rows, p=None):
+    """Reduced row echelon form by Gauss-Jordan elimination, over Q with
+    Fraction entries when p is None, else over F_p (p prime) with entries
+    in 0..p-1: returns (the reduced matrix, the list of pivot columns).
+    Each column's pivot is its first nonzero entry at or below the current row."""
+    a = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if pivot is None:
-            raise ValueError("matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                factor = a[i][k]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = 1 / a[rank][col] if p is None else pow(a[rank][col], -1, p)
+        a[rank] = top = [x * inv for x in a[rank]]
+        a = [[x - row[col] * y for x, y in zip(row, top)] if row[col] and i != rank
+             else row for i, row in enumerate(a)]
+        if p is not None:
+            a = [[x % p for x in row] for row in a]
+        pivots.append(col)
+    return tuple(map(tuple, a)), pivots
+
+
+def mat_inverse(m, p=None):
+    """Exact inverse of a square matrix read by square_matrix, read off the
+    reduced row echelon form of (m | 1): over Q as a Fraction matrix when p
+    is None, else over F_p for an odd prime p; ValueError if singular."""
+    if p is not None:
+        require_odd_prime(p)
+    m = _exact_square(m, require_exact if p is None else require_int)
+    n = len(m)
+    a, pivots = row_reduce([row + e for row, e in zip(m, identity(n))], p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular" if p is None
+                         else "matrix is singular mod p")
+    return tuple(row[n:] for row in a)
 
 
 def subset_order(n, r):
@@ -248,19 +287,12 @@ def subset_order(n, r):
     return tuple(combinations(range(n), r))
 
 
-def minor(m, rows, cols):
-    """The minor det m[rows, cols]; the empty minor is 1."""
-    return det([[m[i][j] for j in cols] for i in rows])
-
-
 def compound(m, r):
-    """r-th compound matrix: entry (I, J) is the minor det m[I, J], with
-    subsets ordered by subset_order.  compound(m, 0) == ((1,),) and
-    compound(m, n) == ((det m,),).  Multiplicative by Cauchy-Binet."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    subs = subset_order(n, r)
+    """r-th compound of m (read by square_matrix): entry (I, J) is the minor
+    det m[I, J], subsets ordered by subset_order.  compound(m, 0) == ((1,),)
+    and compound(m, n) == ((det m,),).  Multiplicative by Cauchy-Binet."""
+    m = _exact_square(m)
+    subs = subset_order(len(m), r)
     return tuple(tuple(minor(m, rows, cols) for cols in subs) for rows in subs)
 
 

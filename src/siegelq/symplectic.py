@@ -33,6 +33,7 @@ gives the size of any system.
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
 of M1 M2^{-1} vanishes mod p: both say (C1 | D1) = g (C2 | D2), g in GL_n.
+Keys come from halfint.row_reduce, inverses mod p from its mat_inverse.
 """
 
 import operator
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .halfint import (from_blocks, identity, mat_mul, mat_scale, require_int,
-                      require_odd_prime, square_matrix, symmetric, transpose,
-                      zero_matrix)
+from .halfint import (from_blocks, identity, mat_inverse, mat_mul, mat_scale,
+                      rectangular_matrix, require_int, require_odd_prime, row_reduce,
+                      square_matrix, symmetric, transpose, zero_matrix)
 
 MAX_LISTING = 50_000
 
@@ -55,50 +56,10 @@ def _freeze_mod(rows, p):
     return tuple(tuple(x % p for x in row) for row in square_matrix(rows, "matrix"))
 
 
-def _rref_mod(rows, p):
-    """Reduced row echelon form over F_p by Gauss-Jordan elimination:
-    returns (reduced rows, pivot columns)."""
-    a = [[x % p for x in row] for row in rows]
-    pivots = []
-    cols = len(a[0]) if a else 0
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == len(a):
-            break
-        pivot = None
-        for i in range(rank, len(a)):
-            if a[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-    return a, pivots
-
-
-def _inverse_mod(m, p):
-    """Inverse over F_p, read off the RREF of (m | 1); ValueError if
-    singular."""
-    n = len(m)
-    aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
-    a, pivots = _rref_mod(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def rank_mod(m, p):
-    """Row rank of an integer matrix over F_p; it may be rectangular."""
+    """Row rank over F_p of an integer matrix read by rectangular_matrix."""
     require_odd_prime(p)
-    m = [[require_int(x, "matrix entry") for x in row] for row in m]
-    return len(_rref_mod(m, p)[1])
+    return len(row_reduce(rectangular_matrix(m, "matrix"), p)[1])
 
 
 class SymplecticModP:
@@ -139,8 +100,7 @@ class SymplecticModP:
         """RREF of the bottom rows (C | D) mod p, the same for two elements
         iff they lie in the same right coset of the Siegel parabolic."""
         if self._key is None:
-            rows, _ = _rref_mod(self.mat[self.degree:], self.prime)
-            self._key = tuple(tuple(row) for row in rows)
+            self._key = row_reduce(self.mat[self.degree:], self.prime)[0]
         return self._key
 
     def block(self, row, col):
@@ -191,10 +151,9 @@ def partial_involution(n, j, p):
 
 def levi(a, p):
     """Levi element diag(A, A^{-t}); A must be square and invertible mod p."""
-    require_odd_prime(p)
-    a = _freeze_mod(a, p)
-    zero = zero_matrix(len(a))
-    return _trusted(from_blocks(a, zero, zero, transpose(_inverse_mod(a, p))), p)
+    ait = transpose(mat_inverse(a, p))
+    zero = zero_matrix(len(ait))
+    return _trusted(from_blocks(_freeze_mod(a, p), zero, zero, ait), p)
 
 
 def unipotent(b, p):
@@ -305,7 +264,7 @@ class CosetSystem(Sequence):
             zero = (0,) * n
             fixed = self._cells[j] = []
             for a in gl_parabolic_reps(n, j, p):
-                ait = transpose(_inverse_mod(a, p))
+                ait = transpose(mat_inverse(a, p))
                 head = (
                     tuple(row + zero for row in a[:h])
                     + tuple(zero + tuple(-x % p for x in row) for row in ait[h:])

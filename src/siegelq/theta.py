@@ -118,7 +118,8 @@ def is_free_isometry(lattice, sigma, p):
     s = square_matrix(sigma, "sigma")
     m = lattice.rank
     if len(s) != m:
-        raise ValueError("size mismatch")
+        raise ValueError("sigma must be %d x %d like the Gram matrix, got %d x %d"
+                         % (m, m, len(s), len(s)))
     q = lattice.gram
     if mat_mul(transpose(s), mat_mul(q, s)) != q:
         return False

@@ -1,8 +1,10 @@
-"""Half-integral index matrices, compounds and the subset ordering."""
+"""Half-integral index matrices, compounds, the subset ordering and
+exact elimination."""
 
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,12 +22,14 @@ from siegelq.halfint import (
     key_sort,
     mat_inverse,
     mat_mul,
+    minor,
     power,
     require_odd_prime,
     subset_order,
     symmetric,
     transpose,
 )
+from siegelq.symplectic import rank_mod
 
 
 def rand_matrix(rng, n, lo=-3, hi=3):
@@ -179,6 +183,62 @@ class TestDet:
             done += 1
         with pytest.raises(ValueError):
             mat_inverse([[1, 1], [1, 1]])
+
+
+class TestEliminationOracle:
+    """row_reduce, behind rank_mod and mat_inverse, judged by minors and
+    determinants, which use cofactors or Bareiss and no Gauss-Jordan."""
+
+    @staticmethod
+    def rand_rows(rng, rows, cols, p):
+        m = [[rng.randrange(-p, p) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            # a row that is a combination of the others keeps singular
+            # and rank-deficient cases frequent
+            i = rng.randrange(rows)
+            c = [rng.randrange(p) for _ in range(rows)]
+            m[i] = [sum(c[k] * m[k][j] for k in range(rows) if k != i)
+                    for j in range(cols)]
+        return m
+
+    def test_rank_is_largest_nonzero_minor(self):
+        rng = random.Random(16)
+        for p in (3, 5, 7):
+            for _ in range(60):
+                rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+                m = self.rand_rows(rng, rows, cols, p)
+                largest = max(
+                    [k for k in range(1, min(rows, cols) + 1)
+                     if any(minor(m, r, c) % p
+                            for r in combinations(range(rows), k)
+                            for c in combinations(range(cols), k))],
+                    default=0)
+                assert rank_mod(m, p) == largest
+
+    def test_inverse_mod_p_iff_det_is_a_unit(self):
+        rng = random.Random(17)
+        for p in (3, 5, 7):
+            seen = set()
+            for _ in range(60):
+                n = rng.randint(1, 4)
+                a = self.rand_rows(rng, n, n, p)
+                unit = det(a) % p != 0
+                seen.add(unit)
+                if unit:
+                    inv = mat_inverse(a, p)
+                    assert all(0 <= x < p for row in inv for x in row)
+                    assert tuple(tuple(x % p for x in row)
+                                 for row in mat_mul(inv, a)) == identity(n)
+                else:
+                    with pytest.raises(ValueError, match=r"^matrix is singular mod p$"):
+                        mat_inverse(a, p)
+            assert seen == {True, False}
+
+    def test_inverse_over_q_singular_message(self):
+        with pytest.raises(ValueError, match=r"^matrix is singular$"):
+            mat_inverse([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match=r"^p must be an odd prime, got 4$"):
+            mat_inverse([[1]], 4)
 
 
 class TestSubsetOrder:

@@ -22,6 +22,10 @@ package has one rule and one message for a rejected integer.
 No module but halfint compares a row's length by hand with
 "len(row) != ": every matrix argument is read by halfint.square_matrix,
 so the package has one rule and one message for a malformed matrix.
+
+No module but halfint computes a modular inverse with "pow(x, -1, p)":
+every inverse mod p comes from halfint.row_reduce, so the package has
+one elimination, over Q and over F_p.
 """
 
 import ast
@@ -165,3 +169,13 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_functions(sources) == []
+
+
+MODULAR_INVERSE = re.compile(r"pow\([^()]*, -1,")
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "halfint.py"],
+                         ids=lambda p: p.name)
+def test_one_elimination(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if MODULAR_INVERSE.search(line)] == []

@@ -1,20 +1,23 @@
-"""One rule for matrix arguments: halfint.square_matrix.
+"""One rule for matrix arguments: halfint.square_matrix, and
+halfint.rectangular_matrix where the matrix need not be square.
 
 Every public reader of a matrix accepts a non-empty list or tuple of
-lists or tuples, each as long as the matrix, and rejects anything else
-with one ValueError, "<name> must be a non-empty square array of arrays,
-got <repr of the value>".  The table lists each reader as (call with
-the matrix argument set to x, name in the message); the other arguments
-are valid.  The JSON readers get the malformed matrix inside a document,
-where it arrives as the same lists.
+lists or tuples, each as long as the matrix (or, for a rectangular
+matrix, as the first row), and rejects anything else with one
+ValueError, "<name> must be a non-empty square (or rectangular) array of
+arrays, got <repr of the value>".  The table lists each reader as (call
+with the matrix argument set to x, name in the message); the other
+arguments are valid.  The JSON readers get the malformed matrix inside a
+document, where it arrives as the same lists.  det, compound and
+mat_inverse also take the empty matrix, with the values in EMPTY.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from siegelq import diffops, qexpansion, symplectic, theta
-from siegelq.halfint import identity, square_matrix
+from siegelq import diffops, halfint, qexpansion, symplectic, theta
+from siegelq.halfint import identity, rectangular_matrix, square_matrix
 
 A2 = theta.gram_a(2)
 ZERO2 = ((0, 0), (0, 0))
@@ -47,7 +50,14 @@ TABLE = {
         lambda x: loads_with({"t2": [[0, 0], [0, 0]], "value": x}, ("compound", 1)),
         "block value"),
     "gram_from_json": (lambda x: theta.gram_from_json({"gram": x}), "gram"),
+    "det": (halfint.det, "matrix"),
+    "compound": (lambda x: halfint.compound(x, 0), "matrix"),
+    "mat_inverse": (halfint.mat_inverse, "matrix"),
+    "mat_inverse mod p": (lambda x: halfint.mat_inverse(x, 3), "matrix"),
+    "rank_mod": (lambda x: symplectic.rank_mod(x, 3), "matrix"),
 }
+RECTANGULAR = {"rank_mod"}
+EMPTY = {"det": 1, "compound": ((1,),), "mat_inverse": (), "mat_inverse mod p": ()}
 
 MALFORMED = ([[1, 0], [0]], [], 5, ["ab", "cd"])
 
@@ -55,11 +65,15 @@ MALFORMED = ([[1, 0], [0]], [], 5, ["ab", "cd"])
 @pytest.mark.parametrize("case", sorted(TABLE))
 def test_malformed_matrix_named_in_message(case):
     call, name = TABLE[case]
+    shape = "rectangular" if case in RECTANGULAR else "square"
     for x in MALFORMED:
+        if case in EMPTY and x == []:
+            assert call(x) == call(()) == EMPTY[case]
+            continue
         with pytest.raises(ValueError) as info:
             call(x)
         assert str(info.value) == (
-            "%s must be a non-empty square array of arrays, got %r" % (name, x))
+            "%s must be a non-empty %s array of arrays, got %r" % (name, shape, x))
 
 
 def test_square_matrix():
@@ -73,3 +87,43 @@ def test_square_matrix():
     for bad in ([[1, 2]], [[1], [2]], [[]], [(1, 2), "ab"], {0: [1]}, range(1)):
         with pytest.raises(ValueError, match=r"^m must be a non-empty square array"):
             square_matrix(bad, "m")
+
+
+def test_rectangular_matrix():
+    assert rectangular_matrix([[1, 2, 3]], "m") == ((1, 2, 3),)
+    assert rectangular_matrix(([1], (2,)), "m") == ((1,), (2,))
+    assert rectangular_matrix([[1, 2], (3, 4)], "m") == ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match=r"^m entry must be an integer, got 1\.5$"):
+        rectangular_matrix([[1, 1.5, 0]], "m")
+    for bad in ([[1], [2, 3]], [[1, 2], [3]], [5, [1]], [(1, 2), "ab"], {0: [1]}):
+        with pytest.raises(ValueError) as info:
+            rectangular_matrix(bad, "m")
+        assert str(info.value) == (
+            "m must be a non-empty rectangular array of arrays, got %r" % (bad,))
+
+
+def test_exact_matrix_helpers():
+    # det, compound and mat_inverse take ints and Fractions only, and a
+    # non-square matrix is refused, not answered
+    for call in (halfint.det, lambda x: halfint.compound(x, 1), halfint.mat_inverse):
+        with pytest.raises(ValueError, match=r"^matrix entry must be an integer or "
+                                             r"a Fraction, got 1\.5$"):
+            call([[1.5]])
+        with pytest.raises(ValueError, match=r"^matrix must be a non-empty square"):
+            call([[1, 2]])
+    with pytest.raises(ValueError, match=r"^matrix entry must be an integer, got "):
+        halfint.mat_inverse([[Fraction(1, 2)]], 3)
+    # int input keeps an int result
+    assert type(halfint.det([[2, 1], [1, 2]])) is int
+    assert halfint.compound([[1, 2], [3, 4]], 1) == ((1, 2), (3, 4))
+    assert halfint.det([[Fraction(1, 2)]]) == Fraction(1, 2)
+
+
+def test_size_mismatch_names_both_matrices():
+    with pytest.raises(ValueError) as info:
+        theta.is_free_isometry(A2, [[1]], 3)
+    assert str(info.value) == "sigma must be 2 x 2 like the Gram matrix, got 1 x 1"
+    with pytest.raises(ValueError) as info:
+        diffops.polarize_compound([[1]], identity(2), 1)
+    assert str(info.value) == (
+        "second matrix must be 1 x 1 like the first matrix, got 2 x 2")
