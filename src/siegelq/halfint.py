@@ -17,7 +17,9 @@ Every matrix argument is read by square_matrix or rectangular_matrix,
 which share one shape check and one ValueError, "<name> must be a
 non-empty square (or rectangular) array of arrays, got <repr>".  There is
 one block builder, from_blocks, one upper-triangle builder, symmetric,
-one power loop and one elimination, row_reduce, over Q and over F_p.
+one power loop and two eliminations: row_reduce (Gauss-Jordan over Q and
+F_p) for reduced forms and inverses, and bareiss (fraction-free over Z)
+for determinants and the integer completion of a positive-definite Gram.
 """
 
 from fractions import Fraction
@@ -193,9 +195,8 @@ def det(m):
 
 def minor(m, rows, cols):
     """The minor det m[rows, cols] of a matrix already read; the empty
-    minor is 1.  Small sizes use cofactor formulas, larger ones fraction-
-    free Bareiss elimination after clearing denominators; int input gives
-    an int result."""
+    minor is 1.  Small sizes use cofactor formulas, larger ones bareiss
+    after clearing denominators; int input gives an int result."""
     m = [[m[i][j] for j in cols] for i in rows]
     n = len(m)
     if n == 0:
@@ -211,15 +212,20 @@ def minor(m, rows, cols):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
     if all(isinstance(x, int) for row in m for x in row):
-        return _det_bareiss(m)
+        return bareiss(m)[0]
     # clear denominators row by row: det(m) = det(D m) / det(D)
     dens = [lcm(*(Fraction(x).denominator for x in row)) for row in m]
     scaled = [[int(x * d) for x in row] for row, d in zip(m, dens)]
-    return Fraction(_det_bareiss(scaled), prod(dens))
+    return Fraction(bareiss(scaled)[0], prod(dens))
 
 
-def _det_bareiss(a):
-    # fraction-free elimination; every division below is exact
+def bareiss(rows):
+    """Fraction-free (Bareiss) elimination of a square int matrix read by
+    square_matrix, left unchanged: its determinant and its eliminated rows,
+    swapping in a row only at a zero pivot.  With no swap, a_ij (from 0, j >= i) is the
+    minor on rows 0..i and columns 0..i-1, j, so every division is exact and
+    a_ii is the leading minor D_{i+1}; a_ij = 0 for j < i."""
+    a = [list(row) for row in square_matrix(rows, "matrix")]
     n = len(a)
     sign = 1
     prev = 1
@@ -231,12 +237,13 @@ def _det_bareiss(a):
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, tuple(map(tuple, a))
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            f = a[i][k]
+            for j in range(k, n):
+                a[i][j] = (a[i][j] * a[k][k] - f * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1], tuple(map(tuple, a))
 
 
 def row_reduce(rows, p=None):

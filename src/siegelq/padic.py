@@ -146,7 +146,7 @@ def unit_ladder(base, k, i, p):
     """Product of the weight-k(p-1)p^j powers of a unit form for j < i:
     base ** (k (p^i - 1) / (p - 1)), tagged with weight k (p^i - 1).
 
-    If base = 1 mod p and carries weight k(p-1), each factor is = 1 mod p,
+    If base = 1 mod p and carries weight p - 1, each factor is = 1 mod p,
     and the whole ladder satisfies ladder^(p^(i-1)) = 1 mod p^i."""
     require_odd_prime(p)
     require_int(k, "k", 1)

@@ -149,20 +149,23 @@ class FourierExpansion:
         stored = {}
         for key, value in (coeffs or {}).items():
             t = self._index(key)
+            # a tuple and a HalfIntegralMatrix of one 2T are two dict keys
+            if t.doubled in stored:
+                raise ValueError("duplicate key %r" % (t.doubled,))
             if not t.is_psd():
                 raise ValueError("keys must be positive semidefinite")
             if self.shape == SCALAR:
                 v = as_rational(value, "coefficient")
-                if v == 0:
-                    continue
             else:
                 v = square_matrix(value, "block value", as_rational)
                 if len(v) != size:
-                    raise ValueError("block size mismatch")
-                if all(x == 0 for row in v for x in row):
-                    continue
+                    raise ValueError(
+                        "block value must be %d x %d for %r at degree %d, got %d x %d"
+                        % (size, size, self.shape, self.degree, len(v), len(v)))
             stored[t.doubled] = v
-        self.coeffs = stored
+        # zeros go last, so a repeated 2T is caught with a zero value too
+        self.coeffs = {k: v for k, v in stored.items()
+                       if (v if self.shape == SCALAR else any(map(any, v)))}
 
     # -- constructors ---------------------------------------------------
 
@@ -325,12 +328,10 @@ class FourierExpansion:
                 1, self.degree, self.trace_bound,
                 weight=0 if self.weight is not None else None,
                 level=self.level)
-        result = power(self, exponent, mul)
-        if result is self:
-            result = _trusted(self.degree, self.trace_bound, dict(self.coeffs))
-        result.weight = None if self.weight is None else exponent * self.weight
-        result.level = self.level
-        return result
+        if exponent == 1:
+            return _trusted(self.degree, self.trace_bound, dict(self.coeffs),
+                            SCALAR, self.weight, self.level)
+        return power(self, exponent, mul)
 
     # -- index reparametrizations ----------------------------------------
 
@@ -440,10 +441,7 @@ def delta(trace_bound):
     """The degree-1 cusp form of weight 12, as (E4^3 - E6^2) / 1728."""
     e4 = eisenstein(4, trace_bound)
     e6 = eisenstein(6, trace_bound)
-    out = (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
-    out.weight = Fraction(12)
-    out.level = 1
-    return out
+    return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
 
 
 # -- JSON serialization ----------------------------------------------------

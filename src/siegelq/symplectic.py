@@ -71,7 +71,8 @@ class SymplecticModP:
         require_odd_prime(p)
         m = _freeze_mod(mat, p)
         if len(m) % 2:
-            raise ValueError("matrix must be square of even size")
+            raise ValueError("matrix must be 2n x 2n for a degree n >= 1, got %d x %d"
+                             % (len(m), len(m)))
         n = len(m) // 2
         one, zero = identity(n), zero_matrix(n)
         j = _freeze_mod(from_blocks(zero, one, mat_scale(-1, one), zero), p)

@@ -12,12 +12,11 @@ theta of an orthogonal direct sum is the product of the summands' series
 enumerated once and the factors are multiplied.
 
 A component's short vectors are found by backtracking, in the style of
-Fincke-Pohst.  The quadratic completion (Cholesky without square roots)
-Q = sum_i c_i (x_i + sum_{j>i} u_ij x_j)^2, c_i > 0, is computed once and
-scaled to integer coefficients, so the search itself uses only integer
-arithmetic: each coordinate range is an exact integer interval bounded
-with math.isqrt, and neither Fraction nor floating point enters the
-recursion.
+Fincke-Pohst, on the quadratic completion of Q, which halfint's fraction-
+free elimination (bareiss) gives with integer coefficients.  So the search
+uses only integer arithmetic: each coordinate range is an exact integer
+interval bounded with math.isqrt, and neither Fraction nor floating point
+enters the recursion.
 
 The n-tuples of short vectors (the columns of X) are then counted up to
 signed permutations: permuting or negating columns of X permutes or
@@ -32,9 +31,9 @@ from itertools import permutations, product
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .halfint import (det, even_symmetric, from_blocks, identity, mat_inverse, mat_mul,
-                      minor, power, require_int, require_odd_prime, square_matrix,
-                      transpose)
+from .halfint import (bareiss, det, even_symmetric, from_blocks, identity, mat_inverse,
+                      mat_mul, minor, power, require_int, require_odd_prime,
+                      square_matrix, transpose)
 from .qexpansion import _trusted, json_fields
 
 
@@ -131,47 +130,26 @@ def is_free_isometry(lattice, sigma, p):
     return det(shifted) != 0
 
 
-def _quadratic_completion(gram):
-    """Exact c_i > 0 and u_ij (j > i) with
-    v^t Q v = sum_i c_i (v_i + sum_{j>i} u_ij v_j)^2."""
-    m = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    cs = []
-    us = []
-    for i in range(m):
-        c = a[i][i]
-        cs.append(c)
-        row = [a[i][j] / c for j in range(m)]
-        us.append(row)
-        for k in range(i + 1, m):
-            for l in range(i + 1, m):
-                a[k][l] -= a[i][k] * a[i][l] / c
-    return cs, us
-
-
 def _short_vectors(gram, norm_bound):
     """(v^t Q v, v) for one representative v of each pair +-v of integer
     vectors with v^t Q v <= norm_bound, sorted: v = 0 and the v whose last
     nonzero coordinate is positive.  Found by backtracking on the
     quadratic completion from the last coordinate down.
 
-    The completion is scaled to integers once: with d_i the common
-    denominator of row i of u, U_ij = d_i u_ij, and K the common
-    denominator of the c_i / d_i^2, the weights w_i = K c_i / d_i^2 are
-    integers and K v^t Q v = sum_i w_i (d_i v_i + sum_{j>i} U_ij v_j)^2.
-    So the search runs on integers only: coordinate i ranges over the v
-    with |d_i v + s_i| <= isqrt(R // w_i), where s_i = sum_{j>i} U_ij v_j
-    and R is the scaled norm still left, so a vector's norm is what its
-    search used of the scaled budget, divided by K."""
+    The completion is read in integers off halfint.bareiss: Q is positive
+    definite, so no row is swapped; with its rows a_ij, its leading minors
+    D_0 = 1, D_i = a_ii (from 1), K = lcm(D_{i-1} D_i) and the integer
+    weights w_i = K / (D_{i-1} D_i), K v^t Q v = sum_i w_i (sum_{j>=i} a_ij v_j)^2.
+    Coordinate i ranges over the v with |D_i v + s_i| <= isqrt(R // w_i),
+    s_i = sum_{j>i} a_ij v_j and R the scaled norm still left; a vector's
+    norm is what its search used of the scaled budget, divided by K."""
     m = len(gram)
-    cs, us = _quadratic_completion(gram)
-    dens = [lcm(*[us[i][j].denominator for j in range(i + 1, m)])
-            for i in range(m)]
-    scales = [cs[i] / dens[i] ** 2 for i in range(m)]
-    k = lcm(*[s.denominator for s in scales])
-    weights = [int(k * s) for s in scales]
-    rows = [[(j, int(dens[i] * us[i][j])) for j in range(i + 1, m)]
-            for i in range(m)]
+    a = bareiss(gram)[1]
+    dens = [a[i][i] for i in range(m)]
+    denominators = [d * e for d, e in zip([1] + dens, dens)]
+    k = lcm(*denominators)
+    weights = [k // x for x in denominators]
+    rows = [[(j, a[i][j]) for j in range(i + 1, m)] for i in range(m)]
     out = []
     coords = [0] * m
     budget = k * norm_bound

@@ -12,6 +12,7 @@ import pytest
 from siegelq.halfint import (
     PRIME_LIMIT,
     HalfIntegralMatrix,
+    bareiss,
     block_count,
     compound,
     det,
@@ -162,6 +163,17 @@ class TestDet:
             if i % 10 == 9:
                 m[-1] = list(m[0])  # singular
             assert det(m) == cofactor(m)
+
+    def test_bareiss_swaps_only_at_a_zero_pivot(self):
+        # H + H, H = [[0, 1], [1, 0]]: two swaps, determinant +1 and every
+        # pivot positive, so the pivots alone do not show definiteness
+        h2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        d, rows = bareiss(h2)
+        assert d == 1 and [rows[i][i] for i in range(4)] == [1, 1, 1, 1]
+        assert h2 == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        assert bareiss([[0, 1], [1, 0]])[0] == -1
+        assert bareiss([[2, 4], [1, 2]]) == (0, ((2, 4), (0, 0)))
+        assert bareiss([[1, 2, 3], [0, 0, 4], [0, 0, 5]])[0] == 0
 
     def test_fraction_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]]

@@ -25,7 +25,12 @@ so the package has one rule and one message for a malformed matrix.
 
 No module but halfint computes a modular inverse with "pow(x, -1, p)":
 every inverse mod p comes from halfint.row_reduce, so the package has
-one elimination, over Q and over F_p.
+one Gauss-Jordan elimination, over Q and over F_p.
+
+No module but halfint updates a matrix entry in place as an elimination
+step does, "a[k][l] -= ...": the integer quadratic completion of the
+short-vector search comes from halfint.bareiss, so the package has one
+fraction-free elimination.
 """
 
 import ast
@@ -179,3 +184,23 @@ MODULAR_INVERSE = re.compile(r"pow\([^()]*, -1,")
 def test_one_elimination(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if MODULAR_INVERSE.search(line)] == []
+
+
+ELIMINATION_STEP = re.compile(r"\w+\[\w+\]\[\w+\] -= ")
+
+
+def test_checker_sees_elimination_steps():
+    source = ("a[k][l] -= a[i][k] * a[i][l] / c\n"
+              "a[k][l] = a[k][l] - x\n"
+              "row[j] -= 1\n"
+              "m[i + 1][j] -= 1\n"
+              "    acc[i][j] -= t\n")
+    lines = source.splitlines()
+    assert [n for n, line in enumerate(lines, 1) if ELIMINATION_STEP.search(line)] == [1, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "halfint.py"],
+                         ids=lambda p: p.name)
+def test_one_fraction_free_elimination(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if ELIMINATION_STEP.search(line)] == []

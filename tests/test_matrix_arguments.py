@@ -55,6 +55,7 @@ TABLE = {
     "mat_inverse": (halfint.mat_inverse, "matrix"),
     "mat_inverse mod p": (lambda x: halfint.mat_inverse(x, 3), "matrix"),
     "rank_mod": (lambda x: symplectic.rank_mod(x, 3), "matrix"),
+    "bareiss": (halfint.bareiss, "matrix"),
 }
 RECTANGULAR = {"rank_mod"}
 EMPTY = {"det": 1, "compound": ((1,),), "mat_inverse": (), "mat_inverse mod p": ()}

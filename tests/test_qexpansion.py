@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelq.halfint import enumerate_indices, zero_matrix
+from siegelq.halfint import HalfIntegralMatrix, enumerate_indices, zero_matrix
 from siegelq.qexpansion import (
     FourierExpansion,
     bernoulli,
@@ -166,7 +167,8 @@ class TestDelta:
         assert [d.coefficient(key1(m)) for m in range(5)] == [0, 1, -24, 252, -1472]
 
     def test_weight(self):
-        assert delta(3).weight == 12
+        d = delta(3)
+        assert (d.weight, d.level, d.character) == (12, 1, None)
 
 
 # -- ring structure ---------------------------------------------------------
@@ -212,6 +214,9 @@ class TestRingLaws:
         assert f ** 5 == f * f * f * f * f
         with pytest.raises(ValueError):
             f ** -1
+        block = FourierExpansion(1, 4, {key1(1): [[1]]}, ("compound", 1))
+        with pytest.raises(ValueError, match="scalar expansions only"):
+            block ** 2
 
     def test_pow_product_count_and_metadata(self, monkeypatch):
         # square and multiply from the lowest set bit: bit_length - 1
@@ -498,6 +503,35 @@ class TestValidation:
             f + g
         with pytest.raises(ValueError):
             f * g
+        with pytest.raises(ValueError, match="key degree mismatch"):
+            f.coefficient(zero_matrix(2))
+        with pytest.raises(TypeError, match="expected a FourierExpansion"):
+            f + 1
+
+    def test_aliased_keys_rejected(self):
+        # a tuple and a HalfIntegralMatrix of one 2T are different dict
+        # keys; the second no longer overwrites the first, even when one
+        # of the two values is zero
+        for first, second in ((1, 5), (0, 5), (1, 0), (0, 0)):
+            with pytest.raises(ValueError, match=re.escape("duplicate key ((2,),)")):
+                FourierExpansion(1, 2, {key1(1): first,
+                                        HalfIntegralMatrix(key1(1)): second})
+        with pytest.raises(ValueError, match="duplicate key"):
+            FourierExpansion(1, 1, {key1(0): [[0]], HalfIntegralMatrix(key1(0)): [[1]]},
+                             ("compound", 1))
+        f = FourierExpansion(1, 2, {key1(1): 3, HalfIntegralMatrix(key1(2)): 0})
+        assert f.coeffs == {key1(1): 3}
+
+    def test_block_size_names_both_sizes(self):
+        with pytest.raises(ValueError) as err:
+            FourierExpansion(2, 1, {((0, 0), (0, 0)): [[1]]}, shape=("compound", 1))
+        assert str(err.value) == (
+            "block value must be 2 x 2 for ('compound', 1) at degree 2, got 1 x 1")
+        d = to_json_dict(FourierExpansion(3, 1, {}, shape=("compound", 1)))
+        d["coeffs"].append({"t2": [[0, 0, 0]] * 3, "value": [["1", "0"], ["0", "1"]]})
+        with pytest.raises(ValueError, match=re.escape(
+                "block value must be 3 x 3 for ('compound', 1) at degree 3, got 2 x 2")):
+            from_json_dict(d)
 
     def test_zero_coefficients_dropped(self):
         f = FourierExpansion(1, 3, {key1(1): 0, key1(2): 5})
@@ -671,6 +705,15 @@ class TestJson:
             d["meta"]["character"] = character
             assert from_json_dict(d).character == character
 
+    def test_meta_is_optional(self):
+        # a null or missing meta reads as no weight, level or character
+        d = to_json_dict(eisenstein(4, 2))
+        for edit in (lambda d: d.update(meta=None), lambda d: d.pop("meta")):
+            edit(d)
+            f = from_json_dict(d)
+            assert f == eisenstein(4, 2)
+            assert (f.weight, f.level, f.character) == (None, None, None)
+
     def test_malformed_fields_rejected(self):
         # no truncation of non-integers, no booleans as integers, and no
         # silent overwrite by a repeated t2
@@ -685,6 +728,8 @@ class TestJson:
             (scalar, lambda d: d["coeffs"][1].update(t2=[[2.6]])),
             (scalar, lambda d: d["coeffs"].append(dict(d["coeffs"][1], value="5/1"))),
             (block, lambda d: d.update(shape={"compound": 1.5})),
+            (scalar, lambda d: d.update(shape="bogus")),
+            (scalar, lambda d: d.update(coeffs={})),
             # rationals are "num/den" or integer strings, nothing else
             (scalar, lambda d: d["coeffs"][1].update(value=0.1)),
             (scalar, lambda d: d["coeffs"][1].update(value=240)),

@@ -102,8 +102,12 @@ class TestSymplecticModP:
     def test_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
             SymplecticModP([[1, 0], [0, 2]], 3)
-        with pytest.raises(ValueError):
-            SymplecticModP([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+        for odd in ([[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+            with pytest.raises(ValueError) as err:
+                SymplecticModP(odd, 3)
+            assert str(err.value) == (
+                "matrix must be 2n x 2n for a degree n >= 1, got %d x %d"
+                % (len(odd), len(odd)))
         # entries that int(x) % p would turn into the identity
         for bad in NON_INTEGERS:
             with pytest.raises(ValueError):

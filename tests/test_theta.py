@@ -16,15 +16,16 @@ degree n to degree n - 1.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import isqrt
+from itertools import permutations, product
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelq import theta
-from siegelq.halfint import enumerate_indices, identity, mat_inverse, mat_mul, transpose
+from siegelq.halfint import (bareiss, enumerate_indices, identity, mat_inverse, mat_mul,
+                             transpose)
 from siegelq.qexpansion import dumps
 from siegelq.theta import (
     GramLattice,
@@ -445,6 +446,56 @@ def test_product_path_matches_enumeration(pair, degree):
     bound = BOUNDS[degree]
     assert (dumps(rep_numbers(blocks, degree, bound))
             == dumps(rep_numbers(mixed, degree, bound)))
+
+
+def leibniz_det(m):
+    """det m as the signed sum over all permutations (small sizes only)."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+COMPLETION_BASES = {
+    "A1": gram_a(1), "A2": gram_a(2), "A3": gram_a(3), "A4": gram_a(4),
+    "A1+A1": direct_sum(gram_a(1), gram_a(1)), "A2+A1": direct_sum(gram_a(2), gram_a(1)),
+    "A1+A3": direct_sum(gram_a(1), gram_a(3)), "A2+A2": direct_sum(gram_a(2), gram_a(2)),
+    "A1+A1+A2": direct_sum(direct_sum(gram_a(1), gram_a(1)), gram_a(2)),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), name=st.sampled_from(sorted(COMPLETION_BASES)))
+def test_bareiss_completion(data, name):
+    """For Q = U^t B U with B a root lattice or a direct sum of them and U
+    unimodular, bareiss's rows give the quadratic completion the short
+    vector search uses: the leading minors D_i (by the Leibniz formula) on
+    the diagonal, zeros below it, and
+    v^t Q v = sum_i (sum_j a_ij v_j)^2 / (D_{i-1} D_i) for integer v.  The
+    search itself agrees with the box enumeration, whose radii come from
+    mat_inverse, at every bound up to 6."""
+    base = COMPLETION_BASES[name].gram
+    m = len(base)
+    gram = conjugate(base, data.draw(unimodular(m)))
+    det, a = bareiss(gram)
+    minors = [leibniz_det([row[:k] for row in gram[:k]]) for k in range(m + 1)]
+    assert det == minors[m]
+    assert [a[i][i] for i in range(m)] == minors[1:]
+    assert all(a[i][j] == 0 for i in range(m) for j in range(i))
+    vectors = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                                 min_size=1, max_size=8))
+    for v in vectors:
+        norm = sum(v[i] * gram[i][j] * v[j] for i in range(m) for j in range(m))
+        completed = sum(Fraction(sum(a[i][j] * v[j] for j in range(m)) ** 2,
+                                 minors[i] * minors[i + 1]) for i in range(m))
+        assert completed == norm
+    box = box_short_vectors(gram, 6)
+    for bound in range(7):
+        want = sorted((norm, v) for norm, v in box if norm <= bound
+                      and ((0,) + tuple(filter(None, v)))[-1] >= 0)
+        assert _short_vectors(gram, bound) == want
 
 
 GL_LATTICES = {"A2": gram_a(2), "A3": gram_a(3), "D4": D4,
