@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .halfint import as_rational, minor, require_int, square_matrix, subset_order
-from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted
+from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted, require_expansion
 
 
 def _laplace_split(rows, cols, q):
@@ -112,8 +112,7 @@ def theta_operator(f, r):
     (2 pi i)^{-r} normalization absorbed.  Takes scalar input; the result
     is ('compound', r)-shaped and keeps f's weight: as for rankin_cohen,
     the weight records the power of det and the shape carries the rest."""
-    if f.shape != SCALAR:
-        raise ValueError("theta operator needs a scalar expansion")
+    require_expansion(f, "f", shape=SCALAR)
     require_int(r, "minor_order", 1, f.degree)
     subs = subset_order(f.degree, r)
     return _blocks([[_minor_weighted(f, rows, cols) for cols in subs] for rows in subs],
@@ -157,12 +156,10 @@ def rankin_cohen(f, g, params):
     Computed entry by entry through _laplace_split: entry (I, J) is the
     weighted, signed sum of the ring products M_(I-K, J-L) f * M_(K, L) g
     of minor-weighted series (see _minor_weighted)."""
-    if f.shape != SCALAR or g.shape != SCALAR:
-        raise ValueError("bracket needs scalar expansions")
     n = params.degree
     r = params.minor_order
-    if f.degree != n or g.degree != n:
-        raise ValueError("degree mismatch")
+    require_expansion(f, "f", n, SCALAR)
+    require_expansion(g, "g", n, SCALAR)
     weights = _bracket_weights(params)
     minors = [
         {(rows, cols): _minor_weighted(h, rows, cols)
@@ -190,6 +187,6 @@ def leading_part(f, g, params):
     """Derivative-free part of the bracket: the alpha = r term alone,
     (-1)^r half_rising(l - (r-1)/2, r) * theta_operator(f, r) * g."""
     r = params.minor_order
-    if f.degree != params.degree or g.degree != params.degree:
-        raise ValueError("degree mismatch")
+    require_expansion(f, "f", params.degree, SCALAR)
+    require_expansion(g, "g", params.degree, SCALAR)
     return (theta_operator(f, r) * g).scale(_bracket_weights(params)[r])

@@ -5,16 +5,16 @@ means every coefficient difference up to the shared trace bound has
 valuation >= m, optionally shifted by the valuation of F itself
 (normalized mode, which makes the relation scale-invariant).  Following
 Serre, the differences are the coefficients of the ring's F - G: it
-truncates to the shared bound, rejects a degree or shape mismatch and
-drops zero coefficients, so the report reads the valuations of the terms
-F - G stores, in (trace, entries) order.  The prime is checked once per
-call, not per coefficient.
+truncates to the shared bound and drops zero coefficients, so the report
+reads the valuations of the terms F - G stores, in (trace, entries)
+order; G must have the degree and shape of F.  The prime is checked once
+per call, not per coefficient.
 
 The module also carries the two constructive congruence pipelines: the
 Frobenius descent (G^p)|U(p) = G mod p for p-integral G, and the bracket
 congruence that checks the Rankin-Cohen bracket of f against a dilated
-power of a unit theta series reduces, modulo a prescribed p-power, to the
-derivative-free theta-operator term.
+power of the unit theta series theta_{A_{p-1}}^2 reduces, modulo a
+prescribed p-power, to the derivative-free theta-operator term.
 """
 
 import math
@@ -24,8 +24,8 @@ from operator import itemgetter
 
 from .diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
 from .halfint import as_rational, require_int, require_odd_prime
-from .qexpansion import SCALAR, FourierExpansion
-from .theta import direct_sum, gram_a, rep_numbers
+from .qexpansion import SCALAR, FourierExpansion, require_expansion
+from .theta import gram_a, rep_numbers
 
 
 def vp(x, p):
@@ -71,6 +71,7 @@ def vp_expansion(f, p):
     """Minimum valuation over all stored coefficients (block entries
     included); +inf for the zero expansion."""
     require_odd_prime(p)
+    require_expansion(f, "f")
     return min((v for _, v in _valuations(f, p)), default=math.inf)
 
 
@@ -115,7 +116,8 @@ def congruent(f, g, p, m, normalized=False):
     the bound as well."""
     require_odd_prime(p)
     require_int(m, "m", 1)
-    diff = f - g
+    require_expansion(f, "f")
+    diff = f - require_expansion(g, "g", f.degree, f.shape)
     bound = diff.trace_bound
     witness, best = min(_valuations(diff, p), key=itemgetter(1),
                         default=(None, math.inf))
@@ -135,8 +137,7 @@ def frobenius_descent(g, p):
     term of the multinomial in p Z, and U(p) picks the diagonal back
     out.)"""
     require_odd_prime(p)
-    if g.shape != SCALAR:
-        raise ValueError("needs a scalar expansion")
+    require_expansion(g, "g", shape=SCALAR)
     if vp_expansion(g, p) < 0:
         raise ValueError("expansion is not p-integral")
     return (g ** p).u_p(p)
@@ -151,6 +152,7 @@ def unit_ladder(base, k, i, p):
     require_odd_prime(p)
     require_int(k, "k", 1)
     require_int(i, "i", 1)
+    require_expansion(base, "base", shape=SCALAR)
     one = FourierExpansion.constant(1, base.degree, base.trace_bound)
     if not congruent(base, one, p, 1).holds:
         raise ValueError("base must be congruent to 1 mod p")
@@ -174,8 +176,8 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     """Congruence between the bracket of f against a dilated unit theta
     power and the derivative-free reference term.
 
-    With F the degree-n theta series of A_{p-1} + A_{p-1} (a unit form:
-    F = 1 mod p, weight p - 1), set
+    With F = theta_{A_{p-1}}^2, the square of the degree-n theta series of
+    A_{p-1} (a unit form: F = 1 mod p, weight p - 1, level p), set
 
         g = (F ** p^(m-1)) dilated by p^(m_dilate - 1),
         l = (p - 1) p^(m-1)  (the weight of g),
@@ -186,8 +188,7 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     f's trace bound.  F is built at bound ceil(N_f / p^(m_dilate - 1)) so
     the dilation covers N_f exactly."""
     require_odd_prime(p)
-    if f.shape != SCALAR:
-        raise ValueError("needs a scalar expansion")
+    require_expansion(f, "f", shape=SCALAR)
     require_int(m, "m", 1)
     require_int(m_dilate, "m_dilate", 1)
     n = f.degree
@@ -196,13 +197,11 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
         raise ValueError("expansion is not p-integral")
     dil = p ** (m_dilate - 1)
     base_bound = -(-f.trace_bound // dil)
-    unit = rep_numbers(direct_sum(gram_a(p - 1), gram_a(p - 1)), n, base_bound)
+    unit = rep_numbers(gram_a(p - 1), n, base_bound) ** 2
     one = FourierExpansion.constant(1, n, base_bound)
     if not congruent(unit, one, p, 1).holds:
         raise ValueError("theta series failed the unit congruence")
     g = (unit ** (p ** (m - 1))).dilate(dil)
-    if g.trace_bound < f.trace_bound:
-        raise ValueError("insufficient trace bound")
     bracket = rankin_cohen(f, g, params)
     c = _bracket_weights(params)[r]
     if c == 0:

@@ -5,7 +5,7 @@ produced by halfint.  An expansion of degree n with trace bound N stores
 exactly the coefficients with trace(T) <= N, zeros omitted.  Since traces
 add under matrix addition, products of expansions are exact up to the
 minimum of the two bounds, which is the bound every binary operation
-returns.
+returns.  Every series argument is read by require_expansion.
 
 Values are scalars, or square blocks of size comb(n, r) for the image of
 an order-r minor theta operator; the shape field is "scalar" or
@@ -218,16 +218,8 @@ class FourierExpansion:
 
     # -- ring operations ------------------------------------------------
 
-    def _require_compatible(self, other):
-        if not isinstance(other, FourierExpansion):
-            raise TypeError("expected a FourierExpansion")
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-
     def __add__(self, other):
-        self._require_compatible(other)
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch")
+        require_expansion(other, "other", self.degree, self.shape)
         bound = min(self.trace_bound, other.trace_bound)
         weight = self.weight if self.weight == other.weight else None
         level = self.level if self.level == other.level else None
@@ -247,7 +239,7 @@ class FourierExpansion:
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -require_expansion(other, "other")
 
     def scale(self, c):
         """Multiply every coefficient by the rational c."""
@@ -265,7 +257,7 @@ class FourierExpansion:
         factor is multiplied entry by entry."""
         if not isinstance(other, FourierExpansion):
             return self.scale(other)
-        self._require_compatible(other)
+        require_expansion(other, "other", self.degree)
         if self.shape == SCALAR and other.shape == SCALAR:
             return self._convolve(other)
         if self.shape != SCALAR and other.shape != SCALAR:
@@ -320,8 +312,7 @@ class FourierExpansion:
         of exponent: bit_length - 1 squarings and popcount - 1 products.
         It has weight exponent * weight (or None), this level and no
         character; exponent 0 gives the constant 1."""
-        if self.shape != SCALAR:
-            raise ValueError("powers are defined for scalar expansions only")
+        require_expansion(self, "base", shape=SCALAR)
         require_int(exponent, "exponent", 0)
         if exponent == 0:
             return FourierExpansion.constant(
@@ -370,6 +361,19 @@ class FourierExpansion:
     def __repr__(self):
         return "FourierExpansion(degree=%d, trace_bound=%d, shape=%r, %d terms)" % (
             self.degree, self.trace_bound, self.shape, len(self.coeffs))
+
+
+def require_expansion(f, name, degree=None, shape=None):
+    """f if it is a FourierExpansion of the degree and shape, None meaning
+    any; else an error naming the argument, what it must be and what it is."""
+    if not isinstance(f, FourierExpansion):
+        raise TypeError("%s: expected a FourierExpansion, got %r" % (name, f))
+    if (degree is None or f.degree == degree) and (shape is None or f.shape == shape):
+        return f
+    of_degree = "" if degree is None else " of degree %d" % degree
+    with_shape = "" if shape is None else " with shape %r" % (shape,)
+    raise ValueError("%s: expected a FourierExpansion%s%s, got degree %d and shape %r"
+                     % (name, of_degree, with_shape, f.degree, f.shape))
 
 
 def _blocks(entries, shape, bound, weight, level, character):

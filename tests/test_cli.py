@@ -349,6 +349,40 @@ class TestRobustness:
                 "error: %s must be a non-empty square array of arrays, got %r\n"
                 % (field, rows))
 
+    def test_mismatched_expansions_exit_two(self, tmp_path, capsys):
+        # the message names the argument, what it must be and what it is
+        paths = {}
+        for name, f in (("e4", qexpansion.eisenstein(4, 2)),
+                        ("th2", theta.rep_numbers(theta.gram_a(2), 2, 1)),
+                        ("block", diffops.theta_operator(qexpansion.eisenstein(4, 2), 1))):
+            paths[name] = str(tmp_path / (name + ".json"))
+            write(paths[name], qexpansion.to_json_dict(f))
+        scalar = "of degree 1 with shape 'scalar'"
+        for argv, error in (
+                (["congruent", "--f", "e4", "--g", "th2", "--prime", "3", "--m", "1"],
+                 "g: expected a FourierExpansion %s, got degree 2 and shape 'scalar'"
+                 % scalar),
+                (["congruent", "--f", "e4", "--g", "block", "--prime", "3", "--m", "1"],
+                 "g: expected a FourierExpansion %s, got degree 1 and shape "
+                 "('compound', 1)" % scalar),
+                (["bracket", "--f", "e4", "--g", "th2", "--minor-order", "1",
+                  "--weight-f", "4", "--weight-g", "1"],
+                 "g: expected a FourierExpansion %s, got degree 2 and shape 'scalar'"
+                 % scalar),
+                (["bracket", "--f", "block", "--g", "e4", "--minor-order", "1",
+                  "--weight-f", "4", "--weight-g", "4"],
+                 "f: expected a FourierExpansion %s, got degree 1 and shape "
+                 "('compound', 1)" % scalar),
+                (["thm41", "--f", "block", "--weight", "4", "--prime", "3", "--m", "1",
+                  "--minor-order", "1", "--dilate-exp", "1"],
+                 "f: expected a FourierExpansion with shape 'scalar', got degree 1 "
+                 "and shape ('compound', 1)")):
+            argv = [paths.get(a, a) for a in argv]
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s\n" % error
+
     def test_duplicate_keys_exit_two(self, tmp_path, capsys):
         # read last-wins, each of these files passes as valid input
         path = str(tmp_path / "dup.json")

@@ -125,6 +125,7 @@ class TestHalfIntegralMatrix:
         b = HalfIntegralMatrix([[2, 1], [1, 2]])
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+        assert repr(a) == "HalfIntegralMatrix(((2, 1), (1, 2)))"
 
 
 class TestDet:

@@ -31,6 +31,12 @@ No module but halfint updates a matrix entry in place as an elimination
 step does, "a[k][l] -= ...": the integer quadratic completion of the
 short-vector search comes from halfint.bareiss, so the package has one
 fraction-free elimination.
+
+No module raises a hand-written series error ("degree mismatch", "shape
+mismatch", "expected a FourierExpansion", "... scalar expansion"): every
+series argument is read by qexpansion.require_expansion, so the package
+has one rule and one message, naming the argument, for a rejected
+series.
 """
 
 import ast
@@ -204,3 +210,28 @@ def test_checker_sees_elimination_steps():
 def test_one_fraction_free_elimination(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if ELIMINATION_STEP.search(line)] == []
+
+
+HAND_SERIES_CHECK = re.compile(
+    r'raise \w+Error\("(degree mismatch|shape mismatch|expected a FourierExpansion'
+    r'|[^"]*scalar expansion)')
+
+
+def test_checker_sees_hand_written_series_checks():
+    source = ('raise ValueError("degree mismatch")\n'
+              'raise ValueError("shape mismatch")\n'
+              'raise TypeError("expected a FourierExpansion")\n'
+              'raise ValueError("theta operator needs a scalar expansion")\n'
+              'raise ValueError("powers are defined for scalar expansions only")\n'
+              'raise ValueError("key degree mismatch")\n'
+              'raise TypeError("%s: expected a FourierExpansion, got %r" % (name, f))\n'
+              'raise ValueError("degree or prime mismatch")\n')
+    lines = source.splitlines()
+    assert [n for n, line in enumerate(lines, 1)
+            if HAND_SERIES_CHECK.search(line)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_one_expansion_rule(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if HAND_SERIES_CHECK.search(line)] == []

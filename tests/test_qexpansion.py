@@ -215,7 +215,9 @@ class TestRingLaws:
         with pytest.raises(ValueError):
             f ** -1
         block = FourierExpansion(1, 4, {key1(1): [[1]]}, ("compound", 1))
-        with pytest.raises(ValueError, match="scalar expansions only"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "base: expected a FourierExpansion with shape 'scalar', "
+                "got degree 1 and shape ('compound', 1)")):
             block ** 2
 
     def test_pow_product_count_and_metadata(self, monkeypatch):
@@ -540,6 +542,9 @@ class TestValidation:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             FourierExpansion(2, 2, {}, shape=("compound", 3))
+        with pytest.raises(ValueError) as info:
+            FourierExpansion(1, 1, shape="bogus")
+        assert str(info.value) == "shape must be 'scalar' or ('compound', r), got 'bogus'"
 
     def test_meta_not_coerced(self):
         # a float level or weight is rejected, not truncated or expanded
@@ -549,6 +554,9 @@ class TestValidation:
                 FourierExpansion(1, 2, {key1(1): 1}, **meta)
         f = FourierExpansion(1, 2, {}, weight=Fraction(1, 2), level=4)
         assert (f.weight, f.level) == (Fraction(1, 2), 4)
+        block = FourierExpansion(2, 3, {zero_matrix(2): [[1, 0], [0, 2]]}, ("compound", 1))
+        assert repr(block) == (
+            "FourierExpansion(degree=2, trace_bound=3, shape=('compound', 1), 1 terms)")
 
     def test_level_is_positive(self):
         for level in (0, -3, True):

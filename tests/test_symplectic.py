@@ -121,6 +121,11 @@ class TestSymplecticModP:
     def test_inverse_and_product(self):
         m = unipotent(((1,),), 3) * levi(((2,),), 3)
         assert (m * m.inverse()).mat == ((1, 0), (0, 1))
+        with pytest.raises(TypeError):
+            m * 5
+        for other in (levi(((2,),), 5), partial_involution(2, 1, 3)):
+            with pytest.raises(ValueError, match="^degree or prime mismatch$"):
+                m * other
 
     def test_unchecked_outputs_pass_checked_constructor(self):
         # products, inverses and builder outputs skip the M^t J M = J
@@ -155,6 +160,7 @@ class TestSymplecticModP:
         a = levi(((2,),), 5)
         b = levi(((2,),), 5)
         assert a == b and len({a, b}) == 1
+        assert repr(a) == "SymplecticModP(degree=1, p=5)"
 
 
 class TestGenerators:
@@ -414,6 +420,10 @@ class TestSameCoset:
             same_coset(coset_reps(1, 3)[0].mat, coset_reps(1, 5)[0].mat)
         with pytest.raises(ValueError):
             same_coset(coset_reps(1, 3)[0].mat, coset_reps(2, 3)[0].mat)
+        m = coset_reps(1, 3)[0].mat
+        for a, b in ((m, 5), (((1, 0), (0, 1)), m)):
+            with pytest.raises(ValueError, match="^expected SymplecticModP elements$"):
+                same_coset(a, b)
 
 
 def _rand_invertible(rng, n, p):

@@ -142,6 +142,7 @@ class TestGramLattice:
         assert s.rank == 4
         assert s.det() == 9
         assert s.gram[0][2] == 0
+        assert repr(s) == "GramLattice(rank=4, det=9)"
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
