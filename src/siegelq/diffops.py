@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .halfint import as_rational, minor, require_int, square_matrix, subset_order
+from .halfint import (as_rational, minor, require_instance, require_int, square_matrix,
+                      subset_order)
 from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted, require_expansion
 
 
@@ -116,7 +117,7 @@ def theta_operator(f, r):
     require_int(r, "minor_order", 1, f.degree)
     subs = subset_order(f.degree, r)
     return _blocks([[_minor_weighted(f, rows, cols) for cols in subs] for rows in subs],
-                   ("compound", r), f.trace_bound, f.weight, f.level, f.character)
+                   ("compound", r), f.weight, f.level, f.character)
 
 
 def _minor_weighted(h, rows, cols):
@@ -156,7 +157,7 @@ def rankin_cohen(f, g, params):
     Computed entry by entry through _laplace_split: entry (I, J) is the
     weighted, signed sum of the ring products M_(I-K, J-L) f * M_(K, L) g
     of minor-weighted series (see _minor_weighted)."""
-    n = params.degree
+    n = require_instance(params, BracketParams, "params").degree
     r = params.minor_order
     require_expansion(f, "f", n, SCALAR)
     require_expansion(g, "g", n, SCALAR)
@@ -180,13 +181,13 @@ def rankin_cohen(f, g, params):
         weight = f.weight + g.weight
     subs = subset_order(n, r)
     return _blocks([[entry(rows, cols) for cols in subs] for rows in subs],
-                   ("compound", r), zero.trace_bound, weight, None, None)
+                   ("compound", r), weight, None, None)
 
 
 def leading_part(f, g, params):
     """Derivative-free part of the bracket: the alpha = r term alone,
     (-1)^r half_rising(l - (r-1)/2, r) * theta_operator(f, r) * g."""
-    r = params.minor_order
+    r = require_instance(params, BracketParams, "params").minor_order
     require_expansion(f, "f", params.degree, SCALAR)
     require_expansion(g, "g", params.degree, SCALAR)
     return (theta_operator(f, r) * g).scale(_bracket_weights(params)[r])

@@ -11,7 +11,9 @@ Every integer argument of the package (a degree, a trace bound, a level,
 a weight, a minor order, a prime, a matrix entry) is checked by one rule,
 require_int: it must be an int, not a bool, within its range, and
 anything else is one ValueError of the form "<name> must be an integer
-[>= lo | in lo..hi], got <repr of the value>".
+[>= lo | in lo..hi], got <repr of the value>".  An argument that must be
+an instance of a class is read by require_instance, whose TypeError says
+"<name>: expected a <class name>, got <repr>".
 
 Every matrix argument is read by square_matrix or rectangular_matrix,
 which share one shape check and one ValueError, "<name> must be a
@@ -45,6 +47,13 @@ def require_int(x, name, lo=None, hi=None):
     else:
         span = ""
     raise ValueError("%s must be an integer%s, got %r" % (name, span, x))
+
+
+def require_instance(x, cls, name):
+    """x if it is an instance of cls, else a TypeError naming name, cls and x."""
+    if isinstance(x, cls):
+        return x
+    raise TypeError("%s: expected a %s, got %r" % (name, cls.__name__, x))
 
 
 def _matrix_rule(shape, width):

@@ -48,6 +48,7 @@ from .halfint import (
     key_sort,
     key_trace,
     power,
+    require_instance,
     require_int,
     square_matrix,
     symmetric,
@@ -153,7 +154,8 @@ class FourierExpansion:
             if t.doubled in stored:
                 raise ValueError("duplicate key %r" % (t.doubled,))
             if not t.is_psd():
-                raise ValueError("keys must be positive semidefinite")
+                raise ValueError("keys must be positive semidefinite, got 2T %r"
+                                 % (t.doubled,))
             if self.shape == SCALAR:
                 v = as_rational(value, "coefficient")
             else:
@@ -195,9 +197,11 @@ class FourierExpansion:
         the bound."""
         t = key if isinstance(key, HalfIntegralMatrix) else HalfIntegralMatrix(key)
         if t.degree != self.degree:
-            raise ValueError("key degree mismatch")
+            raise ValueError("key degree mismatch: 2T %r has degree %d, the series %d"
+                             % (t.doubled, t.degree, self.degree))
         if t.trace > self.trace_bound:
-            raise ValueError("key beyond the trace bound")
+            raise ValueError("key beyond the trace bound: 2T %r has trace %d > %d"
+                             % (t.doubled, t.trace, self.trace_bound))
         return t
 
     def coefficient(self, key):
@@ -227,7 +231,7 @@ class FourierExpansion:
         if self.shape != SCALAR:
             sums = [[a + b for a, b in zip(*rows)]
                     for rows in zip(self._entries(), other._entries())]
-            return _blocks(sums, self.shape, bound, weight, level, character)
+            return _blocks(sums, self.shape, weight, level, character)
         acc = {k: v for k, v in self.coeffs.items() if key_trace(k) <= bound}
         for k, v in other.coeffs.items():
             if key_trace(k) <= bound:
@@ -246,8 +250,7 @@ class FourierExpansion:
         c = as_rational(c, "scale factor")
         if self.shape != SCALAR:
             return _blocks([[e.scale(c) for e in row] for row in self._entries()],
-                           self.shape, self.trace_bound, self.weight, self.level,
-                           self.character)
+                           self.shape, self.weight, self.level, self.character)
         coeffs = {k: c * v for k, v in self.coeffs.items()} if c else {}
         return _trusted(self.degree, self.trace_bound, coeffs, SCALAR,
                         self.weight, self.level, self.character)
@@ -265,8 +268,7 @@ class FourierExpansion:
         block, scalar = (self, other) if other.shape == SCALAR else (other, self)
         products = [[scalar._convolve(e) for e in row] for row in block._entries()]
         first = products[0][0]
-        return _blocks(products, block.shape, first.trace_bound, first.weight,
-                       first.level, None)
+        return _blocks(products, block.shape, first.weight, first.level, None)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -366,8 +368,7 @@ class FourierExpansion:
 def require_expansion(f, name, degree=None, shape=None):
     """f if it is a FourierExpansion of the degree and shape, None meaning
     any; else an error naming the argument, what it must be and what it is."""
-    if not isinstance(f, FourierExpansion):
-        raise TypeError("%s: expected a FourierExpansion, got %r" % (name, f))
+    require_instance(f, FourierExpansion, name)
     if (degree is None or f.degree == degree) and (shape is None or f.shape == shape):
         return f
     of_degree = "" if degree is None else " of degree %d" % degree
@@ -376,15 +377,17 @@ def require_expansion(f, name, degree=None, shape=None):
                      % (name, of_degree, with_shape, f.degree, f.shape))
 
 
-def _blocks(entries, shape, bound, weight, level, character):
+def _blocks(entries, shape, weight, level, character):
     """The ("compound", r) series whose entry (i, j) is the scalar series
     entries[i][j], a C(n, r) x C(n, r) array: a key is stored wherever some
-    entry is nonzero.  The one place where scalar entries become blocks."""
+    entry is nonzero, and the degree and trace bound are the entries'.  The
+    one place where scalar entries become blocks."""
     keys = dict.fromkeys(k for row in entries for e in row for k in e.coeffs)
     zero = Fraction(0)
     coeffs = {k: tuple(tuple(e.coeffs.get(k, zero) for e in row) for row in entries)
               for k in keys}
-    return _trusted(entries[0][0].degree, bound, coeffs, shape,
+    first = entries[0][0]
+    return _trusted(first.degree, first.trace_bound, coeffs, shape,
                     weight, level, character)
 
 
@@ -583,7 +586,7 @@ def _shape_from_json(obj):
         return SCALAR
     if isinstance(obj, dict) and set(obj) == {"compound"}:
         return ("compound", obj["compound"])
-    raise ValueError("bad shape field")
+    raise ValueError('shape must be "scalar" or {"compound": r}, got %r' % (obj,))
 
 
 def to_json_dict(f):

@@ -36,7 +36,6 @@ of M1 M2^{-1} vanishes mod p: both say (C1 | D1) = g (C2 | D2), g in GL_n.
 Keys come from halfint.row_reduce, inverses mod p from its mat_inverse.
 """
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -177,8 +176,7 @@ def gl_parabolic_reps(n, j, p):
     require_int(n, "degree", 1, 3)
     require_int(j, "cell", 0, n)
     require_odd_prime(p)
-    if j == 0:
-        return [identity(n)]
+    one = identity(n)
     out = []
     for pivots in combinations(range(n), j):
         free = [
@@ -187,16 +185,12 @@ def gl_parabolic_reps(n, j, p):
             for col in range(pivots[row] + 1, n)
             if col not in pivots
         ]
-        nonpivots = [c for c in range(n) if c not in pivots]
+        top = tuple(one[c] for c in range(n) if c not in pivots)
         for values in product(range(p), repeat=len(free)):
-            ech = [[0] * n for _ in range(j)]
-            for row in range(j):
-                ech[row][pivots[row]] = 1
+            ech = [list(one[c]) for c in pivots]
             for (row, col), v in zip(free, values):
                 ech[row][col] = v
-            rep = [[1 if c == k else 0 for c in range(n)] for k in nonpivots]
-            rep.extend(ech)
-            out.append(tuple(tuple(row) for row in rep))
+            out.append(top + tuple(map(tuple, ech)))
     return out
 
 
@@ -294,15 +288,14 @@ class CosetSystem(Sequence):
                     yield self._element(j, b, fixed)
 
     def __getitem__(self, index):
-        """The element at index (negative counts from the end), or the list
-        of those a slice selects; IndexError beyond either end."""
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._count))]
-        i = operator.index(index)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError("coset index out of range")
+        """The element at index, or the list of those a slice selects; the
+        index is read as range(len(self)) reads it."""
+        try:
+            i = range(self._count)[index]
+        except IndexError:
+            raise IndexError("coset index out of range") from None
+        if isinstance(i, range):
+            return [self[k] for k in i]
         p = self.prime
         for j in range(self.degree + 1):
             cell = self._cell(j)

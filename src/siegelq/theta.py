@@ -31,9 +31,9 @@ from itertools import permutations, product
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .halfint import (bareiss, det, even_symmetric, from_blocks, identity, mat_inverse,
-                      mat_mul, minor, power, require_int, require_odd_prime,
-                      square_matrix, transpose)
+from .halfint import (bareiss, det, even_symmetric, from_blocks, identity, mat_add,
+                      mat_inverse, mat_mul, mat_scale, minor, power, require_instance,
+                      require_int, require_odd_prime, square_matrix, symmetric, transpose)
 from .qexpansion import _trusted, json_fields
 
 
@@ -78,18 +78,14 @@ def gram_a(m):
     """Root lattice A_m: tridiagonal Gram with 2 on the diagonal and -1 off
     it; rank m, determinant m + 1."""
     require_int(m, "rank", 1)
-    g = [[0] * m for _ in range(m)]
-    for i in range(m):
-        g[i][i] = 2
-        if i + 1 < m:
-            g[i][i + 1] = -1
-            g[i + 1][i] = -1
-    return GramLattice(g)
+    upper = ({0: 2, 1: -1}.get(j - i, 0) for i in range(m) for j in range(i, m))
+    return GramLattice(symmetric(m, upper))
 
 
 def direct_sum(a, b):
     """Orthogonal direct sum of two lattices (block-diagonal Gram)."""
-    m, k = a.rank, b.rank
+    m = require_instance(a, GramLattice, "a").rank
+    k = require_instance(b, GramLattice, "b").rank
     return GramLattice(from_blocks(a.gram, ((0,) * k,) * m, ((0,) * m,) * k, b.gram))
 
 
@@ -115,7 +111,7 @@ def is_free_isometry(lattice, sigma, p):
     on nonzero representations, cutting them into orbits of size p."""
     require_odd_prime(p)
     s = square_matrix(sigma, "sigma")
-    m = lattice.rank
+    m = require_instance(lattice, GramLattice, "lattice").rank
     if len(s) != m:
         raise ValueError("sigma must be %d x %d like the Gram matrix, got %d x %d"
                          % (m, m, len(s), len(s)))
@@ -126,8 +122,7 @@ def is_free_isometry(lattice, sigma, p):
         return False
     if s == identity(m):
         return False
-    shifted = [[s[i][j] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
-    return det(shifted) != 0
+    return det(mat_add(s, mat_scale(-1, identity(m)))) != 0
 
 
 def _short_vectors(gram, norm_bound):
@@ -211,14 +206,15 @@ def _enumerate_theta(gram, n, trace_bound):
     returns with its norm (zero is its own).  Columns e_i r_i (signs e_i)
     put in the order of a permutation P give X^t Q X = P (e G e) P^t, with G
     the Gram of r_1..r_n.  So the walk visits only non-decreasing tuples
-    of representatives, sorted by norm, within the trace budget, computing
-    each new column's inner products with the earlier columns as it is
-    placed.  It tallies the flat key of G (diagonal norms, then upper inner
-    products column by column) with weight n!/|stabiliser|, the stabiliser
-    being the permutations within runs of equal columns.  Then each
-    distinct key is spread over all n! permutations and the signs of its
-    nonzero columns (a zero column has one sign only), and the sums are
-    divided by n! exactly."""
+    of representatives, sorted by norm, within the trace budget.  As each
+    column is placed, its inner products with the earlier columns and then
+    its norm extend the key, so a tuple's key is G's upper triangle column
+    by column; it is tallied with weight n!/|stabiliser|, the stabiliser
+    being the permutations within runs of equal columns.  Reversed, the key
+    is the upper triangle, row by row, of G with its coordinates reversed,
+    a point of G's orbit.  Each distinct key is spread from that point over
+    all n! permutations and the signs of its nonzero columns (a zero column
+    has one sign only), and the sums are divided by n! exactly."""
     budget = 2 * trace_bound
     norms, reps = zip(*_short_vectors(gram, budget))
     # Qv gives the inner products with later columns; degree 1 has none
@@ -227,7 +223,7 @@ def _enumerate_theta(gram, n, trace_bound):
     full = factorial(n)
     tally = {}
 
-    def walk(start, used, cols, diag, cross, stab, run):
+    def walk(start, used, cols, key, stab, run):
         last = n - 1 == len(cols)
         prev = cols[-1] if cols else -1
         for pos in range(start, size):
@@ -235,25 +231,18 @@ def _enumerate_theta(gram, n, trace_bound):
             if used + norm > budget:
                 break
             v = reps[pos]
-            key_cross = cross + tuple(sum(map(mul, v, qvs[c])) for c in cols)
+            next_key = key + tuple(sum(map(mul, v, qvs[c])) for c in cols) + (norm,)
             r = run + 1 if pos == prev else 1
             if last:
-                key = diag + (norm,) + key_cross
-                tally[key] = tally.get(key, 0) + full // (stab * r)
+                tally[next_key] = tally.get(next_key, 0) + full // (stab * r)
             else:
-                walk(pos, used + norm, cols + (pos,), diag + (norm,),
-                     key_cross, stab * r, r)
+                walk(pos, used + norm, cols + (pos,), next_key, stab * r, r)
 
-    walk(0, 0, (), (), (), 1, 0)
+    walk(0, 0, (), (), 1, 0)
     counts = {}
     for key, weight in tally.items():
-        g = [[0] * n for _ in range(n)]
-        at = n
-        for j in range(n):
-            g[j][j] = key[j]
-            for i in range(j):
-                g[i][j] = g[j][i] = key[at]
-                at += 1
+        # G with its coordinates reversed: the same orbit, spread in full
+        g = symmetric(n, reversed(key))
         signs = [(1, -1) if g[i][i] else (1,) for i in range(n)]
         for perm in permutations(range(n)):
             for e in product(*signs):
@@ -275,7 +264,7 @@ def rep_numbers(lattice, degree, trace_bound):
     enumerated once, and the factors are multiplied."""
     n = require_int(degree, "degree", 1, 3)
     require_int(trace_bound, "trace_bound", 0)
-    q = lattice.gram
+    q = require_instance(lattice, GramLattice, "lattice").gram
     thetas = {}
     result = None
     for block in _components(q):
@@ -289,6 +278,7 @@ def rep_numbers(lattice, degree, trace_bound):
 
 
 def gram_to_json(lattice):
+    require_instance(lattice, GramLattice, "lattice")
     return {"rank": lattice.rank, "gram": [list(row) for row in lattice.gram]}
 
 

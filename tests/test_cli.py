@@ -383,6 +383,25 @@ class TestRobustness:
             assert captured.out == ""
             assert captured.err == "error: %s\n" % error
 
+    def test_malformed_keys_and_shape_exit_two(self, tmp_path, capsys):
+        # the message keeps its old phrase and quotes the key 2T or the value
+        path = str(tmp_path / "bad.json")
+        for degree, bound, shape, t2, error in (
+                (2, 3, "scalar", [[2, 3], [3, 2]],
+                 "keys must be positive semidefinite, got 2T ((2, 3), (3, 2))"),
+                (1, 1, "scalar", [[2, 0], [0, 2]],
+                 "key degree mismatch: 2T ((2, 0), (0, 2)) has degree 2, the series 1"),
+                (1, 1, "scalar", [[4]],
+                 "key beyond the trace bound: 2T ((4,),) has trace 2 > 1"),
+                (1, 1, "bogus", [[2]],
+                 """shape must be "scalar" or {"compound": r}, got 'bogus'""")):
+            write(path, {"degree": degree, "trace_bound": bound, "shape": shape,
+                         "coeffs": [{"t2": t2, "value": "1"}]})
+            assert run(["pow", "--f", path, "--exp", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s\n" % error
+
     def test_duplicate_keys_exit_two(self, tmp_path, capsys):
         # read last-wins, each of these files passes as valid input
         path = str(tmp_path / "dup.json")

@@ -37,6 +37,11 @@ mismatch", "expected a FourierExpansion", "... scalar expansion"): every
 series argument is read by qexpansion.require_expansion, so the package
 has one rule and one message, naming the argument, for a rejected
 series.
+
+No module but halfint builds an identity by hand, "1 if i == j else 0",
+or fills a symmetric matrix by hand, "g[i][j] = g[j][i]": every identity
+is halfint.identity and every symmetric matrix from its upper triangle
+is halfint.symmetric, so the package has one builder of each.
 """
 
 import ast
@@ -235,3 +240,29 @@ def test_checker_sees_hand_written_series_checks():
 def test_one_expansion_rule(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if HAND_SERIES_CHECK.search(line)] == []
+
+
+HAND_IDENTITY = re.compile(r"1 if \w+ == \w+ else 0")
+HAND_SYMMETRIC_FILL = re.compile(r"(\w+)\[(\w+)\]\[(\w+)\] = \1\[\3\]\[\2\]")
+
+
+def hand_built_matrices(lines):
+    return [n for n, line in enumerate(lines, 1)
+            if HAND_IDENTITY.search(line) or HAND_SYMMETRIC_FILL.search(line)]
+
+
+def test_checker_sees_hand_built_matrices():
+    source = ("row = [1 if c == k else 0 for c in range(n)]\n"
+              "g[i][j] = g[j][i] = key[at]\n"
+              "d[i][j] = v\n"
+              "g[i][j] = h[j][i]\n"
+              "x = 2 if i == j else 0\n"
+              "    m[a][b] = m[b][a]\n"
+              "s[i][j] - (1 if i == j else 0)\n")
+    assert hand_built_matrices(source.splitlines()) == [1, 2, 6, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "halfint.py"],
+                         ids=lambda p: p.name)
+def test_one_identity_and_symmetric_builder(path):
+    assert hand_built_matrices(path.read_text(encoding="utf-8").splitlines()) == []

@@ -303,7 +303,7 @@ class TestCosetSystem:
             assert s[::-7] == elements[::-7]
             assert list(reversed(s)) == elements[::-1]
             for bad in (len(s), -len(s) - 1):
-                with pytest.raises(IndexError):
+                with pytest.raises(IndexError, match="^coset index out of range$"):
                     s[bad]
         with pytest.raises(TypeError):
             s[1.0]

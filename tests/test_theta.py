@@ -130,6 +130,14 @@ class TestGramLattice:
         assert gram_a(1).gram == ((2,),)
         for m in range(1, 7):
             assert gram_a(m).det() == m + 1
+        # the tridiagonal, entry by entry
+        for m in range(1, 9):
+            want = [[0] * m for _ in range(m)]
+            for i in range(m):
+                want[i][i] = 2
+            for i in range(m - 1):
+                want[i][i + 1] = want[i + 1][i] = -1
+            assert gram_a(m).gram == tuple(map(tuple, want))
 
     def test_levels(self):
         # A_{p-1} and A_{p-1} + A_{p-1} both live at level p
@@ -246,6 +254,14 @@ class TestRepNumbers:
         oracle = box_rep_oracle(lat.gram, 2, 2)
         for t in enumerate_indices(2, 2):
             assert th.coefficient(t.doubled) == oracle.get(t.doubled, 0)
+
+    def test_against_box_oracle_degree_three(self):
+        # every coefficient, zero and off-diagonal signs included, against
+        # the full box of ordered column triples
+        for lat, bound in ((gram_a(1), 4), (gram_a(2), 3)):
+            oracle = box_rep_oracle(lat.gram, 3, bound)
+            assert any(x < 0 for k in oracle for row in k for x in row)
+            assert rep_numbers(lat, 3, bound).coeffs == oracle
 
     def test_degree_two_known_counts(self):
         th = rep_numbers(direct_sum(gram_a(2), gram_a(2)), 2, 2)
