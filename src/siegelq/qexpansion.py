@@ -13,32 +13,42 @@ an order-r minor theta operator; the shape field is "scalar" or
 computed as scalar entry series, which one function, _blocks, assembles.
 
 Keys are checked once, at the boundary.  FourierExpansion(...) is for
-outside input (JSON, user code, constant, zero, eisenstein): it checks
-every key (2T integral, symmetric, even diagonal, of the degree, within
-the bound, positive semidefinite) and the metadata, takes int or
-Fraction values and drops zeros.  A series computed from valid series (the
-ring operations, theta_operator, rankin_cohen, theta series) is wrapped
-by the private _trusted without checks; each such builder stores only
-nonzero Fraction values and blocks that are not all zero.
+outside input (JSON, user code, constant, zero): it checks every key (2T
+integral, symmetric, even diagonal, of the degree, within the bound,
+positive semidefinite) and the metadata, takes int or Fraction values
+and drops zeros.  A series computed from valid series (the ring
+operations, theta_operator, rankin_cohen, theta series) or from an
+integer closed form (eisenstein, delta) is wrapped by the private
+_trusted without checks; each such builder stores only nonzero Fraction
+values and blocks that are not all zero.
 
-A product of scalar series runs one pair loop over Python ints; a block
-times a scalar is C(n, r)^2 such products, one per entry.  Each operand's
-values are scaled to integer numerators over one common denominator, the
-lcm of its value denominators.  Each key 2T is coded as one int: the
-signed digits of its upper triangle in base 4N + 1, N the product's trace
-bound.  For T >= 0 with trace(T) <= N, the diagonal of 2T lies in
-[0, 2N] and |2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it; a sum of two keys
-whose traces add to at most N is such a key again.  So every digit stays
-in [-2N, 2N], and the code of a sum is the sum of the codes.  Only the
-output keys are decoded, once each.
+A product of scalar series is three steps: both operands are encoded
+(_numerators), one pair loop over Python ints multiplies them
+(_pair_loop), and the result is decoded (_decode); a block times a
+scalar is C(n, r)^2 such products, one per entry.  Encoding scales an
+operand's values to integer numerators over one common denominator, the
+lcm of its value denominators, and codes each key 2T as one int: its
+signed digits in base 4N + 1, N the product's trace bound, least
+significant first, are the entries of the upper triangle of 2T row by
+row, except that the last one, 2T_nn, is replaced by trace(T).  For
+T >= 0 with trace(T) <= N, the diagonal of 2T lies in [0, 2N],
+|2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace in [0, N]; a sum
+of two keys whose traces add to at most N is such a key again.  So every
+digit stays in [-2N, 2N], the code of a sum is the sum of the codes, and
+codes sort by trace, the most significant digit.  The pair loop returns
+packed terms as an encoding does: (code, numerator) sorted by code, over
+the product of the two denominators.  So a power encodes its base once,
+runs its square-and-multiply chain on packed terms and decodes once, and
+a square f * f encodes f once.  Only output keys are decoded, once each.
 """
 
 import json
 import re
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .halfint import (
     HalfIntegralMatrix,
@@ -58,9 +68,36 @@ from .halfint import (
 SCALAR = "scalar"
 
 
-def rational_to_str(x):
-    f = as_rational(x, "value")
-    return "%d/%d" % (f.numerator, f.denominator)
+def _digits(x):
+    """The number of decimal digits of the int x, counted without
+    converting it to a string."""
+    x = abs(x)
+    d = x.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2)
+    while 10 ** d <= x:
+        d += 1
+    return max(d, 1)
+
+
+def _require_digits(name, part, digits):
+    """Raise a ValueError naming the field, the digit count and the limit
+    if the part (numerator or denominator) of a rational has more digits
+    than Python converts between int and string.  The limit stays: it
+    keeps a hostile document from making int parsing quadratic."""
+    # Python 3.10 before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError("%s: the %s has %d digits, more than the %d that Python "
+                         "converts between integers and strings" % (name, part, digits, limit))
+
+
+def rational_to_str(x, name="value"):
+    f = as_rational(x, name)
+    try:
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:
+        _require_digits(name, "numerator", _digits(f.numerator))
+        _require_digits(name, "denominator", _digits(f.denominator))
+        raise
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -69,9 +106,14 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 def rational_from_str(s, name="rational"):
     """Parse 'a/b' or a plain integer string.  Anything else, including
     decimals, exponents and non-strings, is a ValueError that names the
-    field and quotes s; a zero denominator raises ZeroDivisionError."""
+    field and quotes s, and so is a numerator or denominator longer than
+    Python's limit on integer strings; a zero denominator raises
+    ZeroDivisionError."""
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
         raise ValueError("%s must be a 'num/den' or integer string, got %r" % (name, s))
+    numerator, _, denominator = s.lstrip("+-").partition("/")
+    _require_digits(name, "numerator", len(numerator))
+    _require_digits(name, "denominator", len(denominator))
     return Fraction(s)
 
 
@@ -85,40 +127,71 @@ def _normalize_shape(shape, degree):
                      % (shape,))
 
 
-def _pack(digits, base):
-    """The int with the given signed digits in base, least significant
-    first."""
-    code = 0
-    for d in reversed(digits):
-        code = code * base + d
-    return code
+def _coded(n):
+    """The positions (i, j) of the upper triangle of an n x n key, row by
+    row, whose entries are digits of its code: all but the last, the
+    place of the trace (see the module docstring)."""
+    return [(i, j) for i in range(n) for j in range(i, n)][:-1]
 
 
-def _unpack(code, base, count):
-    """The count signed digits of code in the odd base, least significant
-    first, each in [-(base // 2), base // 2]; the inverse of _pack on such
-    digits."""
-    half = base // 2
-    digits = []
-    for _ in range(count):
-        d = (code + half) % base - half
-        digits.append(d)
-        code = (code - d) // base
-    return digits
-
-
-def _numerators(f, bound, upper, key_base):
-    """The terms of the scalar series f with trace at most bound as
-    (trace, code of the key's entries at upper in key_base, integer
-    numerator), sorted by trace, and the lcm of the value denominators."""
+def _numerators(f, bound):
+    """The packed terms of the scalar series f with trace at most bound:
+    the (code, integer numerator) pairs sorted by code, so by trace, and
+    the common denominator, the lcm of the value denominators."""
+    coded = _coded(f.degree)[::-1]
+    key_base = 4 * bound + 1
     terms = []
     for k, v in f.coeffs.items():
-        t = key_trace(k)
-        if t <= bound:
-            terms.append((t, _pack([k[i][j] for i, j in upper], key_base), v))
-    den = lcm(*(v.denominator for _, _, v in terms))
+        code = key_trace(k)
+        if code <= bound:
+            for i, j in coded:
+                code = code * key_base + k[i][j]
+            terms.append((code, v))
+    den = lcm(*(v.denominator for _, v in terms))
     terms.sort(key=itemgetter(0))
-    return [(t, c, v.numerator * (den // v.denominator)) for t, c, v in terms], den
+    return [(c, v.numerator * (den // v.denominator)) for c, v in terms], den
+
+
+def _pair_loop(left, right, degree, bound):
+    """The packed product of the packed series left and right of the
+    degree at the bound: one loop over the pairs of terms whose traces
+    add to at most bound, with denominator the product of theirs."""
+    (left, f_den), (right, g_den) = left, right
+    place = (4 * bound + 1) ** len(_coded(degree))
+    half = place // 2
+    acc = {}
+    get = acc.get
+    for ca, na in left:
+        # the largest code of a key whose trace is at most bound - trace(ca)
+        room = (bound - (ca + half) // place) * place + half
+        for cb, nb in right:
+            if cb > room:
+                break
+            c = ca + cb
+            acc[c] = get(c, 0) + na * nb
+    return [(c, s) for c, s in sorted(acc.items()) if s], f_den * g_den
+
+
+def _decode(packed, degree, bound, weight, level):
+    """The scalar series of the degree at the bound with the packed terms:
+    each code's signed digits, least significant first, are the entries
+    at _coded(degree) of its key; what is left is the trace, which gives
+    the last diagonal entry."""
+    terms, den = packed
+    coded = _coded(degree)
+    key_base = 4 * bound + 1
+    half = key_base // 2
+    diagonal = [d for d, (i, j) in enumerate(coded) if i == j]
+    coeffs = {}
+    for c, s in terms:
+        digits = []
+        for _ in coded:
+            d = (c + half) % key_base - half
+            digits.append(d)
+            c = (c - d) // key_base
+        digits.append(2 * c - sum(map(digits.__getitem__, diagonal)))
+        coeffs[symmetric(degree, digits)] = Fraction(s, den)
+    return _trusted(degree, bound, coeffs, SCALAR, weight, level)
 
 
 class FourierExpansion:
@@ -283,37 +356,25 @@ class FourierExpansion:
 
     def _convolve(self, other):
         """The product of two scalar series, truncated at the smaller
-        bound, by one pair loop over integer key codes and numerators (see
-        the module docstring).  No character: for chi it would be chi^2."""
+        bound: both encoded, one pair loop, the result decoded (see the
+        module docstring).  A square encodes its operand once.  No
+        character: for chi it would be chi^2."""
         bound = min(self.trace_bound, other.trace_bound)
-        n = self.degree
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        key_base = 4 * bound + 1
-        left, f_den = _numerators(self, bound, upper, key_base)
-        right, g_den = _numerators(other, bound, upper, key_base)
-        acc = {}
-        get = acc.get
-        for ta, ca, na in left:
-            room = bound - ta
-            for tb, cb, nb in right:
-                if tb > room:
-                    break
-                c = ca + cb
-                acc[c] = get(c, 0) + na * nb
-        den = f_den * g_den
-        coeffs = {symmetric(n, _unpack(c, key_base, len(upper))): Fraction(s, den)
-                  for c, s in acc.items() if s}
+        left = _numerators(self, bound)
+        right = left if other is self else _numerators(other, bound)
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
         level = self.level if self.level == other.level else None
-        return _trusted(n, bound, coeffs, SCALAR, weight, level)
+        return _decode(_pair_loop(left, right, self.degree, bound),
+                       self.degree, bound, weight, level)
 
     def __pow__(self, exponent):
         """A new expansion, by square and multiply from the lowest set bit
-        of exponent: bit_length - 1 squarings and popcount - 1 products.
-        It has weight exponent * weight (or None), this level and no
-        character; exponent 0 gives the constant 1."""
+        of exponent on packed terms: one encoding, bit_length - 1 squarings
+        and popcount - 1 products in the pair loop, one decoding.  It has
+        weight exponent * weight (or None), this level and no character;
+        exponent 0 gives the constant 1."""
         require_expansion(self, "base", shape=SCALAR)
         require_int(exponent, "exponent", 0)
         if exponent == 0:
@@ -321,10 +382,11 @@ class FourierExpansion:
                 1, self.degree, self.trace_bound,
                 weight=0 if self.weight is not None else None,
                 level=self.level)
-        if exponent == 1:
-            return _trusted(self.degree, self.trace_bound, dict(self.coeffs),
-                            SCALAR, self.weight, self.level)
-        return power(self, exponent, mul)
+        n, bound = self.degree, self.trace_bound
+        packed = power(_numerators(self, bound), exponent,
+                       lambda f, g: _pair_loop(f, g, n, bound))
+        weight = None if self.weight is None else exponent * self.weight
+        return _decode(packed, n, bound, weight, self.level)
 
     # -- index reparametrizations ----------------------------------------
 
@@ -424,31 +486,43 @@ def bernoulli(n):
     return _BERNOULLI[n]
 
 
-def divisor_power_sum(k, m):
-    require_int(k, "k", 0)
-    require_int(m, "m", 1)
-    return sum(d ** k for d in range(1, m + 1) if m % d == 0)
-
-
 def eisenstein(weight, trace_bound):
     """Degree-1 Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(m) q^m,
-    for even weight k >= 4."""
+    for even weight k >= 4; every sigma_{k-1}(m) with m <= trace_bound
+    comes from one divisor sieve."""
     require_int(weight, "weight", 4)
     if weight % 2:
         raise ValueError("weight must be even, got %r" % weight)
     require_int(trace_bound, "trace_bound", 0)
+    sigma = [0] * (trace_bound + 1)
+    for d in range(1, trace_bound + 1):
+        power_d = d ** (weight - 1)
+        for m in range(d, trace_bound + 1, d):
+            sigma[m] += power_d
     c = Fraction(-2 * weight) / bernoulli(weight)
     coeffs = {((0,),): Fraction(1)}
     for m in range(1, trace_bound + 1):
-        coeffs[((2 * m,),)] = c * divisor_power_sum(weight - 1, m)
-    return FourierExpansion(1, trace_bound, coeffs, weight=weight, level=1)
+        coeffs[((2 * m,),)] = c * sigma[m]
+    return _trusted(1, trace_bound, coeffs, SCALAR, Fraction(weight), 1)
 
 
 def delta(trace_bound):
-    """The degree-1 cusp form of weight 12, as (E4^3 - E6^2) / 1728."""
-    e4 = eisenstein(4, trace_bound)
-    e6 = eisenstein(6, trace_bound)
-    return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
+    """The degree-1 cusp form of weight 12, Delta = eta^24 = q P^8, where
+    P = sum_{j >= 0} (-1)^j (2j + 1) q^(j(j+1)/2) at trace bound
+    trace_bound - 1 is eta^3 / q^(1/8) by Jacobi's identity
+    eta^3 = sum_{j >= 0} (-1)^j (2j + 1) q^((2j+1)^2 / 8)."""
+    require_int(trace_bound, "trace_bound", 0)
+    bound = max(trace_bound - 1, 0)
+    jacobi = {}
+    j = 0
+    while j * (j + 1) // 2 <= bound:
+        jacobi[((j * (j + 1),),)] = Fraction((-1) ** j * (2 * j + 1))
+        j += 1
+    p8 = _trusted(1, bound, jacobi) ** 8
+    # the shift by q; at trace bound 0 nothing is left
+    coeffs = {((k[0][0] + 2,),): v for k, v in p8.coeffs.items()
+              if k[0][0] < 2 * trace_bound}
+    return _trusted(1, trace_bound, coeffs, SCALAR, Fraction(12), 1)
 
 
 # -- JSON serialization ----------------------------------------------------
@@ -606,7 +680,7 @@ def to_json_dict(f):
         "trace_bound": f.trace_bound,
         "shape": _shape_to_json(f.shape),
         "meta": {
-            "weight": None if f.weight is None else rational_to_str(f.weight),
+            "weight": None if f.weight is None else rational_to_str(f.weight, "weight"),
             "level": f.level,
             "character": f.character,
         },

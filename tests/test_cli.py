@@ -67,6 +67,50 @@ class TestBasicCommands:
         assert run(["dilate", "--f", str(e), "--factor", "2", "-o", str(di)]) == 0
         assert qexpansion.from_json_dict(read(di)).trace_bound == 12
 
+    def test_series_bytes_pinned(self, tmp_path):
+        # sha256 and size of the series pipeline's files at trace bound 30,
+        # as written when delta was (E4^3 - E6^2) / 1728 and every power
+        # was a chain of ring products; "frac" is a power of a series with
+        # coprime value denominators
+        frac = tmp_path / "frac.json"
+        write(frac, {"degree": 1, "trace_bound": 30, "shape": "scalar",
+                     "coeffs": [{"t2": [[2 * m]], "value": "%d/%d" % (m - 3, m + 2)}
+                                for m in range(31)]})
+
+        def path(name):
+            return str(tmp_path / (name + ".json"))
+
+        steps = [("e%d" % k, ["eisenstein", "--weight", str(k), "--trace-bound", "30"])
+                 for k in (4, 6, 10)]
+        steps += [
+            ("delta", ["delta", "--trace-bound", "30"]),
+            ("mul", ["mul", "--f", path("e4"), "--g", path("e6")]),
+            ("pow", ["pow", "--f", path("e4"), "--exp", "3"]),
+            ("powfrac", ["pow", "--f", str(frac), "--exp", "5"]),
+            ("frob5", ["frobenius", "--f", path("e4"), "--prime", "5"]),
+            ("frob7", ["frobenius", "--f", path("delta"), "--prime", "7"]),
+            ("bracket", ["bracket", "--f", path("e4"), "--g", path("e6"),
+                         "--minor-order", "1", "--weight-f", "4", "--weight-g", "6"]),
+        ]
+        got = {}
+        for name, argv in steps:
+            assert run(argv + ["-o", path(name)]) == 0
+            with open(path(name), "rb") as handle:
+                data = handle.read()
+            got[name] = (len(data), hashlib.sha256(data).hexdigest())
+        assert got == {
+            "e4": (3093, "28adf8f28ff24738aae8dd858e79f2fc28bee0c74a28835653af018f5523943b"),
+            "e6": (3197, "ec3ec925e1bd9875374fb8f2ae13bf79905097487c4cb082c685964352c39a65"),
+            "e10": (3321, "2d02aa3eb96984d0379411ee20baeb4b760af1337b57ad9357d771303c0652aa"),
+            "delta": (3022, "8265c4a14e0f08617b275dc67bb387326238872a7cbe91159dace3bfb7caa44e"),
+            "mul": (3321, "2d02aa3eb96984d0379411ee20baeb4b760af1337b57ad9357d771303c0652aa"),
+            "pow": (3341, "b55af6d08b837de2f048d93df6c352f806ec578fe3cd84503dbbbccbdb926f7e"),
+            "powfrac": (3650, "03c37fed08e24e736b27d0190de6ef5811cedbbc27362571f7ff20c6d2d2f16e"),
+            "frob5": (903, "0c1d4e54811efefb5285d94dbe3abb9ae642d025a3c6718c332fe22be41b51e1"),
+            "frob7": (566, "cb75eaecb8d3e7ffbad4bfd555e8a8699706b8e980d3e6d8c3fe5d8b1935bae6"),
+            "bracket": (4343, "5ed91785bca2aebb8a6f21d70894681bff7ec2b4dfe91f8e2568076f58013644"),
+        }
+
     def test_thetaop_and_bracket(self, tmp_path):
         e4 = tmp_path / "e4.json"
         e6 = tmp_path / "e6.json"
@@ -421,6 +465,41 @@ class TestRobustness:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "duplicate key '%s'" % key in captured.err
+
+    def test_integers_past_the_string_limit_exit_two(self, tmp_path, capsys):
+        # Python converts ints of at most sys.get_int_max_str_digits()
+        # digits to and from strings; past it, the field, the digit count
+        # and the limit are named, and no file is written
+        limit = sys.get_int_max_str_digits()
+        f = tmp_path / "f.json"
+        write(f, {"degree": 1, "trace_bound": 1, "shape": "scalar",
+                  "coeffs": [{"t2": [[0]], "value": "2"}, {"t2": [[2]], "value": "1"}]})
+        out = tmp_path / "out.json"
+        # the constant term of (2 + q)^15000 is 2^15000, with 4516 digits
+        assert run(["pow", "--f", str(f), "--exp", "15000", "-o", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: value: the numerator has 4516 digits, more than the %d that "
+            "Python converts between integers and strings\n" % limit)
+        for value, part in (("1" * 5000, "numerator"),
+                            ("-1/" + "3" * 5000, "denominator")):
+            write(f, {"degree": 1, "trace_bound": 1, "shape": "scalar",
+                      "coeffs": [{"t2": [[0]], "value": value}]})
+            assert run(["pow", "--f", str(f), "--exp", "1", "-o", str(out)]) == 2
+            assert not out.exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: value: the %s has 5000 digits, more than the %d that "
+                "Python converts between integers and strings\n" % (part, limit))
+        # a value at the limit is read and written as it is
+        value = "9" * limit
+        write(f, {"degree": 1, "trace_bound": 1, "shape": "scalar",
+                  "coeffs": [{"t2": [[0]], "value": value}]})
+        assert run(["pow", "--f", str(f), "--exp", "1", "-o", str(out)]) == 0
+        assert read(out)["coeffs"][0]["value"] == value + "/1"
 
     def test_deep_nesting_exits_two(self, tmp_path, capsys):
         # the parser's recursion limit is an input error, not a traceback

@@ -49,8 +49,6 @@ TABLE = {
         lambda x: qexpansion.eisenstein(4, x), "trace_bound", 0, None),
     "delta": (qexpansion.delta, "trace_bound", 0, None),
     "bernoulli": (qexpansion.bernoulli, "n", 0, None),
-    "divisor_power_sum k": (lambda x: qexpansion.divisor_power_sum(x, 4), "k", 0, None),
-    "divisor_power_sum m": (lambda x: qexpansion.divisor_power_sum(3, x), "m", 1, None),
     "GramLattice entry": (lambda x: theta.GramLattice([[x]]), "Gram matrix entry",
                           None, None),
     "gram_a": (theta.gram_a, "rank", 1, None),

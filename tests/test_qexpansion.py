@@ -2,10 +2,12 @@
 
 Oracles: Eisenstein coefficients recomputed from raw divisor sums with
 the Bernoulli recurrence written out independently; delta pinned against
-the eta product q prod (1 - q^n)^24 expanded by plain list convolution;
-the integer product kernel against a pairwise Fraction product with its
-own key addition, truncation and zero-dropping; the JSON writer against
-the stdlib's json.dumps(obj, sort_keys=True, indent=2).
+the eta product q prod (1 - q^n)^24 expanded by plain list convolution,
+against (E4^3 - E6^2) / 1728 and against Ramanujan's tau(1..10); the
+integer product kernel against a pairwise Fraction product with its own
+key addition, truncation and zero-dropping, and a power against the left
+fold of that product; the JSON writer against the stdlib's
+json.dumps(obj, sort_keys=True, indent=2).
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelq import qexpansion
 from siegelq.halfint import HalfIntegralMatrix, enumerate_indices, zero_matrix
 from siegelq.qexpansion import (
     FourierExpansion,
@@ -170,6 +173,23 @@ class TestDelta:
         d = delta(3)
         assert (d.weight, d.level, d.character) == (12, 1, None)
 
+    def test_matches_eisenstein_formula(self):
+        # Delta = (E4^3 - E6^2) / 1728 shares no step with Jacobi's identity
+        d = delta(60)
+        old = (eisenstein(4, 60) ** 3 - eisenstein(6, 60) ** 2).scale(Fraction(1, 1728))
+        assert d == old
+        assert (d.weight, d.level) == (old.weight, old.level)
+
+    def test_ramanujan_tau(self):
+        tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
+        d = delta(10)
+        assert [d.coefficient(key1(m)) for m in range(11)] == [0] + tau
+
+    def test_small_bounds(self):
+        assert delta(0).coeffs == {}
+        assert delta(1).coeffs == {key1(1): 1}
+        assert (delta(0).trace_bound, delta(1).trace_bound) == (0, 1)
+
 
 # -- ring structure ---------------------------------------------------------
 
@@ -221,29 +241,35 @@ class TestRingLaws:
             block ** 2
 
     def test_pow_product_count_and_metadata(self, monkeypatch):
-        # square and multiply from the lowest set bit: bit_length - 1
-        # squarings and popcount - 1 products, no product with the constant 1
-        calls = []
-        convolve = FourierExpansion._convolve
-
-        def counting(self, other):
-            calls.append(other)
-            return convolve(self, other)
-
-        monkeypatch.setattr(FourierExpansion, "_convolve", counting)
+        # square and multiply from the lowest set bit on packed terms:
+        # bit_length - 1 squarings and popcount - 1 products in the pair
+        # loop, no product with the constant 1, and one encoding and one
+        # decoding per power
+        calls = {"_numerators": 0, "_pair_loop": 0, "_decode": 0}
+        for name in calls:
+            def counting(*args, name=name, original=getattr(qexpansion, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(qexpansion, name, counting)
         rng = random.Random(37)
         coeffs = rand_expansion(rng, 1, 4).coeffs
         for weight in (Fraction(4), None):
             f = FourierExpansion(1, 4, coeffs, weight=weight, level=3, character="chi")
             for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3),
                                 (7, 4), (8, 3)):
-                calls.clear()
+                calls.update(dict.fromkeys(calls, 0))
                 g = f ** e
-                assert len(calls) == products
+                coded = int(e > 0)
+                assert calls == {"_numerators": coded, "_pair_loop": products,
+                                 "_decode": coded}
                 assert g is not f
                 assert g.trace_bound == 4
                 assert (g.weight, g.level, g.character) == (
                     None if weight is None else e * weight, 3, None)
+            # a square through * encodes its operand once
+            calls.update(dict.fromkeys(calls, 0))
+            assert f * f == f ** 2
+            assert calls == {"_numerators": 2, "_pair_loop": 2, "_decode": 2}
             # a fresh object: tagging the power leaves f as it was
             g = f ** 1
             g.weight = Fraction(99)
@@ -431,6 +457,50 @@ def test_product_ring_laws_under_truncation(triple):
     assert (f * b) * g == f * (b * g)
     cut = min(f.trace_bound, g.trace_bound)
     assert (f * g).truncate(cut // 2) == f.truncate(cut // 2) * g.truncate(cut // 2)
+
+
+@st.composite
+def powers(draw):
+    degree = draw(st.integers(1, 3))
+    bound = draw(st.integers(0, {1: 6, 2: 3, 3: 2}[degree]))
+    keys = [t.doubled for t in enumerate_indices(degree, bound)]
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    coeffs = {k: draw(values) for k in draw(st.lists(st.sampled_from(keys), max_size=len(keys)))}
+    weight = draw(st.none() | st.integers(0, 6))
+    return FourierExpansion(degree, bound, coeffs, weight=weight), draw(st.integers(0, 9))
+
+
+def check_power(f, e):
+    """f ** e against the left fold of * from the constant 1, and against
+    the fold of oracle_product."""
+    one = FourierExpansion.constant(1, f.degree, f.trace_bound)
+    fold = one
+    coeffs = one.coeffs
+    for _ in range(e):
+        fold = fold * f
+        coeffs = oracle_product(FourierExpansion(f.degree, f.trace_bound, coeffs), f)
+    g = f ** e
+    assert g == fold
+    assert g.coeffs == coeffs
+    assert g.trace_bound == f.trace_bound
+    assert g.weight == (None if f.weight is None else e * f.weight)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=powers())
+def test_pow_is_a_fold_of_products(case):
+    check_power(*case)
+
+
+def test_pow_of_zero_and_of_a_series_without_constant_term():
+    rng = random.Random(38)
+    for degree, bound in ((1, 6), (2, 3), (3, 2)):
+        coeffs = rand_expansion(rng, degree, bound, denominators=True).coeffs
+        no_constant = FourierExpansion(degree, bound, {
+            k: v for k, v in coeffs.items() if k != zero_matrix(degree)})
+        for f in (FourierExpansion.zero(degree, bound), no_constant):
+            for e in range(10):
+                check_power(f, e)
 
 
 class TestIndexOperators:

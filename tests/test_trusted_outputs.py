@@ -99,6 +99,13 @@ def test_bracket_whose_blocks_all_cancel():
         assert out.shape == ("compound", 1) and out.trace_bound == 2
 
 
+def test_fixture_outputs():
+    for bound in (0, 1, 60):
+        for weight in (4, 6, 10, 12):
+            assert_checked(eisenstein(weight, bound))
+        assert_checked(delta(bound))
+
+
 def test_ring_outputs():
     rng = random.Random(17)
     e4, e6 = eisenstein(4, 6), eisenstein(6, 6)
