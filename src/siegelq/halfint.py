@@ -19,9 +19,9 @@ Every matrix argument is read by square_matrix or rectangular_matrix,
 which share one shape check and one ValueError, "<name> must be a
 non-empty square (or rectangular) array of arrays, got <repr>".  There is
 one block builder, from_blocks, one upper-triangle builder, symmetric,
-one power loop and two eliminations: row_reduce (Gauss-Jordan over Q and
-F_p) for reduced forms and inverses, and bareiss (fraction-free over Z)
-for determinants and the integer completion of a positive-definite Gram.
+one power loop and three eliminations, one per decision: row_reduce
+(Gauss-Jordan, over Q and F_p) for reduced forms and inverses, bareiss for
+determinants and psd_rows (no row swap) for definiteness and completions.
 """
 
 from fractions import Fraction
@@ -99,6 +99,9 @@ def as_rational(x, name):
 # pseudoprime to all thirteen is PRIME_LIMIT itself).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
+
+# The largest series degree and A_m rank: no one number asks for a huge matrix.
+SIZE_LIMIT = 64
 
 
 def require_odd_prime(p):
@@ -204,7 +207,7 @@ def det(m):
 
 def minor(m, rows, cols):
     """The minor det m[rows, cols] of a matrix already read; the empty
-    minor is 1.  Small sizes use cofactor formulas, larger ones bareiss
+    minor is 1.  Sizes 1 and 2 use cofactor formulas, larger ones bareiss
     after clearing denominators; int input gives an int result."""
     m = [[m[i][j] for j in cols] for i in rows]
     n = len(m)
@@ -214,12 +217,6 @@ def minor(m, rows, cols):
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
     if all(isinstance(x, int) for row in m for x in row):
         return bareiss(m)[0]
     # clear denominators row by row: det(m) = det(D m) / det(D)
@@ -253,6 +250,25 @@ def bareiss(rows):
                 a[i][j] = (a[i][j] * a[k][k] - f * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1], tuple(map(tuple, a))
+
+
+def psd_rows(m):
+    """Fraction-free elimination of a symmetric int matrix already read, as
+    bareiss but with no row swap: a zero pivot must head a zero row, which is
+    passed over.  The rows, or None iff m is not psd (each pivot is a positive
+    multiple of Gauss's); m > 0 iff no pivot is 0, and then they are bareiss's."""
+    a = [list(row) for row in m]
+    prev = 1
+    for k, top in enumerate(a):
+        pivot = top[k]
+        if pivot < 0 or not pivot and any(top[k + 1:]):
+            return None
+        if pivot:
+            for row in a[k + 1:]:
+                f = row[k]
+                row[k:] = [(x * pivot - f * y) // prev for x, y in zip(row[k:], top[k:])]
+            prev = pivot
+    return tuple(map(tuple, a))
 
 
 def row_reduce(rows, p=None):
@@ -346,15 +362,8 @@ class HalfIntegralMatrix:
         return key_half(self.doubled)
 
     def is_psd(self):
-        """True iff T >= 0, checked as nonnegativity of every principal
-        minor of 2T (all subsets, not just leading ones)."""
-        n = self.degree
-        d = self.doubled
-        for size in range(1, n + 1):
-            for rows in combinations(range(n), size):
-                if minor(d, rows, rows) < 0:
-                    return False
-        return True
+        """True iff T >= 0, decided by psd_rows on 2T."""
+        return psd_rows(self.doubled) is not None
 
     def __eq__(self, other):
         return (

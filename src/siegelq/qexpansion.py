@@ -51,6 +51,7 @@ from math import comb, lcm
 from operator import itemgetter
 
 from .halfint import (
+    SIZE_LIMIT,
     HalfIntegralMatrix,
     as_rational,
     block_count,
@@ -205,7 +206,7 @@ class FourierExpansion:
 
     def __init__(self, degree, trace_bound, coeffs=None, shape=SCALAR,
                  weight=None, level=None, character=None):
-        require_int(degree, "degree", 1)
+        require_int(degree, "degree", 1, SIZE_LIMIT)
         require_int(trace_bound, "trace_bound", 0)
         weight = None if weight is None else as_rational(weight, "weight")
         if level is not None:
@@ -391,11 +392,14 @@ class FourierExpansion:
     # -- index reparametrizations ----------------------------------------
 
     def u_p(self, p):
-        """Coefficient extraction a(T) -> a(pT); the bound drops to N // p."""
+        """Coefficient extraction a(T) -> a(pT); the bound drops to N // p.
+        A key 2pT is p times a key 2T: every entry divisible by p and
+        every diagonal entry by 2p, which an odd p leaves implied."""
         require_int(p, "p", 2)
         coeffs = {}
         for k, v in self.coeffs.items():
-            if all(x % p == 0 for row in k for x in row):
+            if (all(x % p == 0 for row in k for x in row)
+                    and all(k[i][i] % (2 * p) == 0 for i in range(len(k)))):
                 coeffs[tuple(tuple(x // p for x in row) for row in k)] = v
         return _trusted(self.degree, self.trace_bound // p, coeffs, self.shape,
                         self.weight, self.level, self.character)

@@ -12,11 +12,11 @@ theta of an orthogonal direct sum is the product of the summands' series
 enumerated once and the factors are multiplied.
 
 A component's short vectors are found by backtracking, in the style of
-Fincke-Pohst, on the quadratic completion of Q, which halfint's fraction-
-free elimination (bareiss) gives with integer coefficients.  So the search
-uses only integer arithmetic: each coordinate range is an exact integer
-interval bounded with math.isqrt, and neither Fraction nor floating point
-enters the recursion.
+Fincke-Pohst, on the quadratic completion of Q, which halfint.psd_rows,
+the symmetric fraction-free elimination that also decides definiteness,
+gives with integer coefficients.  So the search uses only integer
+arithmetic: each coordinate range is an exact integer interval bounded
+with math.isqrt, and neither Fraction nor floating point enters it.
 
 The n-tuples of short vectors (the columns of X) are then counted up to
 signed permutations: permuting or negating columns of X permutes or
@@ -31,8 +31,8 @@ from itertools import permutations, product
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .halfint import (bareiss, det, even_symmetric, from_blocks, identity, mat_add,
-                      mat_inverse, mat_mul, mat_scale, minor, power, require_instance,
+from .halfint import (SIZE_LIMIT, det, even_symmetric, from_blocks, identity, mat_add,
+                      mat_inverse, mat_mul, mat_scale, power, psd_rows, require_instance,
                       require_int, require_odd_prime, square_matrix, symmetric, transpose)
 from .qexpansion import _trusted, json_fields
 
@@ -44,13 +44,10 @@ class GramLattice:
 
     def __init__(self, gram):
         g = even_symmetric(gram, "Gram matrix")
-        m = len(g)
-        # Sylvester: positive leading minors suffice for definiteness (all
-        # principal minors would be 255 determinants at rank 8)
-        for k in range(1, m + 1):
-            if minor(g, range(k), range(k)) <= 0:
-                raise ValueError("Gram matrix must be positive definite")
-        self.rank = m
+        a = psd_rows(g)
+        if a is None or not all(a[i][i] for i in range(len(g))):
+            raise ValueError("Gram matrix must be positive definite")
+        self.rank = len(g)
         self.gram = g
 
     def det(self):
@@ -77,7 +74,7 @@ class GramLattice:
 def gram_a(m):
     """Root lattice A_m: tridiagonal Gram with 2 on the diagonal and -1 off
     it; rank m, determinant m + 1."""
-    require_int(m, "rank", 1)
+    require_int(m, "rank", 1, SIZE_LIMIT)
     upper = ({0: 2, 1: -1}.get(j - i, 0) for i in range(m) for j in range(i, m))
     return GramLattice(symmetric(m, upper))
 
@@ -131,15 +128,15 @@ def _short_vectors(gram, norm_bound):
     nonzero coordinate is positive.  Found by backtracking on the
     quadratic completion from the last coordinate down.
 
-    The completion is read in integers off halfint.bareiss: Q is positive
-    definite, so no row is swapped; with its rows a_ij, its leading minors
-    D_0 = 1, D_i = a_ii (from 1), K = lcm(D_{i-1} D_i) and the integer
+    The completion is read in integers off halfint.psd_rows: Q is positive
+    definite, so every pivot is positive; with its rows a_ij, the leading
+    minors D_0 = 1, D_i = a_ii (from 1), K = lcm(D_{i-1} D_i) and the integer
     weights w_i = K / (D_{i-1} D_i), K v^t Q v = sum_i w_i (sum_{j>=i} a_ij v_j)^2.
     Coordinate i ranges over the v with |D_i v + s_i| <= isqrt(R // w_i),
     s_i = sum_{j>i} a_ij v_j and R the scaled norm still left; a vector's
     norm is what its search used of the scaled budget, divided by K."""
     m = len(gram)
-    a = bareiss(gram)[1]
+    a = psd_rows(gram)
     dens = [a[i][i] for i in range(m)]
     denominators = [d * e for d, e in zip([1] + dens, dens)]
     k = lcm(*denominators)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import siegelq
 from siegelq import cli, diffops, padic, qexpansion, theta
 from siegelq.cli import run
+from siegelq.halfint import SIZE_LIMIT
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -66,6 +67,16 @@ class TestBasicCommands:
         di = tmp_path / "di.json"
         assert run(["dilate", "--f", str(e), "--factor", "2", "-o", str(di)]) == 0
         assert qexpansion.from_json_dict(read(di)).trace_bound == 12
+
+    def test_up_at_two_writes_keys_it_reads_back(self, tmp_path):
+        e = tmp_path / "e4.json"
+        run(["eisenstein", "--weight", "4", "--trace-bound", "6", "-o", str(e)])
+        once = tmp_path / "once.json"
+        twice = tmp_path / "twice.json"
+        assert run(["up", "--f", str(e), "--prime", "2", "-o", str(once)]) == 0
+        assert run(["up", "--f", str(once), "--prime", "2", "-o", str(twice)]) == 0
+        assert [c["t2"] for c in read(once)["coeffs"]] == [[[0]], [[2]], [[4]], [[6]]]
+        assert [c["value"] for c in read(twice)["coeffs"]] == ["1/1", "17520/1"]
 
     def test_series_bytes_pinned(self, tmp_path):
         # sha256 and size of the series pipeline's files at trace bound 30,
@@ -500,6 +511,42 @@ class TestRobustness:
                   "coeffs": [{"t2": [[0]], "value": value}]})
         assert run(["pow", "--f", str(f), "--exp", "1", "-o", str(out)]) == 0
         assert read(out)["coeffs"][0]["value"] == value + "/1"
+
+    def test_large_zero_key_reads_fast(self, tmp_path):
+        # one 18 x 18 key: deciding it psd must not take 2^18 - 1 minors
+        zero = [[0] * 18] * 18
+        f = tmp_path / "z18.json"
+        write(f, {"degree": 18, "trace_bound": 1, "shape": "scalar",
+                  "coeffs": [{"t2": zero, "value": "1"}]})
+        out = tmp_path / "up.json"
+        start = time.perf_counter()
+        assert run(["up", "--f", str(f), "--prime", "3", "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert read(out)["coeffs"] == [{"t2": zero, "value": "1/1"}]
+
+    def test_size_limit_exits_two_fast(self, tmp_path, capsys):
+        # a single number in a document or an option asks for no matrix
+        # past SIZE_LIMIT; at the limit both build at once
+        big = SIZE_LIMIT + 1
+        f = tmp_path / "big.json"
+        write(f, {"degree": big, "trace_bound": 1, "shape": "scalar", "coeffs": []})
+        start = time.perf_counter()
+        assert run(["pow", "--f", str(f), "--exp", "0"]) == 2
+        assert run(["mul", "--f", str(f), "--g", str(f)]) == 2
+        assert run(["gram-a", "--rank", str(big)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degree must be an integer in 1..%d, got %d\n" % (SIZE_LIMIT, big) * 2
+            + "error: rank must be an integer in 1..%d, got %d\n" % (SIZE_LIMIT, big))
+        write(f, {"degree": SIZE_LIMIT, "trace_bound": 1, "shape": "scalar",
+                  "coeffs": []})
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        assert run(["pow", "--f", str(f), "--exp", "0", "-o", str(out)]) == 0
+        assert run(["gram-a", "--rank", str(SIZE_LIMIT), "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_deep_nesting_exits_two(self, tmp_path, capsys):
         # the parser's recursion limit is an input error, not a traceback

@@ -4,8 +4,9 @@ exact elimination."""
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import comb, prod
 
 import pytest
 
@@ -25,12 +26,14 @@ from siegelq.halfint import (
     mat_mul,
     minor,
     power,
+    psd_rows,
     require_odd_prime,
     subset_order,
     symmetric,
     transpose,
 )
 from siegelq.symplectic import rank_mod
+from siegelq.theta import GramLattice
 
 
 def rand_matrix(rng, n, lo=-3, hi=3):
@@ -252,6 +255,105 @@ class TestEliminationOracle:
             mat_inverse([[1, 2], [2, 4]])
         with pytest.raises(ValueError, match=r"^p must be an odd prime, got 4$"):
             mat_inverse([[1]], 4)
+
+
+@lru_cache(maxsize=None)
+def signed_permutations(n):
+    return [(perm, (-1) ** sum(perm[i] > perm[j] for i in range(n)
+                                for j in range(i + 1, n)))
+            for perm in permutations(range(n))]
+
+
+def leibniz_minor(m, rows):
+    """det m[rows, rows] as the signed sum over all permutations."""
+    return sum(sign * prod(m[rows[i]][rows[p]] for i, p in enumerate(perm))
+               for perm, sign in signed_permutations(len(rows)))
+
+
+class TestDefiniteness:
+    """psd_rows, read by is_psd and GramLattice, judged by minors taken
+    with the Leibniz formula and no elimination: T >= 0 iff every principal
+    minor of 2T is >= 0, and Q > 0 iff every leading minor is > 0."""
+
+    @staticmethod
+    def rand_even_symmetric(rng, kind, n):
+        """A symmetric n x n matrix with even diagonal of one of four kinds:
+        2 X^t X with fewer rows than columns (psd of lower rank); 2 X^t X
+        with up to n + 1 rows, one entry pair then moved by +-1 half the
+        time; either of those with a zero row and column put in the middle;
+        or a zero first row and column ahead of any matrix, so every leading
+        minor is 0 and only a non-leading principal minor can be negative."""
+        def gram(k, size):
+            x = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(k)]
+            return [[2 * sum(r[i] * r[j] for r in x) for j in range(size)]
+                    for i in range(size)]
+
+        size = n if kind < 2 else n - 1
+        if kind == 0:
+            m = gram(rng.randint(1, max(1, n - 1)), n)
+        elif kind == 3:
+            m = [list(row) for row in rand_symmetric(rng, size, -3, 3)]
+            for i in range(size):
+                m[i][i] *= 2
+        else:
+            m = gram(rng.randint(1, size + 1), size)
+            if size > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(size), 2)
+                m[i][j] = m[j][i] = m[i][j] + rng.choice((-1, 1))
+        if kind >= 2:
+            at = 0 if kind == 3 else rng.randint(1, max(1, size - 1))
+            m = [row[:at] + [0] + row[at:] for row in m]
+            m.insert(at, [0] * n)
+        return tuple(map(tuple, m))
+
+    def test_is_psd_is_every_principal_minor_nonnegative(self):
+        rng = random.Random(21)
+        seen = set()
+        for trial in range(800):
+            kind, n = trial % 4, rng.randint(1 if trial % 4 < 2 else 2, 6)
+            m = self.rand_even_symmetric(rng, kind, n)
+            want = all(leibniz_minor(m, rows) >= 0 for size in range(1, n + 1)
+                       for rows in combinations(range(n), size))
+            if kind == 3:
+                assert all(leibniz_minor(m, range(k)) == 0 for k in range(1, n + 1))
+            assert HalfIntegralMatrix(m).is_psd() == want, m
+            assert (psd_rows(m) is not None) == want
+            seen.add((kind, want))
+        # every kind but the low-rank one shows both answers
+        assert seen == {(0, True), (1, True), (1, False), (2, True), (2, False),
+                        (3, True), (3, False)}
+
+    def test_gram_lattice_is_every_leading_minor_positive(self):
+        rng = random.Random(22)
+        seen = set()
+        for trial in range(800):
+            kind, n = trial % 4, rng.randint(1 if trial % 4 < 2 else 2, 6)
+            m = self.rand_even_symmetric(rng, kind, n)
+            want = all(leibniz_minor(m, range(k)) > 0 for k in range(1, n + 1))
+            try:
+                GramLattice(m)
+                got = True
+            except ValueError as exc:
+                assert str(exc) == "Gram matrix must be positive definite"
+                got = False
+            assert got == want, m
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_hyperbolic_plane_sum_refused(self):
+        # H + H, H = [[0, 1], [1, 0]]: bareiss's pivots are all positive
+        # after its swaps, but the form is indefinite
+        h2 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+        assert not HalfIntegralMatrix(h2).is_psd()
+        assert psd_rows(h2) is None
+        with pytest.raises(ValueError, match="^Gram matrix must be positive definite$"):
+            GramLattice(h2)
+
+    def test_zero_pivots_passed_over(self):
+        m = ((0, 0, 0), (0, 2, 2), (0, 2, 2))
+        assert psd_rows(m) == ((0, 0, 0), (0, 2, 2), (0, 0, 0))
+        assert psd_rows(((2, 0, 0), (0, 0, 0), (0, 0, -2))) is None
+        assert psd_rows(((0, 2), (2, 4))) is None
 
 
 class TestSubsetOrder:

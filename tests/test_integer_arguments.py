@@ -11,7 +11,7 @@ range is open); the other arguments are valid.
 import pytest
 
 from siegelq import diffops, halfint, padic, qexpansion, symplectic, theta
-from siegelq.halfint import PRIME_LIMIT, identity, require_int
+from siegelq.halfint import PRIME_LIMIT, SIZE_LIMIT, identity, require_int
 
 E4 = qexpansion.eisenstein(4, 2)
 A2 = theta.gram_a(2)
@@ -31,7 +31,7 @@ TABLE = {
     "HalfIntegralMatrix entry": (
         lambda x: halfint.HalfIntegralMatrix([[x]]), "2T entry", None, None),
     "FourierExpansion degree": (
-        lambda x: qexpansion.FourierExpansion(x, 1), "degree", 1, None),
+        lambda x: qexpansion.FourierExpansion(x, 1), "degree", 1, SIZE_LIMIT),
     "FourierExpansion trace_bound": (
         lambda x: qexpansion.FourierExpansion(1, x), "trace_bound", 0, None),
     "FourierExpansion level": (
@@ -51,7 +51,7 @@ TABLE = {
     "bernoulli": (qexpansion.bernoulli, "n", 0, None),
     "GramLattice entry": (lambda x: theta.GramLattice([[x]]), "Gram matrix entry",
                           None, None),
-    "gram_a": (theta.gram_a, "rank", 1, None),
+    "gram_a": (theta.gram_a, "rank", 1, SIZE_LIMIT),
     "cycle_isometry": (theta.cycle_isometry, "rank", 1, None),
     "is_free_isometry p": (
         lambda x: theta.is_free_isometry(A2, theta.cycle_isometry(2), x), "p", *P),

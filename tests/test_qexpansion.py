@@ -510,6 +510,18 @@ class TestIndexOperators:
         assert g.trace_bound == 2
         assert [g.coefficient(key1(t)) for t in range(3)] == [10, 13, 16]
 
+    def test_u_p_even_prime_keeps_even_diagonals(self):
+        # a(2m) of E4 is 240 sigma_3(2m); the keys 2T of odd T, such as
+        # ((2,),), are not twice a key and are dropped
+        g = eisenstein(4, 8).u_p(2)
+        assert g.trace_bound == 4
+        assert [g.coefficient(key1(t)) for t in range(5)] == [1, 2160, 17520, 60480,
+                                                               140400]
+        assert g.coeffs == {key1(t): g.coefficient(key1(t)) for t in range(5)}
+        assert FourierExpansion(2, 4, {((4, 2), (2, 4)): 1}).u_p(2).coeffs == {
+            ((2, 1), (1, 2)): 1}
+        assert not FourierExpansion(2, 4, {((2, 2), (2, 6)): 1}).u_p(2).coeffs
+
     def test_dilate_round_trip(self):
         rng = random.Random(41)
         for _ in range(10):

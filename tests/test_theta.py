@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from siegelq import theta
 from siegelq.halfint import (bareiss, enumerate_indices, identity, mat_inverse, mat_mul,
-                             transpose)
+                             psd_rows, transpose)
 from siegelq.qexpansion import dumps
 from siegelq.theta import (
     GramLattice,
@@ -497,6 +497,8 @@ def test_bareiss_completion(data, name):
     m = len(base)
     gram = conjugate(base, data.draw(unimodular(m)))
     det, a = bareiss(gram)
+    # the search reads psd_rows, which equals bareiss with no swap here
+    assert psd_rows(gram) == a
     minors = [leibniz_det([row[:k] for row in gram[:k]]) for k in range(m + 1)]
     assert det == minors[m]
     assert [a[i][i] for i in range(m)] == minors[1:]

@@ -120,5 +120,5 @@ def test_ring_outputs():
         block = theta_operator(g, degree)
         for out in (f * g, f + g, f - g, -f, f.scale(Fraction(2, 3)), f ** 2,
                     block * f, f * block, block + block, block - block,
-                    f.truncate(1), f.u_p(3), f.dilate(2)):
+                    f.truncate(1), f.u_p(2), f.u_p(3), f.u_p(4), f.dilate(2)):
             assert_checked(out)
