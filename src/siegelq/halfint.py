@@ -27,6 +27,7 @@ determinants and psd_rows (no row swap) for definiteness and completions.
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, isqrt, lcm, prod
+from operator import getitem
 
 
 def is_int(x):
@@ -257,7 +258,7 @@ def psd_rows(m):
     bareiss but with no row swap: a zero pivot must head a zero row, which is
     passed over.  The rows, or None iff m is not psd (each pivot is a positive
     multiple of Gauss's); m > 0 iff no pivot is 0, and then they are bareiss's."""
-    a = [list(row) for row in m]
+    a = list(map(list, m))
     prev = 1
     for k, top in enumerate(a):
         pivot = top[k]
@@ -328,11 +329,10 @@ def compound(m, r):
     return tuple(tuple(minor(m, rows, cols) for cols in subs) for rows in subs)
 
 
-def even_symmetric(rows, name):
-    """rows as a frozen matrix if square_matrix accepts it and it is
-    symmetric with even diagonal (a doubled index 2T or an even Gram
-    matrix), else ValueError naming the matrix."""
-    d = square_matrix(rows, name)
+def even_symmetric(d, name):
+    """d, a square matrix already read, if it is symmetric with even
+    diagonal (a doubled index 2T or an even Gram matrix), else ValueError
+    naming the matrix."""
     if transpose(d) != d:
         raise ValueError("%s must be symmetric" % name)
     for i in range(len(d)):
@@ -350,7 +350,7 @@ class HalfIntegralMatrix:
     __slots__ = ("degree", "doubled")
 
     def __init__(self, doubled):
-        self.doubled = even_symmetric(doubled, "2T")
+        self.doubled = even_symmetric(square_matrix(doubled, "2T"), "2T")
         self.degree = len(self.doubled)
 
     @property
@@ -379,7 +379,7 @@ class HalfIntegralMatrix:
 
 def key_trace(key):
     """Trace of T from its doubled key matrix."""
-    return sum(key[i][i] for i in range(len(key))) // 2
+    return sum(map(getitem, key, range(len(key)))) // 2
 
 
 def key_half(key):

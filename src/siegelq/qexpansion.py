@@ -13,21 +13,27 @@ an order-r minor theta operator; the shape field is "scalar" or
 computed as scalar entry series, which one function, _blocks, assembles.
 
 Keys are checked once, at the boundary.  FourierExpansion(...) is for
-outside input (JSON, user code, constant, zero): it checks every key (2T
-integral, symmetric, even diagonal, of the degree, within the bound,
-positive semidefinite) and the metadata, takes int or Fraction values
-and drops zeros.  A series computed from valid series (the ring
-operations, theta_operator, rankin_cohen, theta series) or from an
-integer closed form (eisenstein, delta) is wrapped by the private
-_trusted without checks; each such builder stores only nonzero Fraction
-values and blocks that are not all zero.
+outside input (user code, constant, zero, JSON): it checks the metadata,
+then reads its (key, value) pairs in one private loop, _terms, which
+from_json_dict runs too on a document's (t2, value) entries.  That loop
+reads each key once, by square_matrix (2T integral), and checks it
+symmetric with even diagonal, of the degree, within the bound, not a
+repeat and positive semidefinite, in that order; it reads each value
+once, by the caller's rule (as_rational for int or Fraction values,
+rational_from_str for a document's strings), and drops zeros.  A series
+computed from valid series (the ring operations, theta_operator,
+rankin_cohen, theta series) or from an integer closed form (eisenstein,
+delta) is wrapped by the private _trusted without checks; each such
+builder stores only nonzero Fraction values and blocks that are not all
+zero.
 
 A product of scalar series is three steps: both operands are encoded
 (_numerators), one pair loop over Python ints multiplies them
 (_pair_loop), and the result is decoded (_decode); a block times a
-scalar is C(n, r)^2 such products, one per entry.  Encoding scales an
-operand's values to integer numerators over one common denominator, the
-lcm of its value denominators, and codes each key 2T as one int: its
+scalar is C(n, r)^2 such products, one per entry, with the scalar
+encoded once for all of them.  Encoding scales an operand's values to
+integer numerators over one common denominator, the lcm of its value
+denominators, and codes each key 2T as one int: its
 signed digits in base 4N + 1, N the product's trace bound, least
 significant first, are the entries of the upper triangle of 2T row by
 row, except that the last one, 2T_nn, is replaced by trace(T).  For
@@ -55,10 +61,12 @@ from .halfint import (
     HalfIntegralMatrix,
     as_rational,
     block_count,
+    even_symmetric,
     is_int,
     key_sort,
     key_trace,
     power,
+    psd_rows,
     require_instance,
     require_int,
     square_matrix,
@@ -79,13 +87,16 @@ def _digits(x):
     return max(d, 1)
 
 
+# Python 3.10 before 3.10.7 has no limit; 0 means none
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _require_digits(name, part, digits):
     """Raise a ValueError naming the field, the digit count and the limit
     if the part (numerator or denominator) of a rational has more digits
     than Python converts between int and string.  The limit stays: it
     keeps a hostile document from making int parsing quadratic."""
-    # Python 3.10 before 3.10.7 has no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_max_str_digits()
     if limit and digits > limit:
         raise ValueError("%s: the %s has %d digits, more than the %d that Python "
                          "converts between integers and strings" % (name, part, digits, limit))
@@ -101,21 +112,26 @@ def rational_to_str(x, name="value"):
         raise
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational_from_str(s, name="rational"):
-    """Parse 'a/b' or a plain integer string.  Anything else, including
-    decimals, exponents and non-strings, is a ValueError that names the
-    field and quotes s, and so is a numerator or denominator longer than
-    Python's limit on integer strings; a zero denominator raises
-    ZeroDivisionError."""
-    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+    """Parse 'a/b' or a plain integer string, read once: the numerator
+    and denominator are the groups of one match, and the value is one
+    Fraction of their ints.  Anything else, including decimals, exponents
+    and non-strings, is a ValueError that names the field and quotes s,
+    and so is a numerator or denominator longer than Python's limit on
+    integer strings, looked at only when s itself is longer; a zero
+    denominator raises ZeroDivisionError."""
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise ValueError("%s must be a 'num/den' or integer string, got %r" % (name, s))
-    numerator, _, denominator = s.lstrip("+-").partition("/")
-    _require_digits(name, "numerator", len(numerator))
-    _require_digits(name, "denominator", len(denominator))
-    return Fraction(s)
+    numerator, denominator = match.groups()
+    limit = _int_max_str_digits()
+    if limit and len(s) > limit:
+        _require_digits(name, "numerator", len(numerator.lstrip("+-")))
+        _require_digits(name, "denominator", len(denominator or ""))
+    return Fraction(int(numerator), int(denominator) if denominator else 1)
 
 
 def _normalize_shape(shape, degree):
@@ -220,28 +236,35 @@ class FourierExpansion:
         self.weight = weight
         self.level = level
         self.character = character
+        self.coeffs = self._terms((coeffs or {}).items(), "key", as_rational)
+
+    def _terms(self, pairs, name, rule):
+        """The coefficients to store from the (key, value) pairs, each
+        read once.  A key is read by _index under the field name name, then
+        checked not a repeat and positive semidefinite; a value is
+        rule(value, "value"), or a block of this shape's size whose entries
+        rule reads.  Zero values are dropped."""
+        scalar = self.shape == SCALAR
         size = self.block_size
         stored = {}
-        for key, value in (coeffs or {}).items():
-            t = self._index(key)
+        for key, value in pairs:
+            t = self._index(key, name)
             # a tuple and a HalfIntegralMatrix of one 2T are two dict keys
-            if t.doubled in stored:
-                raise ValueError("duplicate key %r" % (t.doubled,))
-            if not t.is_psd():
-                raise ValueError("keys must be positive semidefinite, got 2T %r"
-                                 % (t.doubled,))
-            if self.shape == SCALAR:
-                v = as_rational(value, "coefficient")
+            if t in stored:
+                raise ValueError("duplicate %s %r" % (name, t))
+            if psd_rows(t) is None:
+                raise ValueError("keys must be positive semidefinite, got 2T %r" % (t,))
+            if scalar:
+                v = rule(value, "value")
             else:
-                v = square_matrix(value, "block value", as_rational)
+                v = square_matrix(value, "block value", rule)
                 if len(v) != size:
                     raise ValueError(
                         "block value must be %d x %d for %r at degree %d, got %d x %d"
                         % (size, size, self.shape, self.degree, len(v), len(v)))
-            stored[t.doubled] = v
+            stored[t] = v
         # zeros go last, so a repeated 2T is caught with a zero value too
-        self.coeffs = {k: v for k, v in stored.items()
-                       if (v if self.shape == SCALAR else any(map(any, v)))}
+        return {k: v for k, v in stored.items() if (v if scalar else any(map(any, v)))}
 
     # -- constructors ---------------------------------------------------
 
@@ -265,23 +288,28 @@ class FourierExpansion:
         """Keys with nonzero coefficient, sorted by (trace, entries)."""
         return sorted(self.coeffs, key=key_sort)
 
-    def _index(self, key):
-        """The key (2T as nested ints, or a HalfIntegralMatrix) as a
-        HalfIntegralMatrix, checked to have this degree and trace within
-        the bound."""
-        t = key if isinstance(key, HalfIntegralMatrix) else HalfIntegralMatrix(key)
-        if t.degree != self.degree:
+    def _index(self, key, name="2T"):
+        """The key (2T as nested ints, or a HalfIntegralMatrix) as its
+        doubled matrix, read once (by square_matrix as name, unless it is a
+        HalfIntegralMatrix) and checked, in this order, symmetric with even
+        diagonal, of this degree and with trace within the bound."""
+        if isinstance(key, HalfIntegralMatrix):
+            t = key.doubled
+        else:
+            t = even_symmetric(square_matrix(key, name), name)
+        if len(t) != self.degree:
             raise ValueError("key degree mismatch: 2T %r has degree %d, the series %d"
-                             % (t.doubled, t.degree, self.degree))
-        if t.trace > self.trace_bound:
+                             % (t, len(t), self.degree))
+        trace = key_trace(t)
+        if trace > self.trace_bound:
             raise ValueError("key beyond the trace bound: 2T %r has trace %d > %d"
-                             % (t.doubled, t.trace, self.trace_bound))
+                             % (t, trace, self.trace_bound))
         return t
 
     def coefficient(self, key):
         """Coefficient at T (doubled matrix, nested sequence of ints, or a
         HalfIntegralMatrix).  Asking beyond the trace bound is an error."""
-        t = self._index(key).doubled
+        t = self._index(key)
         if self.shape == SCALAR:
             return self.coeffs.get(t, Fraction(0))
         size = self.block_size
@@ -340,7 +368,9 @@ class FourierExpansion:
         if self.shape != SCALAR and other.shape != SCALAR:
             raise ValueError("cannot multiply two block-valued expansions")
         block, scalar = (self, other) if other.shape == SCALAR else (other, self)
-        products = [[scalar._convolve(e) for e in row] for row in block._entries()]
+        # the scalar is encoded once, for every entry of the block
+        right = _numerators(scalar, min(block.trace_bound, scalar.trace_bound))
+        products = [[e._convolve(scalar, right) for e in row] for row in block._entries()]
         first = products[0][0]
         return _blocks(products, block.shape, first.weight, first.level, None)
 
@@ -355,14 +385,16 @@ class FourierExpansion:
                           SCALAR, self.weight, self.level, self.character)
                  for j in range(size)] for i in range(size)]
 
-    def _convolve(self, other):
+    def _convolve(self, other, right=None):
         """The product of two scalar series, truncated at the smaller
         bound: both encoded, one pair loop, the result decoded (see the
-        module docstring).  A square encodes its operand once.  No
-        character: for chi it would be chi^2."""
+        module docstring).  A square encodes its operand once, and right,
+        if given, is other already encoded at that bound.  No character:
+        for chi it would be chi^2."""
         bound = min(self.trace_bound, other.trace_bound)
         left = _numerators(self, bound)
-        right = left if other is self else _numerators(other, bound)
+        if right is None:
+            right = left if other is self else _numerators(other, bound)
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
@@ -693,6 +725,11 @@ def to_json_dict(f):
 
 
 def from_json_dict(d):
+    """The series of a document in to_json_dict's schema.  The constructor
+    checks the metadata (degree, trace bound, shape, meta) before any entry
+    is read; then each entry's t2 and value are read once, by the loop the
+    constructor runs on its own keys and values, with rational_from_str
+    for the values."""
     shape, degree, bound, entries = json_fields(
         d, "expansion", "shape", "degree", "trace_bound", "coeffs")
     shape = _shape_from_json(shape)
@@ -704,22 +741,14 @@ def from_json_dict(d):
     elif not isinstance(meta, dict):
         raise ValueError("meta must be an object or null, got %r" % (meta,))
     weight = meta.get("weight")
-    level = meta.get("level")
-    character = meta.get("character")
-    coeffs = {}
-    for entry in entries:
-        t2, value = json_fields(entry, "coefficient entry", "t2", "value")
-        key = square_matrix(t2, "t2")
-        if key in coeffs:
-            raise ValueError("duplicate t2 %r" % (t2,))
-        if shape == SCALAR:
-            coeffs[key] = rational_from_str(value, "value")
-        else:
-            coeffs[key] = square_matrix(value, "block value", rational_from_str)
-    return FourierExpansion(
-        degree, bound, coeffs, shape,
+    f = FourierExpansion(
+        degree, bound, None, shape,
         weight=None if weight is None else rational_from_str(weight, "weight"),
-        level=level, character=character)
+        level=meta.get("level"), character=meta.get("character"))
+    f.coeffs = f._terms(
+        (json_fields(entry, "coefficient entry", "t2", "value") for entry in entries),
+        "t2", rational_from_str)
+    return f
 
 
 def dumps(f):

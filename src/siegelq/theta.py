@@ -38,12 +38,16 @@ from .qexpansion import _trusted, json_fields
 
 
 class GramLattice:
-    """Even positive-definite Gram matrix with exact invariants."""
+    """Even positive-definite Gram matrix with exact invariants.  The
+    matrix is read once, by square_matrix as name; its rank is at most
+    SIZE_LIMIT, checked before definiteness."""
 
     __slots__ = ("rank", "gram")
 
-    def __init__(self, gram):
-        g = even_symmetric(gram, "Gram matrix")
+    def __init__(self, gram, name="Gram matrix"):
+        g = square_matrix(gram, name)
+        require_int(len(g), "rank", 1, SIZE_LIMIT)
+        even_symmetric(g, name)
         a = psd_rows(g)
         if a is None or not all(a[i][i] for i in range(len(g))):
             raise ValueError("Gram matrix must be positive definite")
@@ -281,7 +285,7 @@ def gram_to_json(lattice):
 
 def gram_from_json(d):
     (rows,) = json_fields(d, "Gram", "gram")
-    lattice = GramLattice(square_matrix(rows, "gram"))
+    lattice = GramLattice(rows, "gram")
     if "rank" in d and require_int(d["rank"], "rank") != lattice.rank:
         raise ValueError("rank field disagrees with the Gram matrix")
     return lattice

@@ -548,6 +548,20 @@ class TestRobustness:
         assert run(["gram-a", "--rank", str(SIZE_LIMIT), "-o", str(out)]) == 0
         assert time.perf_counter() - start < 1.0
 
+    def test_gram_rank_limit_exits_two_fast(self, tmp_path, capsys):
+        # a Gram document's rank is bounded before definiteness is decided
+        big = SIZE_LIMIT + 1
+        f = tmp_path / "big.json"
+        write(f, {"rank": big, "gram": [[{0: 2, 1: -1, -1: -1}.get(j - i, 0)
+                                         for j in range(big)] for i in range(big)]})
+        start = time.perf_counter()
+        assert run(["theta", "--gram", str(f), "--degree", "1", "--trace-bound", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rank must be an integer in 1..%d, got %d\n" % (
+            SIZE_LIMIT, big)
+
     def test_deep_nesting_exits_two(self, tmp_path, capsys):
         # the parser's recursion limit is an input error, not a traceback
         deep = tmp_path / "deep.json"

@@ -11,6 +11,7 @@ json.dumps(obj, sort_keys=True, indent=2).
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -275,6 +276,31 @@ class TestRingLaws:
             g.weight = Fraction(99)
             assert g == f and g.coeffs is not f.coeffs
             assert f.weight == weight and f.character == "chi"
+
+    def test_block_times_scalar_encodes_the_scalar_once(self, monkeypatch):
+        # theta_operator(f, r) * g, as in leading_part: g is encoded once,
+        # not once per block entry, each entry once, and the bytes are the
+        # ones each entry's own scalar product gives
+        from siegelq.diffops import theta_operator
+
+        th = rep_numbers(gram_a(4), 2, 3)
+        block = theta_operator(th, 1)
+        encoded = []
+        original = qexpansion._numerators
+
+        def counting(f, bound):
+            encoded.append(f)
+            return original(f, bound)
+
+        monkeypatch.setattr(qexpansion, "_numerators", counting)
+        products = [block * th, th * block]
+        assert len(encoded) == 2 * (1 + 4)
+        assert sum(f is th for f in encoded) == 2
+        monkeypatch.undo()
+        digest = "2d3c0779e721c2eecf46e2f2ae434bf6194d33784bd16e36a482783ecf498dbf"
+        for product in products:
+            assert hashlib.sha256(dumps(product).encode()).hexdigest() == digest
+            assert product._entries() == [[th * e for e in row] for row in block._entries()]
 
     def test_mul_bound_is_min(self):
         rng = random.Random(35)
