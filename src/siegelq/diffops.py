@@ -9,10 +9,10 @@ term the congruence pipeline compares against.
 
 The polarized pieces split by the generalized Laplace expansion into
 products of minors det T1[A, B] det T2[C, D], so each entry of the bracket
-is a signed sum of ring products of minor-weighted series
-a(T) -> det T[A, B] a(T); no polynomial arithmetic is needed.  Every
-minor is taken by halfint.minor; each block result, a theta operator's too, is
-assembled from scalar entry series by qexpansion._blocks.
+is one qexpansion._pair_loop over weighted products of minor-weighted
+series a(T) -> det T[A, B] a(T), each encoded once; no polynomial
+arithmetic.  Every minor is taken by halfint.minor; each block result, a
+theta operator's too, is assembled by qexpansion._blocks.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,8 @@ from itertools import combinations
 
 from .halfint import (as_rational, minor, require_instance, require_int, square_matrix,
                       subset_order)
-from .qexpansion import SCALAR, FourierExpansion, _blocks, _trusted, require_expansion
+from .qexpansion import (SCALAR, _blocks, _decode, _numerators, _pair_loop, _trusted,
+                         require_expansion)
 
 
 def _laplace_split(rows, cols, q):
@@ -154,31 +155,29 @@ def rankin_cohen(f, g, params):
     records weight 10 although Delta has weight 12 = 10 + 2r.  The weight
     is None unless both f and g carry one.
 
-    Computed entry by entry through _laplace_split: entry (I, J) is the
-    weighted, signed sum of the ring products M_(I-K, J-L) f * M_(K, L) g
-    of minor-weighted series (see _minor_weighted)."""
+    Computed entry by entry through _laplace_split: entry (I, J) is one
+    _pair_loop over the signed, weighted products M_(I-K, J-L) f * M_(K, L) g
+    of encoded minor-weighted series (_minor_weighted; M_() h is h)."""
     n = require_instance(params, BracketParams, "params").degree
     r = params.minor_order
     require_expansion(f, "f", n, SCALAR)
     require_expansion(g, "g", n, SCALAR)
     weights = _bracket_weights(params)
+    bound = min(f.trace_bound, g.trace_bound)
     minors = [
-        {(rows, cols): _minor_weighted(h, rows, cols)
+        {(rows, cols): _numerators(_minor_weighted(h, rows, cols) if rows else h, bound)
          for s in range(r + 1)
          for rows in subset_order(n, s) for cols in subset_order(n, s)}
         for h in (f, g)
     ]
-    zero = FourierExpansion.zero(n, min(f.trace_bound, g.trace_bound))
 
     def entry(rows, cols):
-        return sum(((minors[0][fr, fc] * minors[1][gr, gc]).scale(sign * weights[r - q])
+        products = [(sign * weights[r - q], minors[0][fr, fc], minors[1][gr, gc])
                     for q in range(r + 1) if weights[r - q]
-                    for sign, fr, fc, gr, gc in _laplace_split(rows, cols, q)),
-                   zero)
+                    for sign, fr, fc, gr, gc in _laplace_split(rows, cols, q)]
+        return _decode(_pair_loop(products, n, bound), n, bound, None, None)
 
-    weight = None
-    if f.weight is not None and g.weight is not None:
-        weight = f.weight + g.weight
+    weight = None if None in (f.weight, g.weight) else f.weight + g.weight
     subs = subset_order(n, r)
     return _blocks([[entry(rows, cols) for cols in subs] for rows in subs],
                    ("compound", r), weight, None, None)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
-from .halfint import as_rational, require_int, require_odd_prime
+from .halfint import SIZE_LIMIT, as_rational, require_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion, require_expansion
 from .theta import gram_a, rep_numbers
 
@@ -186,8 +186,9 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     The report compares rankin_cohen(f, g) with the reference mod
     p^(m + nu), nu the valuation of the reference's scalar factor, up to
     f's trace bound.  F is built at bound ceil(N_f / p^(m_dilate - 1)) so
-    the dilation covers N_f exactly."""
+    the dilation covers N_f exactly; A_{p-1} needs p - 1 <= SIZE_LIMIT."""
     require_odd_prime(p)
+    require_int(p, "p", 3, SIZE_LIMIT + 1)
     require_expansion(f, "f", shape=SCALAR)
     require_int(m, "m", 1)
     require_int(m_dilate, "m_dilate", 1)

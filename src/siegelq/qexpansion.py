@@ -31,21 +31,24 @@ A product of scalar series is three steps: both operands are encoded
 (_numerators), one pair loop over Python ints multiplies them
 (_pair_loop), and the result is decoded (_decode); a block times a
 scalar is C(n, r)^2 such products, one per entry, with the scalar
-encoded once for all of them.  Encoding scales an operand's values to
-integer numerators over one common denominator, the lcm of its value
-denominators, and codes each key 2T as one int: its
-signed digits in base 4N + 1, N the product's trace bound, least
-significant first, are the entries of the upper triangle of 2T row by
-row, except that the last one, 2T_nn, is replaced by trace(T).  For
-T >= 0 with trace(T) <= N, the diagonal of 2T lies in [0, 2N],
-|2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace in [0, N]; a sum
-of two keys whose traces add to at most N is such a key again.  So every
-digit stays in [-2N, 2N], the code of a sum is the sum of the codes, and
-codes sort by trace, the most significant digit.  The pair loop returns
-packed terms as an encoding does: (code, numerator) sorted by code, over
-the product of the two denominators.  So a power encodes its base once,
-runs its square-and-multiply chain on packed terms and decodes once, and
-a square f * f encodes f once.  Only output keys are decoded, once each.
+encoded once for all of them.  The pair loop sums weighted products
+c * left * right, so a product is a list of one and a bracket entry
+(diffops, which passes packed terms unread) one loop over many.
+Encoding scales an operand's values to integer numerators over one
+common denominator, the lcm of its value denominators, and codes each
+key 2T as one int: its signed digits in base 4N + 1, N the product's
+trace bound, least significant first, are the entries of the upper
+triangle of 2T row by row, except that the last one, 2T_nn, is replaced
+by trace(T).  For T >= 0 with trace(T) <= N, the diagonal of 2T lies
+in [0, 2N], |2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace in
+[0, N]; a sum of two keys whose traces add to at most N is such a key
+again.  So every digit stays in [-2N, 2N], the code of a sum is the sum
+of the codes, and codes sort by trace, the most significant digit.  The
+pair loop returns packed terms as an encoding does: (code, numerator)
+sorted by code, over the lcm of its products' denominators.  So a power
+encodes its base once, runs its square-and-multiply chain on packed
+terms and decodes once, and a square f * f encodes f once.  Only output
+keys are decoded, once each.
 """
 
 import json
@@ -169,24 +172,27 @@ def _numerators(f, bound):
     return [(c, v.numerator * (den // v.denominator)) for c, v in terms], den
 
 
-def _pair_loop(left, right, degree, bound):
-    """The packed product of the packed series left and right of the
-    degree at the bound: one loop over the pairs of terms whose traces
-    add to at most bound, with denominator the product of theirs."""
-    (left, f_den), (right, g_den) = left, right
+def _pair_loop(products, degree, bound):
+    """The packed sum of the products c * left * right (c rational, left
+    and right packed): one loop over the pairs of terms whose traces add to
+    at most bound, over the lcm of the products' denominators."""
     place = (4 * bound + 1) ** len(_coded(degree))
     half = place // 2
+    den = lcm(*(c.denominator * f_den * g_den for c, (_, f_den), (_, g_den) in products))
     acc = {}
     get = acc.get
-    for ca, na in left:
-        # the largest code of a key whose trace is at most bound - trace(ca)
-        room = (bound - (ca + half) // place) * place + half
-        for cb, nb in right:
-            if cb > room:
-                break
-            c = ca + cb
-            acc[c] = get(c, 0) + na * nb
-    return [(c, s) for c, s in sorted(acc.items()) if s], f_den * g_den
+    for c, (left, f_den), (right, g_den) in products:
+        scale = c.numerator * (den // (c.denominator * f_den * g_den))
+        for ca, na in left:
+            # the largest code of a key whose trace is at most bound - trace(ca)
+            room = (bound - (ca + half) // place) * place + half
+            na *= scale
+            for cb, nb in right:
+                if cb > room:
+                    break
+                code = ca + cb
+                acc[code] = get(code, 0) + na * nb
+    return [(c, s) for c, s in sorted(acc.items()) if s], den
 
 
 def _decode(packed, degree, bound, weight, level):
@@ -358,21 +364,29 @@ class FourierExpansion:
                         self.weight, self.level, self.character)
 
     def __mul__(self, other):
-        """The ring product, or the multiple by a rational.  A block-valued
-        factor is multiplied entry by entry."""
+        """The ring product, or the multiple by a rational: encoded at the
+        smaller bound, one pair loop, decoded, and a square encoded once.  A
+        block is multiplied entry by entry, the scalar factor encoded once.
+        No character: for chi it would be chi^2."""
         if not isinstance(other, FourierExpansion):
             return self.scale(other)
         require_expansion(other, "other", self.degree)
-        if self.shape == SCALAR and other.shape == SCALAR:
-            return self._convolve(other)
         if self.shape != SCALAR and other.shape != SCALAR:
             raise ValueError("cannot multiply two block-valued expansions")
         block, scalar = (self, other) if other.shape == SCALAR else (other, self)
-        # the scalar is encoded once, for every entry of the block
-        right = _numerators(scalar, min(block.trace_bound, scalar.trace_bound))
-        products = [[e._convolve(scalar, right) for e in row] for row in block._entries()]
-        first = products[0][0]
-        return _blocks(products, block.shape, first.weight, first.level, None)
+        n, bound = self.degree, min(self.trace_bound, other.trace_bound)
+        weight = None if None in (self.weight, other.weight) else self.weight + other.weight
+        level = self.level if self.level == other.level else None
+        right = _numerators(scalar, bound)
+
+        def times_scalar(e):
+            left = right if e is scalar else _numerators(e, bound)
+            return _decode(_pair_loop([(1, left, right)], n, bound), n, bound, weight, level)
+
+        if block.shape == SCALAR:
+            return times_scalar(block)
+        return _blocks([[times_scalar(e) for e in row] for row in block._entries()],
+                       block.shape, weight, level, None)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -384,23 +398,6 @@ class FourierExpansion:
                           {k: v[i][j] for k, v in self.coeffs.items() if v[i][j]},
                           SCALAR, self.weight, self.level, self.character)
                  for j in range(size)] for i in range(size)]
-
-    def _convolve(self, other, right=None):
-        """The product of two scalar series, truncated at the smaller
-        bound: both encoded, one pair loop, the result decoded (see the
-        module docstring).  A square encodes its operand once, and right,
-        if given, is other already encoded at that bound.  No character:
-        for chi it would be chi^2."""
-        bound = min(self.trace_bound, other.trace_bound)
-        left = _numerators(self, bound)
-        if right is None:
-            right = left if other is self else _numerators(other, bound)
-        weight = None
-        if self.weight is not None and other.weight is not None:
-            weight = self.weight + other.weight
-        level = self.level if self.level == other.level else None
-        return _decode(_pair_loop(left, right, self.degree, bound),
-                       self.degree, bound, weight, level)
 
     def __pow__(self, exponent):
         """A new expansion, by square and multiply from the lowest set bit
@@ -417,7 +414,7 @@ class FourierExpansion:
                 level=self.level)
         n, bound = self.degree, self.trace_bound
         packed = power(_numerators(self, bound), exponent,
-                       lambda f, g: _pair_loop(f, g, n, bound))
+                       lambda f, g: _pair_loop([(1, f, g)], n, bound))
         weight = None if self.weight is None else exponent * self.weight
         return _decode(packed, n, bound, weight, self.level)
 

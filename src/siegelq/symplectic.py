@@ -25,10 +25,10 @@ returns a CosetSystem, a sequence that builds each element only when it
 is asked for, so the CLI writes a listing one element at a time and
 never holds it whole.  It refuses, at once, a system of more than
 MAX_LISTING elements.  The limit bounds time and output size, not
-memory.  The largest listings allowed (degree 3 at p = 5, degree 2 at
-p = 31) take about 1 to 1.3 s, write 15 to 17 MB of JSON and allocate
-at most 0.9 and 1.7 MB at once (tracemalloc, Python 3.11).  coset_count
-gives the size of any system.
+memory: the largest listings allowed (degree 3 at p = 5, degree 2 at
+p = 31) write 16.6 and 14.6 MB of JSON in about 0.5 s and peak at 17 to
+18 MB of RSS (README gives the host and the method).  coset_count gives
+the size of any system.
 
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block

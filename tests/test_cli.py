@@ -562,6 +562,20 @@ class TestRobustness:
         assert captured.err == "error: rank must be an integer in 1..%d, got %d\n" % (
             SIZE_LIMIT, big)
 
+    def test_thm41_prime_limit_exits_two_fast(self, tmp_path, capsys):
+        # thm41 builds the unit lattice A_{p-1}, so p - 1 is bounded by
+        # SIZE_LIMIT, and the message names p, not the lattice's rank
+        f = tmp_path / "f.json"
+        write(f, qexpansion.to_json_dict(qexpansion.eisenstein(4, 2)))
+        start = time.perf_counter()
+        assert run(["thm41", "--f", str(f), "--weight", "4", "--prime", "67",
+                    "--m", "1", "--minor-order", "1", "--dilate-exp", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p must be an integer in 3..%d, got 67\n" % (
+            SIZE_LIMIT + 1)
+
     def test_deep_nesting_exits_two(self, tmp_path, capsys):
         # the parser's recursion limit is an input error, not a traceback
         deep = tmp_path / "deep.json"
@@ -625,6 +639,25 @@ class TestParser:
                 names += re.findall(r"`([^`]+)`", line.split("|")[1])
         assert sorted(names) == sorted(self.subcommands())
         assert len(names) == len(set(names))
+
+    def test_readme_examples_run(self, tmp_path, monkeypatch, capsys):
+        # the Python blocks under "Library use" run as written, and the
+        # command-line pipeline prints the report the README shows
+        with open(README, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        library = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            exec(compile(block, README, "exec"), {})
+        pipeline, report = re.findall(
+            r"A full pipeline.*?```\n(.*?)```\n\nprints\n\n```\n(.*?)```", text, re.S)[0]
+        commands = pipeline.splitlines()
+        assert len(commands) == 4 and all(c.startswith("siegelq ") for c in commands)
+        monkeypatch.chdir(tmp_path)
+        for command in commands:
+            assert run(command.split()[1:]) == 0
+        assert capsys.readouterr().out == report
 
     def test_every_subcommand_has_an_action(self):
         for name, sub in self.subcommands().items():

@@ -1,5 +1,6 @@
 """Minor theta operators, polarized compounds and the bracket."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelq import diffops, qexpansion
 from siegelq.diffops import (
     BracketParams,
     half_rising,
@@ -24,7 +26,7 @@ from siegelq.halfint import (
     mat_inverse,
     mat_scale,
 )
-from siegelq.qexpansion import FourierExpansion, eisenstein
+from siegelq.qexpansion import FourierExpansion, dumps, eisenstein
 from siegelq.theta import gram_a, rep_numbers
 
 
@@ -306,6 +308,42 @@ class TestBracket:
                     got = rankin_cohen(f, g, BracketParams(n, r, k, l))
                     assert got == oracle(f, g, n, r, k, l)
                     assert got.trace_bound == bounds[1]
+
+    def test_each_minor_encoded_once_and_each_entry_decoded_once(self, monkeypatch):
+        # every minor of f and of g is encoded once, sizes 0..r, and each
+        # of the C(n, r)^2 entries is one pair loop, decoded once, whether
+        # diffops calls the kernel or a ring product does; the bytes are
+        # pinned
+        th = rep_numbers(gram_a(4), 2, 3)
+        f = th ** 2
+        calls = {"_numerators": 0, "_pair_loop": 0, "_decode": 0}
+        for module in (diffops, qexpansion):
+            for name in calls:
+                def counting(*args, name=name, original=getattr(module, name)):
+                    calls[name] += 1
+                    return original(*args)
+                monkeypatch.setattr(module, name, counting)
+        digests = {1: "f3d79649980c162fa494fcefc44169d40c5d5782618345f18a1d8620b38b58b8",
+                   2: "ea6f7db7ed048d9025596bd35f2acad7bbcec1595222e97886c7c07b457fe6cc"}
+        for r, minors, entries in ((1, 10, 4), (2, 12, 1)):
+            calls.update(dict.fromkeys(calls, 0))
+            b = rankin_cohen(f, th, BracketParams(2, r, 5, 2))
+            assert calls == {"_numerators": minors, "_pair_loop": entries,
+                             "_decode": entries}
+            assert hashlib.sha256(dumps(b).encode()).hexdigest() == digests[r]
+
+    def test_vanishing_weights_give_zero(self):
+        # k = l = (r - 1)/2 makes every weight vanish: every entry sums no
+        # product, and the bracket is the zero block series
+        rng = random.Random(72)
+        for n in (1, 2, 3):
+            for r in range(1, n + 1):
+                half = Fraction(r - 1, 2)
+                f = rand_expansion(rng, n, 3)
+                g = rand_expansion(rng, n, 2)
+                got = rankin_cohen(f, g, BracketParams(n, r, half, half))
+                assert got == FourierExpansion.zero(n, 2, ("compound", r))
+                assert got.coeffs == {}
 
     def test_bound_is_min(self):
         rng = random.Random(69)

@@ -29,8 +29,9 @@ one Gauss-Jordan elimination, over Q and over F_p.
 
 No module but halfint updates a matrix entry in place as an elimination
 step does, "a[k][l] -= ...": the integer quadratic completion of the
-short-vector search comes from halfint.bareiss, so the package has one
-fraction-free elimination.
+short-vector search comes from halfint.psd_rows, so every fraction-free
+elimination of the package is in halfint, bareiss for determinants and
+psd_rows for definiteness and completions.
 
 No module raises a hand-written series error ("degree mismatch", "shape
 mismatch", "expected a FourierExpansion", "... scalar expansion"): every
