@@ -6,11 +6,11 @@ default.  An action returns an expansion, a congruence report or plain
 JSON data (the coset listing as an iterator of its elements), and one
 function, _run_command, turns that into the output and the exit code.
 Every subcommand reads and writes the documented JSON formats.  Input is
-read by qexpansion.json_parse, which rejects duplicate object keys and
-documents nested too deeply to parse.  Output is written by
-qexpansion.json_write, a listing one element at a time, and is
-deterministic, byte for byte: two-space indent, sorted keys, non-ASCII
-as \\u escapes, a trailing newline, and rationals in lowest terms; the
+strict JSON, read by qexpansion.json_parse: duplicate object keys, NaN,
+Infinity, -Infinity and nesting too deep to parse are rejected.  Output
+is written by qexpansion.json_write, a listing one element at a time,
+and is deterministic, byte for byte: two-space indent, sorted keys,
+non-ASCII as \\u escapes, a trailing newline, rationals in lowest terms; the
 bytes are those of Python's json.dumps(obj, sort_keys=True, indent=2)
 plus the newline.  Exit codes: 0 success, 1 only for a congruence
 report (congruent, thm41) that does not hold, 2 usage or input errors.

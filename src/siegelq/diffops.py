@@ -9,10 +9,10 @@ term the congruence pipeline compares against.
 
 The polarized pieces split by the generalized Laplace expansion into
 products of minors det T1[A, B] det T2[C, D], so each entry of the bracket
-is one qexpansion._pair_loop over weighted products of minor-weighted
-series a(T) -> det T[A, B] a(T), each encoded once; no polynomial
-arithmetic.  Every minor is taken by halfint.minor; each block result, a
-theta operator's too, is assembled by qexpansion._blocks.
+is one qexpansion._pair_loop over weighted products of minor weights
+a(T) -> det T[A, B] a(T), each encoded in integers by qexpansion._numerators;
+no polynomial arithmetic.  A theta operator's entry is such an encoding
+decoded, and qexpansion._blocks assembles each block result.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,7 @@ from itertools import combinations
 
 from .halfint import (as_rational, minor, require_instance, require_int, square_matrix,
                       subset_order)
-from .qexpansion import (SCALAR, _blocks, _decode, _numerators, _pair_loop, _trusted,
-                         require_expansion)
+from .qexpansion import SCALAR, _blocks, _decode, _numerators, _pair_loop, require_expansion
 
 
 def _laplace_split(rows, cols, q):
@@ -113,24 +112,14 @@ def theta_operator(f, r):
     """Order-r minor theta operator: a(T) -> compound(T, r) a(T), with the
     (2 pi i)^{-r} normalization absorbed.  Takes scalar input; the result
     is ('compound', r)-shaped and keeps f's weight: as for rankin_cohen,
-    the weight records the power of det and the shape carries the rest."""
-    require_expansion(f, "f", shape=SCALAR)
-    require_int(r, "minor_order", 1, f.degree)
-    subs = subset_order(f.degree, r)
-    return _blocks([[_minor_weighted(f, rows, cols) for cols in subs] for rows in subs],
+    the weight records the power of det and the shape carries the rest.
+    Entry (I, J) is _numerators(f, bound, I, J) decoded."""
+    n, bound = require_expansion(f, "f", shape=SCALAR).degree, f.trace_bound
+    require_int(r, "minor_order", 1, n)
+    subs = subset_order(n, r)
+    return _blocks([[_decode(_numerators(f, bound, rows, cols), n, bound, None, None)
+                     for cols in subs] for rows in subs],
                    ("compound", r), f.weight, f.level, f.character)
-
-
-def _minor_weighted(h, rows, cols):
-    """The scalar series a(T) -> det T[rows, cols] a(T), the minor taken
-    as det 2T[rows, cols] / 2^|rows|; the empty minor is 1."""
-    scale = Fraction(1, 2 ** len(rows))
-    coeffs = {}
-    for key, value in h.coeffs.items():
-        m = minor(key, rows, cols)
-        if m:
-            coeffs[key] = value * m * scale
-    return _trusted(h.degree, h.trace_bound, coeffs)
 
 
 def rankin_cohen(f, g, params):
@@ -157,19 +146,18 @@ def rankin_cohen(f, g, params):
 
     Computed entry by entry through _laplace_split: entry (I, J) is one
     _pair_loop over the signed, weighted products M_(I-K, J-L) f * M_(K, L) g
-    of encoded minor-weighted series (_minor_weighted; M_() h is h)."""
+    of the minor weights M_(A, B) h: a(T) -> det T[A, B] a(T) (M_() h = h),
+    each encoded once, by _numerators(h, bound, A, B)."""
     n = require_instance(params, BracketParams, "params").degree
     r = params.minor_order
     require_expansion(f, "f", n, SCALAR)
     require_expansion(g, "g", n, SCALAR)
     weights = _bracket_weights(params)
     bound = min(f.trace_bound, g.trace_bound)
-    minors = [
-        {(rows, cols): _numerators(_minor_weighted(h, rows, cols) if rows else h, bound)
-         for s in range(r + 1)
-         for rows in subset_order(n, s) for cols in subset_order(n, s)}
-        for h in (f, g)
-    ]
+    minors = [{(rows, cols): _numerators(h, bound, rows, cols)
+               for s in range(r + 1)
+               for rows in subset_order(n, s) for cols in subset_order(n, s)}
+              for h in (f, g)]
 
     def entry(rows, cols):
         products = [(sign * weights[r - q], minors[0][fr, fc], minors[1][gr, gc])

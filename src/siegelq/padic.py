@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
-from .halfint import SIZE_LIMIT, as_rational, require_int, require_odd_prime
+from .halfint import SIZE_LIMIT, as_rational, require_instance, require_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion, require_expansion
 from .theta import gram_a, rep_numbers
 
@@ -116,6 +116,7 @@ def congruent(f, g, p, m, normalized=False):
     the bound as well."""
     require_odd_prime(p)
     require_int(m, "m", 1)
+    require_instance(normalized, bool, "normalized")
     require_expansion(f, "f")
     diff = f - require_expansion(g, "g", f.degree, f.shape)
     bound = diff.trace_bound

@@ -21,34 +21,34 @@ symmetric with even diagonal, of the degree, within the bound, not a
 repeat and positive semidefinite, in that order; it reads each value
 once, by the caller's rule (as_rational for int or Fraction values,
 rational_from_str for a document's strings), and drops zeros.  A series
-computed from valid series (the ring operations, theta_operator,
-rankin_cohen, theta series) or from an integer closed form (eisenstein,
-delta) is wrapped by the private _trusted without checks; each such
-builder stores only nonzero Fraction values and blocks that are not all
-zero.
+computed from valid series (the ring operations, _decode, _blocks, theta
+series) or from an integer closed form (eisenstein, delta) is wrapped by
+the private _trusted without checks; each such builder stores only
+nonzero Fraction values and blocks that are not all zero.
 
 A product of scalar series is three steps: both operands are encoded
 (_numerators), one pair loop over Python ints multiplies them
 (_pair_loop), and the result is decoded (_decode); a block times a
-scalar is C(n, r)^2 such products, one per entry, with the scalar
-encoded once for all of them.  The pair loop sums weighted products
-c * left * right, so a product is a list of one and a bracket entry
-(diffops, which passes packed terms unread) one loop over many.
-Encoding scales an operand's values to integer numerators over one
-common denominator, the lcm of its value denominators, and codes each
-key 2T as one int: its signed digits in base 4N + 1, N the product's
-trace bound, least significant first, are the entries of the upper
-triangle of 2T row by row, except that the last one, 2T_nn, is replaced
-by trace(T).  For T >= 0 with trace(T) <= N, the diagonal of 2T lies
-in [0, 2N], |2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace in
-[0, N]; a sum of two keys whose traces add to at most N is such a key
-again.  So every digit stays in [-2N, 2N], the code of a sum is the sum
-of the codes, and codes sort by trace, the most significant digit.  The
-pair loop returns packed terms as an encoding does: (code, numerator)
-sorted by code, over the lcm of its products' denominators.  So a power
-encodes its base once, runs its square-and-multiply chain on packed
-terms and decodes once, and a square f * f encodes f once.  Only output
-keys are decoded, once each.
+scalar is C(n, r)^2 such products, one per entry, the scalar encoded
+once.  The pair loop sums weighted products c * left * right, so a
+product is a list of one and a bracket entry (diffops, which passes
+packed terms unread) one loop over many.  Encoding scales an operand's
+values to integer numerators over the lcm of its value denominators,
+times det 2T[I, J] for a minor weight a(T) -> det T[I, J] a(T) of the
+bracket or a theta operator, and codes each key 2T as one int: its
+signed digits in base 4N + 1, N the product's trace bound, least
+significant first, are the entries of the upper triangle of 2T row by
+row, except that the last one, 2T_nn, is replaced by trace(T).  For
+T >= 0 with trace(T) <= N, the diagonal of 2T lies in [0, 2N],
+|2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace in [0, N]; a sum
+of two keys whose traces add to at most N is such a key again.  So
+every digit stays in [-2N, 2N], the code of a sum is the sum of the
+codes, and codes sort by trace, the most significant digit.  The pair
+loop returns packed terms as an encoding does: (code, numerator) sorted
+by code, over the lcm of its products' denominators.  So a power encodes
+its base once, runs its square-and-multiply chain on packed terms and
+decodes once, and a square f * f encodes f once.  Only output keys are
+decoded, once each.
 """
 
 import json
@@ -68,6 +68,7 @@ from .halfint import (
     is_int,
     key_sort,
     key_trace,
+    minor,
     power,
     psd_rows,
     require_instance,
@@ -154,22 +155,26 @@ def _coded(n):
     return [(i, j) for i in range(n) for j in range(i, n)][:-1]
 
 
-def _numerators(f, bound):
-    """The packed terms of the scalar series f with trace at most bound:
-    the (code, integer numerator) pairs sorted by code, so by trace, and
-    the common denominator, the lcm of the value denominators."""
+def _numerators(f, bound, rows=(), cols=()):
+    """The packed terms of a(T) -> det T[rows, cols] a(T), f scalar, with
+    trace at most bound: (code, integer numerator) pairs sorted by code, so
+    by trace, over 2^|rows| times the lcm of the kept value denominators.
+    A value's numerator is multiplied by det 2T[rows, cols], never computed
+    for the empty minor 1, then scaled to that lcm; a 0 minor drops the key."""
     coded = _coded(f.degree)[::-1]
     key_base = 4 * bound + 1
     terms = []
     for k, v in f.coeffs.items():
         code = key_trace(k)
         if code <= bound:
-            for i, j in coded:
-                code = code * key_base + k[i][j]
-            terms.append((code, v))
-    den = lcm(*(v.denominator for _, v in terms))
+            m = minor(k, rows, cols) if rows else 1
+            if m:
+                for i, j in coded:
+                    code = code * key_base + k[i][j]
+                terms.append((code, m * v.numerator, v.denominator))
+    den = lcm(*(d for _, _, d in terms))
     terms.sort(key=itemgetter(0))
-    return [(c, v.numerator * (den // v.denominator)) for c, v in terms], den
+    return [(c, num * (den // d)) for c, num, d in terms], den << len(rows)
 
 
 def _pair_loop(products, degree, bound):
@@ -661,11 +666,17 @@ def _unique_keys(pairs):
     return out
 
 
+def _no_constant(token):
+    """Python reads NaN, Infinity and -Infinity; RFC 8259 has no such token."""
+    raise ValueError("%s is not a JSON value" % token)
+
+
 def json_parse(text):
-    """The JSON value in text.  Duplicate object keys and nesting too deep
-    for the parser are ValueErrors, like any other malformed input."""
+    """The JSON value in text.  Duplicate object keys, the tokens NaN,
+    Infinity and -Infinity, and nesting too deep for the parser are
+    ValueErrors, like any other malformed input."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
 

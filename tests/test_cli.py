@@ -477,6 +477,30 @@ class TestRobustness:
             assert captured.out == ""
             assert "duplicate key '%s'" % key in captured.err
 
+    def test_non_json_constants_exit_two(self, tmp_path, capsys):
+        # Python's json module reads these tokens; RFC 8259 has none of
+        # them, in a field the program reads or in one it ignores
+        path = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        expansion = qexpansion.dumps(qexpansion.eisenstein(4, 2))
+        vp = ["vp", "--f", str(path), "--prime", "5", "-o", str(out)]
+        theta = ["theta", "--gram", str(path), "--degree", "1", "--trace-bound", "1",
+                 "-o", str(out)]
+        for token in ("NaN", "Infinity", "-Infinity"):
+            for text, argv in (
+                    ('{"rank": 1, "gram": [[2]], "note": %s}' % token, theta),
+                    ('{"rank": 1, "gram": [[%s]]}' % token, theta),
+                    (expansion.replace('"level": 1', '"level": %s' % token, 1), vp),
+                    (expansion.replace('"meta": {', '"note": [%s], "meta": {' % token, 1),
+                     vp)):
+                assert token in text
+                path.write_text(text, encoding="utf-8")
+                assert run(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "%s is not a JSON value" % token in captured.err
+                assert not out.exists()
+
     def test_integers_past_the_string_limit_exit_two(self, tmp_path, capsys):
         # Python converts ints of at most sys.get_int_max_str_digits()
         # digits to and from strings; past it, the field, the digit count

@@ -1,7 +1,10 @@
 """Minor theta operators, polarized compounds and the bracket."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, prod
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siegelq
 from siegelq import diffops, qexpansion
 from siegelq.diffops import (
     BracketParams,
@@ -28,6 +32,34 @@ from siegelq.halfint import (
 )
 from siegelq.qexpansion import FourierExpansion, dumps, eisenstein
 from siegelq.theta import gram_a, rep_numbers
+
+
+# Prints the number of series that rankin_cohen(th^2, th) and then
+# theta_operator(th^2, r) build, for r = 1 and 2, th the degree-2 theta
+# series of A4 at bound 3, counted at FourierExpansion.__new__.  It runs in
+# a process of its own: once a class has had a Python __new__, deleting it
+# leaves object.__new__ refusing the constructor's arguments.
+SERIES_BUILT = """
+from siegelq.diffops import BracketParams, rankin_cohen, theta_operator
+from siegelq.qexpansion import FourierExpansion
+from siegelq.theta import gram_a, rep_numbers
+
+th = rep_numbers(gram_a(4), 2, 3)
+f = th ** 2
+built = []
+
+def building(cls, *args, **kwargs):
+    built.append(cls)
+    return object.__new__(cls)
+
+FourierExpansion.__new__ = staticmethod(building)
+for r in (1, 2):
+    for call in (lambda: rankin_cohen(f, th, BracketParams(2, r, 5, 2)),
+                 lambda: theta_operator(f, r)):
+        built.clear()
+        call()
+        print(len(built))
+"""
 
 
 def rand_symmetric_rational(rng, n):
@@ -310,10 +342,11 @@ class TestBracket:
                     assert got.trace_bound == bounds[1]
 
     def test_each_minor_encoded_once_and_each_entry_decoded_once(self, monkeypatch):
-        # every minor of f and of g is encoded once, sizes 0..r, and each
-        # of the C(n, r)^2 entries is one pair loop, decoded once, whether
-        # diffops calls the kernel or a ring product does; the bytes are
-        # pinned
+        # every minor weight of f and of g is encoded once, sizes 0..r, by
+        # _numerators itself, and each of the C(n, r)^2 entries is one pair
+        # loop, decoded once, whether diffops calls the kernel or a ring
+        # product does; a theta operator decodes each entry's encoding; the
+        # bytes are pinned
         th = rep_numbers(gram_a(4), 2, 3)
         f = th ** 2
         calls = {"_numerators": 0, "_pair_loop": 0, "_decode": 0}
@@ -331,6 +364,15 @@ class TestBracket:
             assert calls == {"_numerators": minors, "_pair_loop": entries,
                              "_decode": entries}
             assert hashlib.sha256(dumps(b).encode()).hexdigest() == digests[r]
+            calls.update(dict.fromkeys(calls, 0))
+            theta_operator(f, r)
+            assert calls == {"_numerators": entries, "_pair_loop": 0, "_decode": entries}
+        # so the bracket and the theta operator each build C(n, r)^2 + 1
+        # series, the entries and their block, and no minor weight series
+        src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
+        done = subprocess.run([sys.executable, "-c", SERIES_BUILT], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout.decode().split() == ["5", "5", "2", "2"]
 
     def test_vanishing_weights_give_zero(self):
         # k = l = (r - 1)/2 makes every weight vanish: every entry sums no

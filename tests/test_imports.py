@@ -39,6 +39,12 @@ series argument is read by qexpansion.require_expansion, so the package
 has one rule and one message, naming the argument, for a rejected
 series.
 
+No module but qexpansion and theta wraps a series with "_trusted(":
+every series that diffops, padic and cli return comes from qexpansion
+(the ring operations, _decode and _blocks) or from theta, so coefficient
+values are made in one place.  symplectic is exempt by module: its
+_trusted wraps coset matrices, not series.
+
 No module but halfint builds an identity by hand, "1 if i == j else 0",
 or fills a symmetric matrix by hand, "g[i][j] = g[j][i]": every identity
 is halfint.identity and every symmetric matrix from its upper triangle
@@ -267,3 +273,27 @@ def test_checker_sees_hand_built_matrices():
                          ids=lambda p: p.name)
 def test_one_identity_and_symmetric_builder(path):
     assert hand_built_matrices(path.read_text(encoding="utf-8").splitlines()) == []
+
+
+TRUSTED_CALL = re.compile(r"\b_trusted\(")
+SERIES_MAKERS = {"qexpansion.py", "theta.py", "symplectic.py"}
+
+
+def trusted_calls(lines):
+    return [n for n, line in enumerate(lines, 1) if TRUSTED_CALL.search(line)]
+
+
+def test_checker_sees_trusted_calls():
+    source = ("return _trusted(h.degree, h.trace_bound, coeffs)\n"
+              "x = qexpansion._trusted(1, 2, {})\n"
+              "from .qexpansion import _trusted, json_fields\n"
+              "def _trusted_entries(f):\n"
+              "y = untrusted(1)\n"
+              "    out = [_trusted(d, b, c) for c in cs]\n")
+    assert trusted_calls(source.splitlines()) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in SERIES_MAKERS],
+                         ids=lambda p: p.name)
+def test_series_made_in_one_place(path):
+    assert trusted_calls(path.read_text(encoding="utf-8").splitlines()) == []

@@ -1,8 +1,8 @@
 """One rule for arguments that must be an object of the package:
 halfint.require_instance.
 
-A lattice argument must be a GramLattice and bracket parameters a
-BracketParams; anything else is one TypeError, "<name>: expected a
+A lattice argument must be a GramLattice, bracket parameters a
+BracketParams and congruent's normalized flag a bool; anything else is one TypeError, "<name>: expected a
 <class name>, got <repr>", raised before any attribute of the argument
 is read.  The table lists each reader as (call with the argument set to
 x, name in the message, class name); the other arguments are valid.
@@ -12,6 +12,7 @@ import pytest
 
 from siegelq.diffops import BracketParams, leading_part, rankin_cohen
 from siegelq.halfint import require_instance
+from siegelq.padic import congruent
 from siegelq.qexpansion import FourierExpansion, eisenstein
 from siegelq.theta import (
     GramLattice,
@@ -35,6 +36,7 @@ TABLE = {
     "direct_sum b": (lambda x: direct_sum(A1, x), "b", "GramLattice"),
     "rankin_cohen": (lambda x: rankin_cohen(E4, E4, x), "params", "BracketParams"),
     "leading_part": (lambda x: leading_part(E4, E4, x), "params", "BracketParams"),
+    "congruent": (lambda x: congruent(E4, E4, 5, 1, normalized=x), "normalized", "bool"),
 }
 
 
@@ -54,6 +56,7 @@ def test_readers_accept_their_class():
     params = BracketParams(1, 1, 4, 4)
     assert rankin_cohen(E4, E4, params) == FourierExpansion.zero(1, 2, ("compound", 1))
     assert leading_part(E4, E4, params).shape == ("compound", 1)
+    assert congruent(E4, E4, 5, 1, normalized=True).normalized is True
 
 
 def test_require_instance():

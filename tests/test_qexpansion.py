@@ -962,6 +962,12 @@ class TestJsonParse:
         with pytest.raises(ValueError, match="duplicate key"):
             json_parse(text)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_rejected(self, token):
+        for text in (token, '{"a": [1, %s]}' % token):
+            with pytest.raises(ValueError, match="^%s is not a JSON value$" % token):
+                json_parse(text)
+
     def test_deep_nesting_is_a_value_error(self):
         depth = 200000
         for text in ("[" * depth + "]" * depth, '{"a": ' * depth + "1" + "}" * depth):
