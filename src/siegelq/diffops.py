@@ -11,8 +11,9 @@ The polarized pieces split by the generalized Laplace expansion into
 products of minors det T1[A, B] det T2[C, D], so each entry of the bracket
 is one qexpansion._pair_loop over weighted products of minor weights
 a(T) -> det T[A, B] a(T), each encoded in integers by qexpansion._numerators;
-no polynomial arithmetic.  A theta operator's entry is such an encoding
-decoded, and qexpansion._blocks assembles each block result.
+no polynomial arithmetic.  A theta operator's entry is such an encoding.
+Both hand their grid of packed entries to qexpansion._blocks, which
+decodes each key once and builds the one block series of the result.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from .halfint import (as_rational, minor, require_instance, require_int, square_matrix,
                       subset_order)
-from .qexpansion import SCALAR, _blocks, _decode, _numerators, _pair_loop, require_expansion
+from .qexpansion import SCALAR, _blocks, _numerators, _pair_loop, require_expansion
 
 
 def _laplace_split(rows, cols, q):
@@ -113,13 +114,13 @@ def theta_operator(f, r):
     (2 pi i)^{-r} normalization absorbed.  Takes scalar input; the result
     is ('compound', r)-shaped and keeps f's weight: as for rankin_cohen,
     the weight records the power of det and the shape carries the rest.
-    Entry (I, J) is _numerators(f, bound, I, J) decoded."""
+    Entry (I, J) is the encoding _numerators(f, bound, I, J), and _blocks
+    decodes the grid of entries."""
     n, bound = require_expansion(f, "f", shape=SCALAR).degree, f.trace_bound
     require_int(r, "minor_order", 1, n)
     subs = subset_order(n, r)
-    return _blocks([[_decode(_numerators(f, bound, rows, cols), n, bound, None, None)
-                     for cols in subs] for rows in subs],
-                   ("compound", r), f.weight, f.level, f.character)
+    return _blocks([[_numerators(f, bound, rows, cols) for cols in subs] for rows in subs],
+                   n, bound, ("compound", r), f.weight, f.level, f.character)
 
 
 def rankin_cohen(f, g, params):
@@ -147,7 +148,8 @@ def rankin_cohen(f, g, params):
     Computed entry by entry through _laplace_split: entry (I, J) is one
     _pair_loop over the signed, weighted products M_(I-K, J-L) f * M_(K, L) g
     of the minor weights M_(A, B) h: a(T) -> det T[A, B] a(T) (M_() h = h),
-    each encoded once, by _numerators(h, bound, A, B)."""
+    each encoded once, by _numerators(h, bound, A, B); _blocks decodes the
+    grid of entries."""
     n = require_instance(params, BracketParams, "params").degree
     r = params.minor_order
     require_expansion(f, "f", n, SCALAR)
@@ -163,12 +165,12 @@ def rankin_cohen(f, g, params):
         products = [(sign * weights[r - q], minors[0][fr, fc], minors[1][gr, gc])
                     for q in range(r + 1) if weights[r - q]
                     for sign, fr, fc, gr, gc in _laplace_split(rows, cols, q)]
-        return _decode(_pair_loop(products, n, bound), n, bound, None, None)
+        return _pair_loop(products, n, bound)
 
     weight = None if None in (f.weight, g.weight) else f.weight + g.weight
     subs = subset_order(n, r)
     return _blocks([[entry(rows, cols) for cols in subs] for rows in subs],
-                   ("compound", r), weight, None, None)
+                   n, bound, ("compound", r), weight, None, None)
 
 
 def leading_part(f, g, params):

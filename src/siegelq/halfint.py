@@ -101,7 +101,7 @@ def as_rational(x, name):
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
-# The largest series degree and A_m rank: no one number asks for a huge matrix.
+# The largest degree, A_m rank and block side: no one number asks for a huge matrix.
 SIZE_LIMIT = 64
 
 
@@ -314,9 +314,12 @@ def subset_order(n, r):
     """All r-element subsets of {0..n-1} in lexicographic order.
 
     This ordering is the row/column convention for every compound matrix
-    in the package; length is comb(n, r)."""
+    in the package; length is comb(n, r), at most SIZE_LIMIT."""
     require_int(n, "n", 0)
     require_int(r, "r", 0, n)
+    if comb(n, r) > SIZE_LIMIT:
+        raise ValueError("C(n, r) = C(%d, %d) = %d is more than the block size limit %d"
+                         % (n, r, comb(n, r), SIZE_LIMIT))
     return tuple(combinations(range(n), r))
 
 
@@ -420,7 +423,7 @@ def enumerate_indices(degree, trace_bound):
 
 
 def block_count(degree, r):
-    """Side length of an order-r compound block in degree n."""
+    """Side length of an order-r compound block in degree n, at most
+    SIZE_LIMIT: the length of subset_order(degree, r)."""
     require_int(degree, "degree", 1)
-    require_int(r, "r", 0, degree)
-    return comb(degree, r)
+    return len(subset_order(degree, r))

@@ -9,8 +9,8 @@ returns.  Every series argument is read by require_expansion.
 
 Values are scalars, or square blocks of size comb(n, r) for the image of
 an order-r minor theta operator; the shape field is "scalar" or
-("compound", r).  All arithmetic is on scalar series: a block result is
-computed as scalar entry series, which one function, _blocks, assembles.
+("compound", r).  Sums and multiples act on block values; any other
+block result is a grid of packed entries, which _blocks decodes.
 
 Keys are checked once, at the boundary.  FourierExpansion(...) is for
 outside input (user code, constant, zero, JSON): it checks the metadata,
@@ -29,26 +29,26 @@ nonzero Fraction values and blocks that are not all zero.
 A product of scalar series is three steps: both operands are encoded
 (_numerators), one pair loop over Python ints multiplies them
 (_pair_loop), and the result is decoded (_decode); a block times a
-scalar is C(n, r)^2 such products, one per entry, the scalar encoded
-once.  The pair loop sums weighted products c * left * right, so a
-product is a list of one and a bracket entry (diffops, which passes
-packed terms unread) one loop over many.  Encoding scales an operand's
-values to integer numerators over the lcm of its value denominators,
-times det 2T[I, J] for a minor weight a(T) -> det T[I, J] a(T) of the
-bracket or a theta operator, and codes each key 2T as one int: its
-signed digits in base 4N + 1, N the product's trace bound, least
-significant first, are the entries of the upper triangle of 2T row by
-row, except that the last one, 2T_nn, is replaced by trace(T).  For
-T >= 0 with trace(T) <= N, the diagonal of 2T lies in [0, 2N],
-|2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace in [0, N]; a sum
-of two keys whose traces add to at most N is such a key again.  So
-every digit stays in [-2N, 2N], the code of a sum is the sum of the
-codes, and codes sort by trace, the most significant digit.  The pair
-loop returns packed terms as an encoding does: (code, numerator) sorted
-by code, over the lcm of its products' denominators.  So a power encodes
-its base once, runs its square-and-multiply chain on packed terms and
-decodes once, and a square f * f encodes f once.  Only output keys are
-decoded, once each.
+scalar is one pair loop per block entry (i, j), which _numerators
+encodes from the block, the scalar encoded once.  The pair loop sums
+weighted products c * left * right, so a product is a list of one and a
+bracket entry (diffops, which passes packed terms unread) one loop over
+many.  Encoding scales an operand's values to integer numerators over
+the lcm of its value denominators, times det 2T[I, J] for a minor weight
+a(T) -> det T[I, J] a(T) of the bracket or a theta operator, and codes
+each key 2T as one int: its signed digits in base 4N + 1, N the
+product's trace bound, least significant first, are the entries of the
+upper triangle of 2T row by row, except that the last one, 2T_nn, is
+replaced by trace(T).  For T >= 0 with trace(T) <= N, the diagonal of 2T
+lies in [0, 2N], |2T_ij| <= 2 sqrt(T_ii T_jj) <= N off it and the trace
+in [0, N]; a sum of two keys whose traces add to at most N is such a key
+again.  So every digit stays in [-2N, 2N], the code of a sum is the sum
+of the codes, and codes sort by trace, the most significant digit.  The
+pair loop returns packed terms as an encoding does: (code, numerator)
+sorted by code, over the lcm of its products' denominators.  So a power
+encodes its base once, runs its square-and-multiply chain on packed
+terms and decodes once, and a square f * f encodes f once.  Only output
+keys are decoded, once each, also those of a block result.
 """
 
 import json
@@ -56,8 +56,8 @@ import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from math import comb, lcm
-from operator import itemgetter
+from math import lcm
+from operator import add, itemgetter
 
 from .halfint import (
     SIZE_LIMIT,
@@ -68,6 +68,8 @@ from .halfint import (
     is_int,
     key_sort,
     key_trace,
+    mat_add,
+    mat_scale,
     minor,
     power,
     psd_rows,
@@ -143,6 +145,7 @@ def _normalize_shape(shape, degree):
         return shape
     if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == "compound":
         require_int(shape[1], "compound", 1, degree)
+        block_count(degree, shape[1])
         return shape
     raise ValueError("shape must be 'scalar' or ('compound', r), got %r"
                      % (shape,))
@@ -155,18 +158,20 @@ def _coded(n):
     return [(i, j) for i in range(n) for j in range(i, n)][:-1]
 
 
-def _numerators(f, bound, rows=(), cols=()):
-    """The packed terms of a(T) -> det T[rows, cols] a(T), f scalar, with
-    trace at most bound: (code, integer numerator) pairs sorted by code, so
-    by trace, over 2^|rows| times the lcm of the kept value denominators.
-    A value's numerator is multiplied by det 2T[rows, cols], never computed
-    for the empty minor 1, then scaled to that lcm; a 0 minor drops the key."""
+def _numerators(f, bound, rows=(), cols=(), entry=None):
+    """The packed terms of a(T) -> det T[rows, cols] a(T), f scalar, or of
+    entry (i, j) of f's blocks, with trace at most bound: (code, integer
+    numerator) pairs sorted by code, so by trace, over 2^|rows| times the
+    lcm of the kept value denominators.  A nonzero value's numerator is
+    multiplied by det 2T[rows, cols], never computed for the empty minor 1,
+    then scaled to that lcm; a 0 minor drops the key."""
     coded = _coded(f.degree)[::-1]
     key_base = 4 * bound + 1
     terms = []
     for k, v in f.coeffs.items():
         code = key_trace(k)
-        if code <= bound:
+        v = v if entry is None else v[entry[0]][entry[1]]
+        if code <= bound and v:
             m = minor(k, rows, cols) if rows else 1
             if m:
                 for i, j in coded:
@@ -200,25 +205,31 @@ def _pair_loop(products, degree, bound):
     return [(c, s) for c, s in sorted(acc.items()) if s], den
 
 
-def _decode(packed, degree, bound, weight, level):
-    """The scalar series of the degree at the bound with the packed terms:
-    each code's signed digits, least significant first, are the entries
-    at _coded(degree) of its key; what is left is the trace, which gives
-    the last diagonal entry."""
-    terms, den = packed
+def _keys(codes, degree, bound):
+    """The keys 2T of the degree coded, at the bound, by the codes, in
+    their order: each code's signed digits, least significant first, are
+    the entries at _coded(degree) of its key; what is left is the trace,
+    which gives the last diagonal entry."""
     coded = _coded(degree)
     key_base = 4 * bound + 1
     half = key_base // 2
     diagonal = [d for d, (i, j) in enumerate(coded) if i == j]
-    coeffs = {}
-    for c, s in terms:
+    for c in codes:
         digits = []
         for _ in coded:
             d = (c + half) % key_base - half
             digits.append(d)
             c = (c - d) // key_base
         digits.append(2 * c - sum(map(digits.__getitem__, diagonal)))
-        coeffs[symmetric(degree, digits)] = Fraction(s, den)
+        yield symmetric(degree, digits)
+
+
+def _decode(packed, degree, bound, weight, level):
+    """The scalar series of the degree at the bound with the packed terms,
+    each code decoded once by _keys."""
+    terms, den = packed
+    keys = _keys([c for c, _ in terms], degree, bound)
+    coeffs = {k: Fraction(s, den) for k, (_, s) in zip(keys, terms)}
     return _trusted(degree, bound, coeffs, SCALAR, weight, level)
 
 
@@ -341,16 +352,14 @@ class FourierExpansion:
         weight = self.weight if self.weight == other.weight else None
         level = self.level if self.level == other.level else None
         character = self.character if self.character == other.character else None
-        if self.shape != SCALAR:
-            sums = [[a + b for a, b in zip(*rows)]
-                    for rows in zip(self._entries(), other._entries())]
-            return _blocks(sums, self.shape, weight, level, character)
+        scalar = self.shape == SCALAR
+        plus = add if scalar else mat_add
         acc = {k: v for k, v in self.coeffs.items() if key_trace(k) <= bound}
         for k, v in other.coeffs.items():
             if key_trace(k) <= bound:
-                acc[k] = acc.get(k, 0) + v
-        coeffs = {k: v for k, v in acc.items() if v}
-        return _trusted(self.degree, bound, coeffs, SCALAR, weight, level, character)
+                acc[k] = plus(acc[k], v) if k in acc else v
+        coeffs = {k: v for k, v in acc.items() if (v if scalar else any(map(any, v)))}
+        return _trusted(self.degree, bound, coeffs, self.shape, weight, level, character)
 
     def __neg__(self):
         return self.scale(-1)
@@ -359,20 +368,19 @@ class FourierExpansion:
         return self + -require_expansion(other, "other")
 
     def scale(self, c):
-        """Multiply every coefficient by the rational c."""
+        """Multiply every coefficient, or every block entry, by the rational c."""
         c = as_rational(c, "scale factor")
-        if self.shape != SCALAR:
-            return _blocks([[e.scale(c) for e in row] for row in self._entries()],
-                           self.shape, self.weight, self.level, self.character)
-        coeffs = {k: c * v for k, v in self.coeffs.items()} if c else {}
-        return _trusted(self.degree, self.trace_bound, coeffs, SCALAR,
+        scalar = self.shape == SCALAR
+        coeffs = {k: c * v if scalar else mat_scale(c, v)
+                  for k, v in self.coeffs.items()} if c else {}
+        return _trusted(self.degree, self.trace_bound, coeffs, self.shape,
                         self.weight, self.level, self.character)
 
     def __mul__(self, other):
         """The ring product, or the multiple by a rational: encoded at the
         smaller bound, one pair loop, decoded, and a square encoded once.  A
-        block is multiplied entry by entry, the scalar factor encoded once.
-        No character: for chi it would be chi^2."""
+        block times a scalar is one pair loop per entry, the scalar encoded
+        once, decoded by _blocks.  No character: for chi it would be chi^2."""
         if not isinstance(other, FourierExpansion):
             return self.scale(other)
         require_expansion(other, "other", self.degree)
@@ -383,26 +391,16 @@ class FourierExpansion:
         weight = None if None in (self.weight, other.weight) else self.weight + other.weight
         level = self.level if self.level == other.level else None
         right = _numerators(scalar, bound)
-
-        def times_scalar(e):
-            left = right if e is scalar else _numerators(e, bound)
-            return _decode(_pair_loop([(1, left, right)], n, bound), n, bound, weight, level)
-
         if block.shape == SCALAR:
-            return times_scalar(block)
-        return _blocks([[times_scalar(e) for e in row] for row in block._entries()],
-                       block.shape, weight, level, None)
+            left = right if block is scalar else _numerators(block, bound)
+            return _decode(_pair_loop([(1, left, right)], n, bound), n, bound, weight, level)
+        side = range(block.block_size)
+        return _blocks([[_pair_loop([(1, _numerators(block, bound, entry=(i, j)), right)],
+                                    n, bound) for j in side] for i in side],
+                       n, bound, block.shape, weight, level, None)
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def _entries(self):
-        """The entry series of a block series, with its bound and metadata."""
-        size = self.block_size
-        return [[_trusted(self.degree, self.trace_bound,
-                          {k: v[i][j] for k, v in self.coeffs.items() if v[i][j]},
-                          SCALAR, self.weight, self.level, self.character)
-                 for j in range(size)] for i in range(size)]
 
     def __pow__(self, exponent):
         """A new expansion, by square and multiply from the lowest set bit
@@ -477,18 +475,18 @@ def require_expansion(f, name, degree=None, shape=None):
                      % (name, of_degree, with_shape, f.degree, f.shape))
 
 
-def _blocks(entries, shape, weight, level, character):
-    """The ("compound", r) series whose entry (i, j) is the scalar series
-    entries[i][j], a C(n, r) x C(n, r) array: a key is stored wherever some
-    entry is nonzero, and the degree and trace bound are the entries'.  The
-    one place where scalar entries become blocks."""
-    keys = dict.fromkeys(k for row in entries for e in row for k in e.coeffs)
+def _blocks(grid, degree, bound, shape, weight, level, character):
+    """The series of the shape ("compound", r), degree and bound whose entry
+    (i, j) has the packed terms grid[i][j]: a key is stored wherever some
+    entry is nonzero, and each code is decoded once, by _keys.  The one
+    place where block values are built from entries."""
+    entries = [[(dict(terms), den) for terms, den in row] for row in grid]
+    codes = sorted(set().union(*(e for row in entries for e, _ in row)))
     zero = Fraction(0)
-    coeffs = {k: tuple(tuple(e.coeffs.get(k, zero) for e in row) for row in entries)
-              for k in keys}
-    first = entries[0][0]
-    return _trusted(first.degree, first.trace_bound, coeffs, shape,
-                    weight, level, character)
+    coeffs = {k: tuple(tuple(Fraction(e[c], den) if c in e else zero for e, den in row)
+                       for row in entries)
+              for c, k in zip(codes, _keys(codes, degree, bound))}
+    return _trusted(degree, bound, coeffs, shape, weight, level, character)
 
 
 def _trusted(degree, trace_bound, coeffs, shape=SCALAR,
@@ -510,18 +508,23 @@ def _trusted(degree, trace_bound, coeffs, shape=SCALAR,
 
 # -- classical degree-1 fixtures ------------------------------------------
 
-_BERNOULLI = [Fraction(1)]
-
-
 def bernoulli(n):
-    """Bernoulli number B_n (B_1 = -1/2 convention), by the standard
-    recurrence over exact rationals."""
+    """Bernoulli number B_n (B_1 = -1/2 convention).  B_n = 0 for odd
+    n > 1, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) with the tangent
+    number T_k from Brent and Harvey's integer triangle (2011)."""
     require_int(n, "n", 0)
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        s = sum(comb(m + 1, k) * _BERNOULLI[k] for k in range(m))
-        _BERNOULLI.append(-s / (m + 1))
-    return _BERNOULLI[n]
+    if n < 2:
+        return Fraction((1, -1)[n], n + 1)
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    t = [1]
+    for j in range(1, k):
+        t.append(j * t[-1])
+    for i in range(1, k):
+        for j in range(i, k):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (k - 1) * n * t[-1], 4 ** k * (4 ** k - 1))
 
 
 def eisenstein(weight, trace_bound):

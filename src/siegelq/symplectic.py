@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .halfint import (from_blocks, identity, mat_inverse, mat_mul, mat_scale,
+from .halfint import (SIZE_LIMIT, from_blocks, identity, mat_inverse, mat_mul, mat_scale,
                       rectangular_matrix, require_int, require_odd_prime, row_reduce,
                       square_matrix, symmetric, transpose, zero_matrix)
 
@@ -140,7 +140,7 @@ def partial_involution(n, j, p):
     """The element with A = D = diag(1_{n-j}, 0_j), the lower-right j x j
     of B equal to -1, and of C equal to +1; j = 0 gives the identity and
     j = n the standard symplectic involution (up to sign convention)."""
-    require_int(n, "degree", 1)
+    require_int(n, "degree", 1, SIZE_LIMIT)
     require_int(j, "cell", 0, n)
     require_odd_prime(p)
     one, zero = identity(n), zero_matrix(n)

@@ -94,7 +94,7 @@ def cycle_isometry(m):
     """The coordinate (m+1)-cycle of A_m in the root basis: order m + 1,
     fixes only the origin.  Columns: e_i -> e_{i+1} for i < m - 1 and
     e_{m-1} -> -(e_0 + ... + e_{m-1})."""
-    require_int(m, "rank", 1)
+    require_int(m, "rank", 1, SIZE_LIMIT)
     s = [[0] * m for _ in range(m)]
     for i in range(m):
         s[i][m - 1] = -1

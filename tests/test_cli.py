@@ -572,6 +572,26 @@ class TestRobustness:
         assert run(["gram-a", "--rank", str(SIZE_LIMIT), "-o", str(out)]) == 0
         assert time.perf_counter() - start < 1.0
 
+    def test_wide_blocks_exit_two_fast(self, tmp_path, capsys):
+        # a one-key degree-20 series asks for no block wider than
+        # SIZE_LIMIT: C(20, 3) = 1140 rows for the theta operator, and
+        # C(20, 2) = 190 on the way to order 10 for the bracket
+        f = tmp_path / "z20.json"
+        write(f, {"degree": 20, "trace_bound": 1, "shape": "scalar",
+                  "coeffs": [{"t2": [[0] * 20] * 20, "value": "1"}]})
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        assert run(["thetaop", "--f", str(f), "--minor-order", "3", "-o", str(out)]) == 2
+        assert run(["bracket", "--f", str(f), "--g", str(f), "--minor-order", "10",
+                    "--weight-f", "4", "--weight-g", "4", "-o", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(
+            "error: C(n, r) = C(20, %d) = %d is more than the block size limit %d\n"
+            % (r, size, SIZE_LIMIT) for r, size in ((3, 1140), (2, 190)))
+
     def test_gram_rank_limit_exits_two_fast(self, tmp_path, capsys):
         # a Gram document's rank is bounded before definiteness is decided
         big = SIZE_LIMIT + 1

@@ -344,12 +344,12 @@ class TestBracket:
     def test_each_minor_encoded_once_and_each_entry_decoded_once(self, monkeypatch):
         # every minor weight of f and of g is encoded once, sizes 0..r, by
         # _numerators itself, and each of the C(n, r)^2 entries is one pair
-        # loop, decoded once, whether diffops calls the kernel or a ring
-        # product does; a theta operator decodes each entry's encoding; the
-        # bytes are pinned
+        # loop, whether diffops calls the kernel or a ring product does; a
+        # theta operator's entries are encodings; each result's grid of
+        # packed entries is decoded by one _blocks call; the bytes are pinned
         th = rep_numbers(gram_a(4), 2, 3)
         f = th ** 2
-        calls = {"_numerators": 0, "_pair_loop": 0, "_decode": 0}
+        calls = {"_numerators": 0, "_pair_loop": 0, "_blocks": 0}
         for module in (diffops, qexpansion):
             for name in calls:
                 def counting(*args, name=name, original=getattr(module, name)):
@@ -361,18 +361,17 @@ class TestBracket:
         for r, minors, entries in ((1, 10, 4), (2, 12, 1)):
             calls.update(dict.fromkeys(calls, 0))
             b = rankin_cohen(f, th, BracketParams(2, r, 5, 2))
-            assert calls == {"_numerators": minors, "_pair_loop": entries,
-                             "_decode": entries}
+            assert calls == {"_numerators": minors, "_pair_loop": entries, "_blocks": 1}
             assert hashlib.sha256(dumps(b).encode()).hexdigest() == digests[r]
             calls.update(dict.fromkeys(calls, 0))
             theta_operator(f, r)
-            assert calls == {"_numerators": entries, "_pair_loop": 0, "_decode": entries}
-        # so the bracket and the theta operator each build C(n, r)^2 + 1
-        # series, the entries and their block, and no minor weight series
+            assert calls == {"_numerators": entries, "_pair_loop": 0, "_blocks": 1}
+        # so the bracket and the theta operator each build one series, their
+        # block result: no entry series and no minor weight series
         src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
         done = subprocess.run([sys.executable, "-c", SERIES_BUILT], capture_output=True,
                               env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert done.stdout.decode().split() == ["5", "5", "2", "2"]
+        assert done.stdout.decode().split() == ["1", "1", "1", "1"]
 
     def test_vanishing_weights_give_zero(self):
         # k = l = (r - 1)/2 makes every weight vanish: every entry sums no

@@ -12,6 +12,7 @@ import pytest
 
 from siegelq.halfint import (
     PRIME_LIMIT,
+    SIZE_LIMIT,
     HalfIntegralMatrix,
     bareiss,
     block_count,
@@ -377,6 +378,20 @@ class TestSubsetOrder:
         for n, r in ((2, True), (True, 1), (2, 1.0)):
             with pytest.raises(ValueError):
                 subset_order(n, r)
+
+    def test_width_limit(self):
+        # no order asks for more than SIZE_LIMIT subsets: C(64, 1) and
+        # C(64, 63) are at the limit, C(65, 1) and C(12, 2) = 66 past it
+        assert len(subset_order(SIZE_LIMIT, 1)) == block_count(SIZE_LIMIT, 63) == SIZE_LIMIT
+        for n, r, size in ((SIZE_LIMIT + 1, 1, SIZE_LIMIT + 1), (12, 2, 66), (20, 3, 1140)):
+            message = "C(n, r) = C(%d, %d) = %d is more than the block size limit %d" % (
+                n, r, size, SIZE_LIMIT)
+            for call in (subset_order, block_count):
+                with pytest.raises(ValueError) as info:
+                    call(n, r)
+                assert str(info.value) == message
+        with pytest.raises(ValueError, match=r"C\(20, 3\) = 1140"):
+            compound(identity(20), 3)
 
 
 class TestCompound:

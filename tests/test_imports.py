@@ -45,6 +45,11 @@ every series that diffops, padic and cli return comes from qexpansion
 values are made in one place.  symplectic is exempt by module: its
 _trusted wraps coset matrices, not series.
 
+No module but qexpansion calls "_decode(" or "_keys(": packed terms are
+decoded only there, a scalar result by _decode and a block result by
+_blocks, each key once through _keys, so diffops hands packed entries to
+_blocks unread.
+
 No module but halfint builds an identity by hand, "1 if i == j else 0",
 or fills a symmetric matrix by hand, "g[i][j] = g[j][i]": every identity
 is halfint.identity and every symmetric matrix from its upper triangle
@@ -297,3 +302,26 @@ def test_checker_sees_trusted_calls():
                          ids=lambda p: p.name)
 def test_series_made_in_one_place(path):
     assert trusted_calls(path.read_text(encoding="utf-8").splitlines()) == []
+
+
+DECODE_CALL = re.compile(r"\b_(decode|keys)\(")
+
+
+def decode_calls(lines):
+    return [n for n, line in enumerate(lines, 1) if DECODE_CALL.search(line)]
+
+
+def test_checker_sees_decode_calls():
+    source = ("return _decode(_pair_loop(products, n, bound), n, bound, None, None)\n"
+              "keys = qexpansion._keys(codes, degree, bound)\n"
+              "from .qexpansion import _decode, _keys\n"
+              "def _decode_all(packed):\n"
+              "x = decode(packed)\n"
+              "    for k in _keys(codes, 2, 3):\n")
+    assert decode_calls(source.splitlines()) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "qexpansion.py"],
+                         ids=lambda p: p.name)
+def test_keys_decoded_in_one_place(path):
+    assert decode_calls(path.read_text(encoding="utf-8").splitlines()) == []

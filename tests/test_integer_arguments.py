@@ -52,7 +52,7 @@ TABLE = {
     "GramLattice entry": (lambda x: theta.GramLattice([[x]]), "Gram matrix entry",
                           None, None),
     "gram_a": (theta.gram_a, "rank", 1, SIZE_LIMIT),
-    "cycle_isometry": (theta.cycle_isometry, "rank", 1, None),
+    "cycle_isometry": (theta.cycle_isometry, "rank", 1, SIZE_LIMIT),
     "is_free_isometry p": (
         lambda x: theta.is_free_isometry(A2, theta.cycle_isometry(2), x), "p", *P),
     "is_free_isometry entry": (
@@ -99,7 +99,7 @@ TABLE = {
         lambda x: symplectic.SymplecticModP([[x, 0], [0, 1]], 3), "matrix entry",
         None, None),
     "partial_involution n": (
-        lambda x: symplectic.partial_involution(x, 0, 3), "degree", 1, None),
+        lambda x: symplectic.partial_involution(x, 0, 3), "degree", 1, SIZE_LIMIT),
     "partial_involution j": (
         lambda x: symplectic.partial_involution(2, x, 3), "cell", 0, 2),
     "partial_involution p": (

@@ -14,8 +14,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siegelq
 from siegelq import qexpansion
 from siegelq.halfint import HalfIntegralMatrix, enumerate_indices, zero_matrix
 from siegelq.qexpansion import (
@@ -41,6 +45,33 @@ from siegelq.qexpansion import (
     to_json_dict,
 )
 from siegelq.theta import gram_a, rep_numbers
+
+
+# Counts the series each block operation builds, in a fresh interpreter
+# since FourierExpansion.__new__ is replaced: at r = 1 and 2, a block sum,
+# difference, multiple and block times scalar, then leading_part.
+BLOCK_SERIES_BUILT = """
+from siegelq.diffops import BracketParams, leading_part, theta_operator
+from siegelq.qexpansion import FourierExpansion
+from siegelq.theta import gram_a, rep_numbers
+
+th = rep_numbers(gram_a(4), 2, 3)
+f = th ** 2
+built = []
+
+def building(cls, *args, **kwargs):
+    built.append(cls)
+    return object.__new__(cls)
+
+blocks = {r: (theta_operator(f, r), theta_operator(th, r)) for r in (1, 2)}
+FourierExpansion.__new__ = staticmethod(building)
+for r, (a, b) in blocks.items():
+    for call in (lambda: a + b, lambda: a - b, lambda: a.scale(3), lambda: a * th,
+                 lambda: leading_part(f, th, BracketParams(2, r, 5, 2))):
+        built.clear()
+        call()
+        print(len(built))
+"""
 
 
 # -- independent oracles ----------------------------------------------------
@@ -130,6 +161,18 @@ def rand_expansion(rng, degree, bound, denominators=False):
 
 
 class TestEisenstein:
+    def test_bernoulli_against_oracle(self):
+        # the tangent-number triangle against Akiyama-Tanigawa: every even
+        # n <= 60, B_1 = -1/2 (the oracle's convention is +1/2) and the
+        # odd zeros
+        for n in range(0, 61, 2):
+            assert bernoulli(n) == oracle_bernoulli(n)
+        assert bernoulli(1) == Fraction(-1, 2) == -oracle_bernoulli(1)
+        for n in range(3, 61, 2):
+            assert bernoulli(n) == 0 == oracle_bernoulli(n)
+        assert bernoulli(60) == Fraction(-1215233140483755572040304994079820246041491,
+                                         56786730)
+
     def test_constants_against_bernoulli(self):
         for k, c in ((4, 240), (6, -504), (8, 480), (10, -264), (14, -24)):
             assert Fraction(-2 * k) / bernoulli(k) == c
@@ -288,9 +331,9 @@ class TestRingLaws:
         encoded = []
         original = qexpansion._numerators
 
-        def counting(f, bound):
+        def counting(f, bound, entry=None):
             encoded.append(f)
-            return original(f, bound)
+            return original(f, bound, entry=entry)
 
         monkeypatch.setattr(qexpansion, "_numerators", counting)
         products = [block * th, th * block]
@@ -298,9 +341,26 @@ class TestRingLaws:
         assert sum(f is th for f in encoded) == 2
         monkeypatch.undo()
         digest = "2d3c0779e721c2eecf46e2f2ae434bf6194d33784bd16e36a482783ecf498dbf"
+        side = range(block.block_size)
+
+        def entry_series(f):
+            return [[FourierExpansion(2, 3, {k: v[i][j] for k, v in f.coeffs.items()})
+                     for j in side] for i in side]
+
         for product in products:
             assert hashlib.sha256(dumps(product).encode()).hexdigest() == digest
-            assert product._entries() == [[th * e for e in row] for row in block._entries()]
+            assert entry_series(product) == [[th * e for e in row]
+                                             for row in entry_series(block)]
+
+    def test_block_operations_build_one_series_each(self):
+        # a block sum, multiple and block times scalar build their result
+        # only, a difference the negation too, and leading_part the theta
+        # operator, its product and the multiple: no entry series
+        src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
+        done = subprocess.run([sys.executable, "-c", BLOCK_SERIES_BUILT],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+                              check=True)
+        assert done.stdout.decode().split() == ["1", "2", "1", "1", "3"] * 2
 
     def test_mul_bound_is_min(self):
         rng = random.Random(35)
@@ -631,6 +691,17 @@ class TestValidation:
                              ("compound", 1))
         f = FourierExpansion(1, 2, {key1(1): 3, HalfIntegralMatrix(key1(2)): 0})
         assert f.coeffs == {key1(1): 3}
+
+    def test_block_width_limit(self):
+        # C(12, 2) = 66 rows is wider than SIZE_LIMIT, made or read;
+        # C(12, 1) = 12 is not
+        message = "^C\\(n, r\\) = C\\(12, 2\\) = 66 is more than the block size limit 64$"
+        with pytest.raises(ValueError, match=message):
+            FourierExpansion(12, 1, shape=("compound", 2))
+        doc = to_json_dict(FourierExpansion(12, 1, shape=("compound", 1)))
+        doc["shape"] = {"compound": 2}
+        with pytest.raises(ValueError, match=message):
+            from_json_dict(doc)
 
     def test_block_size_names_both_sizes(self):
         with pytest.raises(ValueError) as err:
