@@ -15,13 +15,14 @@ anything else is one ValueError of the form "<name> must be an integer
 an instance of a class is read by require_instance, whose TypeError says
 "<name>: expected a <class name>, got <repr>".
 
-Every matrix argument is read by square_matrix or rectangular_matrix,
-which share one shape check and one ValueError, "<name> must be a
-non-empty square (or rectangular) array of arrays, got <repr>".  There is
-one block builder, from_blocks, one upper-triangle builder, symmetric,
-one power loop and three eliminations, one per decision: row_reduce
-(Gauss-Jordan, over Q and F_p) for reduced forms and inverses, bareiss for
-determinants and psd_rows (no row swap) for definiteness and completions.
+Every matrix argument is read by square_matrix, with one shape check and
+one ValueError, "<name> must be a non-empty square array of arrays, got
+<repr>".  There is one block builder, from_blocks, one upper-triangle
+builder, symmetric, one power loop and three eliminations, one per
+decision: row_reduce (Gauss-Jordan, over F_p only) for reduced forms and
+inverses mod p, bareiss for determinants and psd_rows (no row swap) for
+definiteness, completions and, through adjugate, a positive-definite
+matrix's determinant and adjugate in integers.
 """
 
 from fractions import Fraction
@@ -57,29 +58,20 @@ def require_instance(x, cls, name):
     raise TypeError("%s: expected a %s, got %r" % (name, cls.__name__, x))
 
 
-def _matrix_rule(shape, width):
-    """A matrix reader: rows as a tuple-of-tuples matrix of entry(x, name +
-    " entry") if it is a non-empty list or tuple of lists or tuples, each
-    width(rows) long, else a ValueError naming the matrix and quoting rows.
-    The shape is checked first, so a ragged matrix is reported as ragged."""
-    def read(rows, name, entry=require_int):
-        if isinstance(rows, (list, tuple)) and rows:
-            n = width(rows)
-            for row in rows:
-                if not isinstance(row, (list, tuple)) or len(row) != n:
-                    break
-            else:
-                label = name + " entry"
-                return tuple([tuple([entry(x, label) for x in row]) for row in rows])
-        raise ValueError("%s must be a non-empty %s array of arrays, got %r"
-                         % (name, shape, rows))
-    return read
-
-
-square_matrix = _matrix_rule("square", len)
-# each row as long as the first; -1 fails a first row that is no array
-rectangular_matrix = _matrix_rule(
-    "rectangular", lambda rows: len(rows[0]) if isinstance(rows[0], (list, tuple)) else -1)
+def square_matrix(rows, name, entry=require_int):
+    """rows as a tuple-of-tuples matrix of entry(x, name + " entry") if it
+    is a non-empty list or tuple of lists or tuples, each len(rows) long,
+    else a ValueError naming the matrix and quoting rows.  The shape is
+    checked first, so a ragged matrix is reported as ragged."""
+    if isinstance(rows, (list, tuple)) and rows:
+        n = len(rows)
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                break
+        else:
+            label = name + " entry"
+            return tuple([tuple([entry(x, label) for x in row]) for row in rows])
+    raise ValueError("%s must be a non-empty square array of arrays, got %r" % (name, rows))
 
 
 def require_exact(x, name):
@@ -272,12 +264,27 @@ def psd_rows(m):
     return tuple(map(tuple, a))
 
 
-def row_reduce(rows, p=None):
-    """Reduced row echelon form by Gauss-Jordan elimination, over Q with
-    Fraction entries when p is None, else over F_p (p prime) with entries
-    in 0..p-1: returns (the reduced matrix, the list of pivot columns).
-    Each column's pivot is its first nonzero entry at or below the current row."""
-    a = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+def adjugate(m):
+    """(d, adj) = (det m, det m * m^-1) of a positive-definite int matrix m
+    already read.  psd_rows of (m | 1) swaps no row and ends at the pivot d,
+    leaving (U | B) with U adj = d B; back substitution solves that, each
+    division exact, as adj is integral."""
+    n = len(m)
+    a = psd_rows([row + e for row, e in zip(m, identity(n))])
+    d, adj = a[-1][n - 1], []
+    for i in reversed(range(n)):
+        top = a[i]
+        adj.insert(0, [(d * top[n + c] - sum(x * row[c] for x, row in zip(top[i + 1:n], adj)))
+                       // top[i] for c in range(n)])
+    return d, tuple(map(tuple, adj))
+
+
+def row_reduce(rows, p):
+    """Reduced row echelon form over F_p (p prime) by Gauss-Jordan
+    elimination, entries in 0..p-1: returns (the reduced matrix, the list
+    of pivot columns).  Each column's pivot is its first nonzero entry at
+    or below the current row."""
+    a = [[x % p for x in row] for row in rows]
     pivots = []
     for col in range(len(a[0]) if a else 0):
         rank = len(pivots)
@@ -285,28 +292,24 @@ def row_reduce(rows, p=None):
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col] if p is None else pow(a[rank][col], -1, p)
-        a[rank] = top = [x * inv for x in a[rank]]
-        a = [[x - row[col] * y for x, y in zip(row, top)] if row[col] and i != rank
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = top = [x * inv % p for x in a[rank]]
+        a = [[(x - row[col] * y) % p for x, y in zip(row, top)] if row[col] and i != rank
              else row for i, row in enumerate(a)]
-        if p is not None:
-            a = [[x % p for x in row] for row in a]
         pivots.append(col)
     return tuple(map(tuple, a)), pivots
 
 
-def mat_inverse(m, p=None):
-    """Exact inverse of a square matrix read by square_matrix, read off the
-    reduced row echelon form of (m | 1): over Q as a Fraction matrix when p
-    is None, else over F_p for an odd prime p; ValueError if singular."""
-    if p is not None:
-        require_odd_prime(p)
-    m = _exact_square(m, require_exact if p is None else require_int)
+def mat_inverse(m, p):
+    """Inverse over F_p (p an odd prime) of a square int matrix read by
+    square_matrix, read off the reduced row echelon form of (m | 1);
+    ValueError if m is singular mod p."""
+    require_odd_prime(p)
+    m = _exact_square(m, require_int)
     n = len(m)
     a, pivots = row_reduce([row + e for row, e in zip(m, identity(n))], p)
     if pivots != list(range(n)):
-        raise ValueError("matrix is singular" if p is None
-                         else "matrix is singular mod p")
+        raise ValueError("matrix is singular mod p")
     return tuple(row[n:] for row in a)
 
 

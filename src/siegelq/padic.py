@@ -165,9 +165,11 @@ def unit_ladder(base, k, i, p):
 
 def limit_profile(seq, target, p):
     """Valuation profile of a sequence against its target: entry m is the
-    min_valuation of seq[m] - target up to the shared bound.  A p-adically
-    convergent sequence shows a profile increasing without bound."""
+    min_valuation of seq[m] - target up to the shared bound; seq is any
+    iterable, read once.  A p-adically convergent sequence shows a profile
+    increasing without bound."""
     require_odd_prime(p)
+    seq = list(seq)
     if not seq:
         raise ValueError("empty sequence")
     return [congruent(member, target, p, 1).min_valuation for member in seq]

@@ -258,7 +258,8 @@ class FourierExpansion:
         self.weight = weight
         self.level = level
         self.character = character
-        self.coeffs = self._terms((coeffs or {}).items(), "key", as_rational)
+        coeffs = {} if coeffs is None else require_instance(coeffs, dict, "coeffs")
+        self.coeffs = self._terms(coeffs.items(), "key", as_rational)
 
     def _terms(self, pairs, name, rule):
         """The coefficients to store from the (key, value) pairs, each

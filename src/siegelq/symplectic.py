@@ -33,7 +33,8 @@ the size of any system.
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
 of M1 M2^{-1} vanishes mod p: both say (C1 | D1) = g (C2 | D2), g in GL_n.
-Keys come from halfint.row_reduce, inverses mod p from its mat_inverse.
+Keys come from halfint.row_reduce and inverses from its mat_inverse,
+both over F_p, as every Gauss-Jordan elimination of the package is.
 """
 
 from collections.abc import Sequence
@@ -42,7 +43,7 @@ from itertools import combinations, product
 from math import prod
 
 from .halfint import (SIZE_LIMIT, from_blocks, identity, mat_inverse, mat_mul, mat_scale,
-                      rectangular_matrix, require_int, require_odd_prime, row_reduce,
+                      require_instance, require_int, require_odd_prime, row_reduce,
                       square_matrix, symmetric, transpose, zero_matrix)
 
 MAX_LISTING = 50_000
@@ -53,12 +54,6 @@ def _freeze_mod(rows, p):
     square_matrix reads it as a matrix of ints (not a bool, float, string
     or Fraction, which would otherwise be coerced)."""
     return tuple(tuple(x % p for x in row) for row in square_matrix(rows, "matrix"))
-
-
-def rank_mod(m, p):
-    """Row rank over F_p of an integer matrix read by rectangular_matrix."""
-    require_odd_prime(p)
-    return len(row_reduce(rectangular_matrix(m, "matrix"), p)[1])
 
 
 class SymplecticModP:
@@ -324,8 +319,8 @@ def coset_count(n, p):
 def same_coset(m1, m2):
     """True iff m1 and m2 have equal coset keys, i.e. the lower-left n x n
     block of m1 * m2^{-1} vanishes mod p."""
-    if not isinstance(m1, SymplecticModP) or not isinstance(m2, SymplecticModP):
-        raise ValueError("expected SymplecticModP elements")
+    require_instance(m1, SymplecticModP, "m1")
+    require_instance(m2, SymplecticModP, "m2")
     if m1.degree != m2.degree or m1.prime != m2.prime:
         raise ValueError("degree or prime mismatch")
     return m1.coset_key() == m2.coset_key()

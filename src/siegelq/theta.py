@@ -28,11 +28,11 @@ matrix is spread over its orbit under those moves.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 
-from .halfint import (SIZE_LIMIT, det, even_symmetric, from_blocks, identity, mat_add,
-                      mat_inverse, mat_mul, mat_scale, power, psd_rows, require_instance,
+from .halfint import (SIZE_LIMIT, adjugate, det, even_symmetric, from_blocks, identity,
+                      mat_add, mat_mul, mat_scale, power, psd_rows, require_instance,
                       require_int, require_odd_prime, square_matrix, symmetric, transpose)
 from .qexpansion import _trusted, json_fields
 
@@ -57,16 +57,12 @@ class GramLattice:
     def det(self):
         return det(self.gram)
 
-    def inverse(self):
-        return mat_inverse(self.gram)
-
     def level(self):
-        """Smallest positive integer l with l * Q^{-1} even integral."""
-        inv = self.inverse()
-        l = lcm(*[x.denominator for row in inv for x in row])
-        if any((l * inv[i][i]) % 2 for i in range(self.rank)):
-            l *= 2
-        return l
+        """Smallest positive integer l with l * Q^{-1} even integral, in
+        integers: 2d / gcd(2d, adj_ii, 2 adj_ij), (d, adj) = adjugate(Q)."""
+        d, adj = adjugate(self.gram)
+        diagonal = [adj[i][i] for i in range(self.rank)]
+        return 2 * d // gcd(2 * d, *diagonal, *(2 * x for row in adj for x in row))
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.gram == other.gram

@@ -24,14 +24,25 @@ from siegelq.diffops import (
 )
 from siegelq.halfint import (
     compound,
+    det,
     enumerate_indices,
     key_half,
     mat_add,
-    mat_inverse,
     mat_scale,
+    minor,
 )
 from siegelq.qexpansion import FourierExpansion, dumps, eisenstein
 from siegelq.theta import gram_a, rep_numbers
+
+
+def cramer_inverse(m):
+    """m^{-1} by Cramer's rule, (m^{-1})_ij = (-1)^(i+j) det m[~j, ~i] / det m,
+    from halfint's minors alone."""
+    n = len(m)
+    rest = [[k for k in range(n) if k != i] for i in range(n)]
+    d = det(m)
+    return [[Fraction((-1) ** (i + j) * minor(m, rest[j], rest[i]), d) for j in range(n)]
+            for i in range(n)]
 
 
 # Prints the number of series that rankin_cohen(th^2, th) and then
@@ -304,7 +315,7 @@ class TestBracket:
             half = Fraction(r - 1, 2)
             weights = [(-1) ** alpha * rising(l - half, alpha) * rising(k - half, r - alpha)
                        for alpha in range(r + 1)]
-            vinv = mat_inverse([[Fraction(lam) ** q for q in range(r + 1)]
+            vinv = cramer_inverse([[Fraction(lam) ** q for q in range(r + 1)]
                                 for lam in range(r + 1)])
             bound = min(f.trace_bound, g.trace_bound)
             size = comb(n, r)

@@ -25,7 +25,10 @@ so the package has one rule and one message for a malformed matrix.
 
 No module but halfint computes a modular inverse with "pow(x, -1, p)":
 every inverse mod p comes from halfint.row_reduce, so the package has
-one Gauss-Jordan elimination, over Q and over F_p.
+one Gauss-Jordan elimination, over F_p only.  No module calls
+row_reduce or mat_inverse without a prime argument, by position or as
+p=: nothing asks for Gauss-Jordan over Q, and a lattice's level comes
+from halfint.adjugate in integers.
 
 No module but halfint updates a matrix entry in place as an elimination
 step does, "a[k][l] -= ...": the integer quadratic completion of the
@@ -207,6 +210,41 @@ MODULAR_INVERSE = re.compile(r"pow\([^()]*, -1,")
 def test_one_elimination(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if MODULAR_INVERSE.search(line)] == []
+
+
+PRIME_TAKERS = {"row_reduce", "mat_inverse"}
+
+
+def calls_without_prime(source):
+    """Lines of the calls of row_reduce or mat_inverse, by name or as an
+    attribute, that pass neither a second positional argument nor p=."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if (name in PRIME_TAKERS and len(node.args) < 2
+                and not any(k.arg == "p" for k in node.keywords)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_sees_calls_without_prime():
+    source = ("row_reduce(m, p)\n"
+              "halfint.mat_inverse(a, 3)\n"
+              "mat_inverse(m)\n"
+              "x = halfint.row_reduce(rows)\n"
+              "mat_inverse(m, p=q)\n"
+              "def row_reduce(rows, p):\n"
+              "    return [row_reduce(r) for r in rows]\n"
+              "reduce(m)\n")
+    assert calls_without_prime(source) == [3, 4, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_gauss_jordan_only_mod_p(path):
+    assert calls_without_prime(path.read_text(encoding="utf-8")) == []
 
 
 ELIMINATION_STEP = re.compile(r"\w+\[\w+\]\[\w+\] -= ")

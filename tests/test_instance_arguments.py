@@ -2,9 +2,10 @@
 halfint.require_instance.
 
 A lattice argument must be a GramLattice, bracket parameters a
-BracketParams and congruent's normalized flag a bool; anything else is one TypeError, "<name>: expected a
-<class name>, got <repr>", raised before any attribute of the argument
-is read.  The table lists each reader as (call with the argument set to
+BracketParams, congruent's normalized flag a bool, same_coset's elements
+SymplecticModP and a series' coefficients a dict; anything else is one
+TypeError, "<name>: expected a <class name>, got <repr>", raised before
+any attribute of the argument is read.  The table lists each reader as (call with the argument set to
 x, name in the message, class name); the other arguments are valid.
 """
 
@@ -14,6 +15,7 @@ from siegelq.diffops import BracketParams, leading_part, rankin_cohen
 from siegelq.halfint import require_instance
 from siegelq.padic import congruent
 from siegelq.qexpansion import FourierExpansion, eisenstein
+from siegelq.symplectic import coset_reps, same_coset
 from siegelq.theta import (
     GramLattice,
     cycle_isometry,
@@ -26,6 +28,7 @@ from siegelq.theta import (
 
 E4 = eisenstein(4, 2)
 A1 = gram_a(1)
+M = coset_reps(1, 3)[0].mat
 
 TABLE = {
     "rep_numbers": (lambda x: rep_numbers(x, 2, 3), "lattice", "GramLattice"),
@@ -37,6 +40,9 @@ TABLE = {
     "rankin_cohen": (lambda x: rankin_cohen(E4, E4, x), "params", "BracketParams"),
     "leading_part": (lambda x: leading_part(E4, E4, x), "params", "BracketParams"),
     "congruent": (lambda x: congruent(E4, E4, 5, 1, normalized=x), "normalized", "bool"),
+    "same_coset m1": (lambda x: same_coset(x, M), "m1", "SymplecticModP"),
+    "same_coset m2": (lambda x: same_coset(M, x), "m2", "SymplecticModP"),
+    "FourierExpansion coeffs": (lambda x: FourierExpansion(1, 2, x), "coeffs", "dict"),
 }
 
 
@@ -57,6 +63,11 @@ def test_readers_accept_their_class():
     assert rankin_cohen(E4, E4, params) == FourierExpansion.zero(1, 2, ("compound", 1))
     assert leading_part(E4, E4, params).shape == ("compound", 1)
     assert congruent(E4, E4, 5, 1, normalized=True).normalized is True
+    assert same_coset(M, M) is True
+    assert FourierExpansion(1, 2, {((2,),): 3}).coefficient(((2,),)) == 3
+    # an empty list is refused too, not read as no coefficients
+    with pytest.raises(TypeError, match=r"^coeffs: expected a dict, got \[\]$"):
+        FourierExpansion(1, 2, [])
 
 
 def test_require_instance():

@@ -28,6 +28,9 @@ TABLE = {
     "enumerate_indices trace_bound": (
         lambda x: halfint.enumerate_indices(1, x), "trace_bound", 0, None),
     "require_odd_prime p": (halfint.require_odd_prime, "p", *P),
+    "mat_inverse entry": (
+        lambda x: halfint.mat_inverse([[x]], 3), "matrix entry", None, None),
+    "mat_inverse p": (lambda x: halfint.mat_inverse([[1]], x), "p", *P),
     "HalfIntegralMatrix entry": (
         lambda x: halfint.HalfIntegralMatrix([[x]]), "2T entry", None, None),
     "FourierExpansion degree": (
@@ -119,10 +122,6 @@ TABLE = {
     "coset_reps p": (lambda x: symplectic.coset_reps(1, x), "p", *P),
     "coset_count n": (lambda x: symplectic.coset_count(x, 3), "degree", 1, 3),
     "coset_count p": (lambda x: symplectic.coset_count(1, x), "p", *P),
-    "rank_mod p": (lambda x: symplectic.rank_mod([[1]], x), "p", *P),
-    "rank_mod entry": (
-        lambda x: symplectic.rank_mod([[1, 0, 2], [0, x, 1]], 3), "matrix entry",
-        None, None),
 }
 
 

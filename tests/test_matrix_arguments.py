@@ -1,15 +1,13 @@
-"""One rule for matrix arguments: halfint.square_matrix, and
-halfint.rectangular_matrix where the matrix need not be square.
+"""One rule for matrix arguments: halfint.square_matrix.
 
 Every public reader of a matrix accepts a non-empty list or tuple of
-lists or tuples, each as long as the matrix (or, for a rectangular
-matrix, as the first row), and rejects anything else with one
-ValueError, "<name> must be a non-empty square (or rectangular) array of
-arrays, got <repr of the value>".  The table lists each reader as (call
-with the matrix argument set to x, name in the message); the other
-arguments are valid.  The JSON readers get the malformed matrix inside a
-document, where it arrives as the same lists.  det, compound and
-mat_inverse also take the empty matrix, with the values in EMPTY.
+lists or tuples, each as long as the matrix, and rejects anything else
+with one ValueError, "<name> must be a non-empty square array of arrays,
+got <repr of the value>".  The table lists each reader as (call with the
+matrix argument set to x, name in the message); the other arguments are
+valid.  The JSON readers get the malformed matrix inside a document,
+where it arrives as the same lists.  det, compound and mat_inverse also
+take the empty matrix, with the values in EMPTY.
 """
 
 from fractions import Fraction
@@ -17,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from siegelq import diffops, halfint, qexpansion, symplectic, theta
-from siegelq.halfint import identity, rectangular_matrix, square_matrix
+from siegelq.halfint import identity, square_matrix
 
 A2 = theta.gram_a(2)
 ZERO2 = ((0, 0), (0, 0))
@@ -52,13 +50,10 @@ TABLE = {
     "gram_from_json": (lambda x: theta.gram_from_json({"gram": x}), "gram"),
     "det": (halfint.det, "matrix"),
     "compound": (lambda x: halfint.compound(x, 0), "matrix"),
-    "mat_inverse": (halfint.mat_inverse, "matrix"),
     "mat_inverse mod p": (lambda x: halfint.mat_inverse(x, 3), "matrix"),
-    "rank_mod": (lambda x: symplectic.rank_mod(x, 3), "matrix"),
     "bareiss": (halfint.bareiss, "matrix"),
 }
-RECTANGULAR = {"rank_mod"}
-EMPTY = {"det": 1, "compound": ((1,),), "mat_inverse": (), "mat_inverse mod p": ()}
+EMPTY = {"det": 1, "compound": ((1,),), "mat_inverse mod p": ()}
 
 MALFORMED = ([[1, 0], [0]], [], 5, ["ab", "cd"])
 
@@ -66,7 +61,6 @@ MALFORMED = ([[1, 0], [0]], [], 5, ["ab", "cd"])
 @pytest.mark.parametrize("case", sorted(TABLE))
 def test_malformed_matrix_named_in_message(case):
     call, name = TABLE[case]
-    shape = "rectangular" if case in RECTANGULAR else "square"
     for x in MALFORMED:
         if case in EMPTY and x == []:
             assert call(x) == call(()) == EMPTY[case]
@@ -74,7 +68,7 @@ def test_malformed_matrix_named_in_message(case):
         with pytest.raises(ValueError) as info:
             call(x)
         assert str(info.value) == (
-            "%s must be a non-empty %s array of arrays, got %r" % (name, shape, x))
+            "%s must be a non-empty square array of arrays, got %r" % (name, x))
 
 
 def test_square_matrix():
@@ -90,23 +84,10 @@ def test_square_matrix():
             square_matrix(bad, "m")
 
 
-def test_rectangular_matrix():
-    assert rectangular_matrix([[1, 2, 3]], "m") == ((1, 2, 3),)
-    assert rectangular_matrix(([1], (2,)), "m") == ((1,), (2,))
-    assert rectangular_matrix([[1, 2], (3, 4)], "m") == ((1, 2), (3, 4))
-    with pytest.raises(ValueError, match=r"^m entry must be an integer, got 1\.5$"):
-        rectangular_matrix([[1, 1.5, 0]], "m")
-    for bad in ([[1], [2, 3]], [[1, 2], [3]], [5, [1]], [(1, 2), "ab"], {0: [1]}):
-        with pytest.raises(ValueError) as info:
-            rectangular_matrix(bad, "m")
-        assert str(info.value) == (
-            "m must be a non-empty rectangular array of arrays, got %r" % (bad,))
-
-
 def test_exact_matrix_helpers():
-    # det, compound and mat_inverse take ints and Fractions only, and a
-    # non-square matrix is refused, not answered
-    for call in (halfint.det, lambda x: halfint.compound(x, 1), halfint.mat_inverse):
+    # det and compound take ints and Fractions only, mat_inverse (over F_p)
+    # ints only, and a non-square matrix is refused, not answered
+    for call in (halfint.det, lambda x: halfint.compound(x, 1)):
         with pytest.raises(ValueError, match=r"^matrix entry must be an integer or "
                                              r"a Fraction, got 1\.5$"):
             call([[1.5]])

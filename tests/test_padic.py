@@ -356,6 +356,16 @@ class TestLimitProfile:
         with pytest.raises(ValueError):
             limit_profile([], FourierExpansion.constant(1, 1, 2), 3)
 
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            limit_profile((f for f in ()), FourierExpansion.constant(1, 1, 2), 3)
+
+    def test_generator_gives_the_list_profile(self):
+        th = rep_numbers(gram_a(2), 1, 4)
+        one = FourierExpansion.constant(1, 1, 4)
+        seq = [th ** (3 ** m) for m in (1, 2, 3)]
+        assert limit_profile((f for f in seq), one, 3) == limit_profile(seq, one, 3)
+
 
 class TestBracketThetaCongruence:
     def test_holds_degree_one(self):

@@ -11,20 +11,24 @@ mixes the blocks checks the two paths against each other.  Two structural
 identities the enumerator does not use are checked as well: theta of E8
 is the Siegel Eisenstein series E_4, and theta coefficients are
 GL_n(Z)-invariant, a(U^t T U) = a(T); and Siegel's Phi operator restricts
-degree n to degree n - 1.
+degree n to degree n - 1.  The integer lattice level is judged against
+the least l with l Q^{-1} even integral, Q^{-1} by Cramer's rule, and
+against level(A + B) = lcm(level A, level B).
 """
 
+import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelq import theta
-from siegelq.halfint import (bareiss, enumerate_indices, identity, mat_inverse, mat_mul,
+from siegelq.halfint import (bareiss, det, enumerate_indices, identity, mat_mul, minor,
                              psd_rows, transpose)
 from siegelq.qexpansion import dumps
 from siegelq.theta import (
@@ -41,10 +45,20 @@ from siegelq.theta import (
 )
 
 
+def cramer_inverse(m):
+    """m^{-1} by Cramer's rule, (m^{-1})_ij = (-1)^(i+j) det m[~j, ~i] / det m:
+    minors by cofactors or bareiss, so it shares no code with psd_rows."""
+    n = len(m)
+    rest = [[k for k in range(n) if k != i] for i in range(n)]
+    d = det(m)
+    return [[Fraction((-1) ** (i + j) * minor(m, rest[j], rest[i]), d) for j in range(n)]
+            for i in range(n)]
+
+
 def box_rep_oracle(gram, degree, bound):
     """Naive full-box enumeration of {X : X^t Q X = 2T, tr T <= bound}."""
     m = len(gram)
-    inv = mat_inverse(gram)
+    inv = cramer_inverse(gram)
     radius = [isqrt(int(2 * bound * inv[e][e])) for e in range(m)]
     candidates = list(product(*[range(-r, r + 1) for r in radius]))
     counts = {}
@@ -72,7 +86,7 @@ def box_short_vectors(gram, bound):
     """Every integer v in the box |v_e| <= sqrt(N (Q^{-1})_ee) with
     v^t Q v <= N, as (norm, v) pairs, sorted by v."""
     m = len(gram)
-    inv = mat_inverse(gram)
+    inv = cramer_inverse(gram)
     radius = [isqrt(int(bound * inv[e][e])) for e in range(m)]
     out = []
     for v in product(*[range(-r, r + 1) for r in radius]):
@@ -144,6 +158,51 @@ class TestGramLattice:
         for p in (3, 5, 7):
             assert gram_a(p - 1).level() == p
             assert direct_sum(gram_a(p - 1), gram_a(p - 1)).level() == p
+
+    @staticmethod
+    def level_oracle(gram):
+        """The smallest l >= 1 with l Q^{-1} even integral, Q^{-1} by
+        cramer_inverse.  2 det Q is such an l and they form a subgroup of
+        Z, so the least one divides it."""
+        inv = cramer_inverse(gram)
+        twice = 2 * det(gram)
+        return next(l for l in range(1, twice + 1) if twice % l == 0
+                    and all((l * x).denominator == 1 for row in inv for x in row)
+                    and all(l * inv[i][i] % 2 == 0 for i in range(len(gram))))
+
+    @staticmethod
+    def random_even_lattice(rng, rank):
+        """A seeded even positive-definite lattice, definiteness decided by
+        its leading minors (Sylvester)."""
+        while True:
+            g = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                g[i][i] = 2 * rng.randint(1, 5)
+                for j in range(i + 1, rank):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            if all(minor(g, range(k), range(k)) > 0 for k in range(1, rank + 1)):
+                return GramLattice(g)
+
+    def test_level_against_cramer_oracle(self):
+        named = [gram_a(m) for m in range(1, 9)]
+        named += [direct_sum(gram_a(2), gram_a(4)), E8]
+        assert [lat.level() for lat in named] == [4, 3, 8, 5, 12, 7, 16, 9, 15, 1]
+        rng = random.Random(26)
+        lattices = [self.random_even_lattice(rng, rng.randint(1, 5)) for _ in range(200)]
+        for lat in named + lattices:
+            assert lat.level() == self.level_oracle(lat.gram), lat.gram
+        assert len({lat.level() for lat in lattices}) > 20
+
+    def test_level_of_direct_sum_is_lcm(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            a, b = (self.random_even_lattice(rng, rng.randint(1, 4)) for _ in range(2))
+            assert direct_sum(a, b).level() == lcm(a.level(), b.level())
+
+    def test_level_in_integers_is_fast(self):
+        start = time.perf_counter()
+        assert gram_a(64).level() == 65
+        assert time.perf_counter() - start < 1.0
 
     def test_direct_sum(self):
         s = direct_sum(gram_a(2), gram_a(2))
@@ -492,7 +551,7 @@ def test_bareiss_completion(data, name):
     the diagonal, zeros below it, and
     v^t Q v = sum_i (sum_j a_ij v_j)^2 / (D_{i-1} D_i) for integer v.  The
     search itself agrees with the box enumeration, whose radii come from
-    mat_inverse, at every bound up to 6."""
+    cramer_inverse, at every bound up to 6."""
     base = COMPLETION_BASES[name].gram
     m = len(base)
     gram = conjugate(base, data.draw(unimodular(m)))
