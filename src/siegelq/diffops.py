@@ -4,8 +4,8 @@ theta_operator of order r multiplies each coefficient by the r-th
 compound of its index, a(T) -> T^[r] a(T); the normalization (2 pi i)^{-r}
 is absorbed so everything stays rational.  The bracket D(f, g) combines
 the two polarized pieces of (T1 + lambda T2)^[r] with half-integral
-Pochhammer weights; its derivative-free part is the classical reference
-term the congruence pipeline compares against.
+Pochhammer weights; c, the alpha = r weight, gives D(f, 1) = c theta^[r] f,
+so by linearity in g padic checks D(f, g) = c theta^[r] f as D(f, g - 1) = 0.
 
 The polarized pieces split by the generalized Laplace expansion into
 products of minors det T1[A, B] det T2[C, D], so each entry of the bracket

@@ -12,9 +12,9 @@ per call, not per coefficient.
 
 The module also carries the two constructive congruence pipelines: the
 Frobenius descent (G^p)|U(p) = G mod p for p-integral G, and the bracket
-congruence that checks the Rankin-Cohen bracket of f against a dilated
-power of the unit theta series theta_{A_{p-1}}^2 reduces, modulo a
-prescribed p-power, to the derivative-free theta-operator term.
+congruence D(f, g) = c theta^[r] f modulo a prescribed p-power, g a
+dilated power of the unit theta series theta_{A_{p-1}}^2; as the bracket
+is linear in g and D(f, 1) = c theta^[r] f, it checks D(f, g - 1) = 0.
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
+from .diffops import BracketParams, _bracket_weights, rankin_cohen
 from .halfint import SIZE_LIMIT, as_rational, require_instance, require_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion, require_expansion
 from .theta import gram_a, rep_numbers
@@ -176,20 +176,21 @@ def limit_profile(seq, target, p):
 
 
 def bracket_theta_congruence(f, k, p, m, r, m_dilate):
-    """Congruence between the bracket of f against a dilated unit theta
-    power and the derivative-free reference term.
+    """Congruence D(f, g) = c theta^[r] f for g a dilated unit theta power.
 
     With F = theta_{A_{p-1}}^2, the square of the degree-n theta series of
     A_{p-1} (a unit form: F = 1 mod p, weight p - 1, level p), set
 
         g = (F ** p^(m-1)) dilated by p^(m_dilate - 1),
         l = (p - 1) p^(m-1)  (the weight of g),
-        reference = (-1)^r half_rising(l - (r-1)/2, r) theta_operator(f, r).
+        c = (-1)^r half_rising(l - (r-1)/2, r)  (the alpha = r weight).
 
-    The report compares rankin_cohen(f, g) with the reference mod
-    p^(m + nu), nu the valuation of the reference's scalar factor, up to
-    f's trace bound.  F is built at bound ceil(N_f / p^(m_dilate - 1)) so
-    the dilation covers N_f exactly; A_{p-1} needs p - 1 <= SIZE_LIMIT."""
+    The report checks D(f, g) = c theta_operator(f, r) mod p^(m + vp(c)),
+    up to f's trace bound, as D(f, g - 1) = 0: the bracket is linear in g,
+    and at T2 = 0 only the alpha = r piece, compound(T1, r), survives, so
+    D(f, 1) = c theta_operator(f, r).  F is built at bound
+    ceil(N_f / p^(m_dilate - 1)), so the dilation covers N_f exactly;
+    A_{p-1} needs p - 1 <= SIZE_LIMIT."""
     require_odd_prime(p)
     require_int(p, "p", 3, SIZE_LIMIT + 1)
     require_expansion(f, "f", shape=SCALAR)
@@ -205,11 +206,9 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     one = FourierExpansion.constant(1, n, base_bound)
     if not congruent(unit, one, p, 1).holds:
         raise ValueError("theta series failed the unit congruence")
-    g = (unit ** (p ** (m - 1))).dilate(dil)
-    bracket = rankin_cohen(f, g, params)
+    diff = rankin_cohen(f, (unit ** (p ** (m - 1)) - one).dilate(dil), params)
     c = _bracket_weights(params)[r]
     if c == 0:
         raise ValueError("vanishing reference factor")
-    nu = vp(c, p)
-    reference = theta_operator(f, r).scale(c)
-    return congruent(bracket, reference, p, m + nu)
+    zero = FourierExpansion.zero(n, diff.trace_bound, diff.shape)
+    return congruent(diff, zero, p, m + vp(c, p))

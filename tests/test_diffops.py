@@ -16,6 +16,7 @@ import siegelq
 from siegelq import diffops, qexpansion
 from siegelq.diffops import (
     BracketParams,
+    _bracket_weights,
     half_rising,
     leading_part,
     polarize_compound,
@@ -283,6 +284,10 @@ class TestBracket:
             lhs = rankin_cohen(f1 + f2, g, params)
             rhs = rankin_cohen(f1, g, params) + rankin_cohen(f2, g, params)
             assert lhs == rhs
+            # and in the second slot, which thm41's D(f, g - 1) rests on
+            lhs = rankin_cohen(g, f1 + f2, params)
+            rhs = rankin_cohen(g, f1, params) + rankin_cohen(g, f2, params)
+            assert lhs == rhs
 
     def test_constant_second_argument_is_leading_part(self):
         # with g constant only the derivative-free piece survives
@@ -292,6 +297,12 @@ class TestBracket:
             g = FourierExpansion.constant(3, n, 2)
             params = BracketParams(n, r, Fraction(7, 2), 4)
             assert rankin_cohen(f, g, params) == leading_part(f, g, params)
+            # D(f, 1) = c theta^[r] f at thm41's weights l = (p - 1) p^(m - 1)
+            one = FourierExpansion.constant(1, n, 2)
+            for l in (2, 4, 6, 18):
+                params = BracketParams(n, r, Fraction(7, 2), l)
+                c = _bracket_weights(params)[r]
+                assert rankin_cohen(f, one, params) == theta_operator(f, r).scale(c)
 
     def test_antisymmetry_small(self):
         rng = random.Random(68)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelq.diffops import theta_operator
+from siegelq import diffops, padic
+from siegelq.diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
 from siegelq.halfint import enumerate_indices
 from siegelq.padic import (
     CongruenceReport,
@@ -367,7 +368,59 @@ class TestLimitProfile:
         assert limit_profile((f for f in seq), one, 3) == limit_profile(seq, one, 3)
 
 
+def two_series_bracket_congruence(f, k, p, m, r, m_dilate):
+    """thm41 as two series: the bracket D(f, g) against the unit power g,
+    and the reference c theta^[r] f built on its own, compared by
+    congruent."""
+    n = f.degree
+    params = BracketParams(n, r, k, (p - 1) * p ** (m - 1))
+    dil = p ** (m_dilate - 1)
+    unit = rep_numbers(gram_a(p - 1), n, -(-f.trace_bound // dil)) ** 2
+    g = (unit ** (p ** (m - 1))).dilate(dil)
+    c = _bracket_weights(params)[r]
+    return congruent(rankin_cohen(f, g, params), theta_operator(f, r).scale(c),
+                     p, m + vp(c, p))
+
+
 class TestBracketThetaCongruence:
+    def test_equals_two_series_construction(self):
+        # D(f, g) - c theta^[r] f = D(f, g - 1): the single bracket gives
+        # the report of the bracket and reference built apart
+        rng = random.Random(27)
+        failing = 0
+        for n, r in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
+            bound = (4, 2, 1)[n - 1]
+            theta_square = rep_numbers(gram_a(2), n, bound) ** 2
+            for p in (3, 5, 7):
+                for m in (1, 2):
+                    for m_dilate in (1, 2):
+                        k = rng.choice((1, 2, 4, Fraction(5, 2), 6, -1))
+                        for f in (theta_square, rand_integral(rng, n, bound)):
+                            new = bracket_theta_congruence(f, k, p, m, r, m_dilate)
+                            old = two_series_bracket_congruence(f, k, p, m, r, m_dilate)
+                            assert new.to_json_dict() == old.to_json_dict()
+                            failing += not new.holds
+        assert failing
+
+    def test_one_bracket_and_no_theta_operator(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(padic, "rankin_cohen", counted("bracket", rankin_cohen))
+        monkeypatch.setattr(diffops, "theta_operator", counted("theta", theta_operator))
+        if hasattr(padic, "theta_operator"):
+            monkeypatch.setattr(padic, "theta_operator", counted("theta", theta_operator))
+        f = rep_numbers(gram_a(2), 2, 2) ** 2
+        for r in (1, 2):
+            calls.clear()
+            bracket_theta_congruence(f, 4, 5, 1, r, 1)
+            assert calls == ["bracket"]
+
     def test_holds_degree_one(self):
         f = eisenstein(4, 4)
         for m in (1, 2):
