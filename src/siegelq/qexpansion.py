@@ -570,8 +570,6 @@ def delta(trace_bound):
 # -- JSON serialization ----------------------------------------------------
 
 _escape = json.encoder.encode_basestring_ascii
-_LEAF_TYPES = {int, str}
-_STR_TYPE = {str}
 
 
 def json_text(obj):
@@ -583,9 +581,12 @@ def json_text(obj):
 
     The stdlib writes indented JSON with one Python generator per nesting
     level and one chunk per token.  Here each container is one join, and
-    an array of ints and strs (a matrix row, a row of rationals) is
-    formatted once per call for each depth and content, since rows repeat
-    (a coset listing mod p has at most p^(2n) distinct rows)."""
+    a leaf array, one of exact ints and strs (a matrix row, a row of
+    rationals), is formatted once per call for each depth and content,
+    since rows repeat (a coset listing mod p has at most p^(2n) distinct
+    rows).  Whether an array is a leaf is one pass over its items; a
+    tuple is its own memo key; and an array's leaf children are looked up
+    in the same call, so a matrix costs one call, not one per row."""
     return _json_text(obj, "\n", {})
 
 
@@ -615,7 +616,9 @@ def json_write(obj, opener):
 
 def _json_text(obj, newline, memo):
     """obj at the depth whose line break and indent is newline; memo maps
-    (newline, items) to the text of a leaf array."""
+    (newline, items) to the text of a non-empty leaf array, items being
+    the array itself when it is a tuple.  Items are type-checked before
+    any lookup, since (False,) == (0,) and (1.0,) == (1,)."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
@@ -624,29 +627,48 @@ def _json_text(obj, newline, memo):
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        if set(map(type, obj)) <= _LEAF_TYPES:
-            key = (newline, tuple(obj))
+        inner = newline + "  "
+        for x in obj:
+            kind = type(x)
+            if kind is not int and kind is not str:
+                break
+        else:
+            key = (newline, obj if type(obj) is tuple else tuple(obj))
             text = memo.get(key)
             if text is None:
-                inner = newline + "  "
-                items = [_escape(x) if type(x) is str else int.__repr__(x)
-                         for x in obj]
-                text = memo[key] = (
-                    "[" + inner + ("," + inner).join(items) + newline + "]")
+                text = memo[key] = _leaf_text(obj, newline, inner)
             return text
-        inner = newline + "  "
-        items = [_json_text(x, inner, memo) for x in obj]
+        deeper = inner + "  "
+        items = []
+        for x in obj:
+            kind = type(x)
+            if (kind is tuple or kind is list) and x:
+                for y in x:
+                    if type(y) is not int and type(y) is not str:
+                        break
+                else:
+                    key = (inner, x if kind is tuple else tuple(x))
+                    text = memo.get(key)
+                    if text is None:
+                        text = memo[key] = _leaf_text(x, inner, deeper)
+                    items.append(text)
+                    continue
+            items.append(_json_text(x, inner, memo))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
-        if not set(map(type, obj)) <= _STR_TYPE:
-            bad = next(k for k in obj if type(k) is not str)
-            raise TypeError("JSON object keys must be str, not %s"
-                            % type(bad).__name__)
+        try:
+            keys = sorted(obj)
+        except TypeError:
+            keys = obj
+        for k in keys:
+            if type(k) is not str:
+                bad = next(k for k in obj if type(k) is not str)
+                raise TypeError("JSON object keys must be str, not %s"
+                                % type(bad).__name__)
         inner = newline + "  "
-        items = [_escape(k) + ": " + _json_text(v, inner, memo)
-                 for k, v in sorted(obj.items())]
+        items = [_escape(k) + ": " + _json_text(obj[k], inner, memo) for k in keys]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if obj is None:
         return "null"
@@ -655,6 +677,13 @@ def _json_text(obj, newline, memo):
     if obj is False:
         return "false"
     raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
+def _leaf_text(items, newline, inner):
+    """A leaf array at the depth of newline, inner its items' indent."""
+    return ("[" + inner + ("," + inner).join(
+        [_escape(x) if type(x) is str else int.__repr__(x) for x in items])
+        + newline + "]")
 
 
 def _unique_keys(pairs):

@@ -20,15 +20,19 @@ closed form,
 
     [[E A, -F A^{-t}], [F A, (B_f + E) A^{-t}]]  mod p,
 
-and coset_reps writes these blocks directly instead of multiplying.  It
-returns a CosetSystem, a sequence that builds each element only when it
-is asked for, so the CLI writes a listing one element at a time and
-never holds it whole.  It refuses, at once, a system of more than
-MAX_LISTING elements.  The limit bounds time and output size, not
-memory: the largest listings allowed (degree 3 at p = 5, degree 2 at
-p = 31) write 16.6 and 14.6 MB of JSON in about 0.5 s and peak at 17 to
-18 MB of RSS (README gives the host and the method).  coset_count gives
-the size of any system.
+and coset_reps writes these blocks directly instead of multiplying.
+Only the bottom j rows depend on B, and row i of them only on B's row i:
+it is A's row i followed by that row of B times the bottom j rows of
+A^{-t}.  Each cell keeps, per A and per bottom row, a table of that row
+for all p^j rows of B, so an element is assembled from kept rows with no
+arithmetic.  coset_reps returns a CosetSystem, a sequence that builds
+each element only when it is asked for, so the CLI writes a listing one
+element at a time and never holds it whole.  It refuses, at once, a
+system of more than MAX_LISTING elements.  The limit bounds time and
+output size, not memory: the largest listings allowed (degree 3 at
+p = 5, degree 2 at p = 31) write 16.6 and 14.6 MB of JSON in about 0.3 s
+and peak at 17.5 to 18.5 MB of RSS (README gives the host and the
+method).  coset_count gives the size of any system.
 
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
@@ -223,9 +227,12 @@ class CosetSystem(Sequence):
 
     len() is coset_count(n, p).  Iterating builds the elements in order;
     s[i] decodes i into (cell j, B, A) and builds that one element.  Both
-    go through one builder, which computes per element only B times the
-    bottom j rows of A^{-t}; every other row is built once per (cell, A)
-    and kept."""
+    go through one builder, which computes nothing per element: the rows
+    that do not depend on B are built once per (cell, A), and each row
+    that does is looked up by B's row in a table built once per (cell, A,
+    row).  A cell's tables are built when an element of it is first asked
+    for, and hold at most j times as many rows as the cell has
+    elements."""
 
     def __init__(self, n, p):
         count = coset_count(n, p)
@@ -245,33 +252,36 @@ class CosetSystem(Sequence):
 
     def _cell(self, j):
         """For each A of cell j, in order: (A, the rows that do not depend
-        on B, the bottom j rows of A, the columns of the bottom j rows of
-        A^{-t})."""
-        fixed = self._cells.get(j)
-        if fixed is None:
+        on B, one table per bottom row of A).  The table of A's bottom row
+        i maps every row r in F_p^j to the element row that B's row i = r
+        gives, A's row i followed by r times the bottom j rows of A^{-t}
+        mod p."""
+        cell = self._cells.get(j)
+        if cell is None:
             n, p = self.degree, self.prime
             h = n - j
             zero = (0,) * n
-            fixed = self._cells[j] = []
+            rows = list(product(range(p), repeat=j))
+            cell = self._cells[j] = []
             for a in gl_parabolic_reps(n, j, p):
                 ait = transpose(mat_inverse(a, p))
                 head = (
                     tuple(row + zero for row in a[:h])
                     + tuple(zero + tuple(-x % p for x in row) for row in ait[h:])
                     + tuple(zero + row for row in ait[:h]))
-                fixed.append((a, head, a[h:], tuple(zip(*ait[h:]))))
-        return fixed
+                cols = tuple(zip(*ait[h:]))
+                right = [tuple(sum(x * y for x, y in zip(r, col)) % p for col in cols)
+                         for r in rows]
+                tails = tuple(dict(zip(rows, [left + x for x in right])) for left in a[h:])
+                cell.append((a, head, tails))
+        return cell
 
     def _element(self, j, b, fixed):
         """The element of cell j with symmetric block b and the A that
         fixed (an entry of _cell(j)) describes."""
-        a, head, lower_a, cols = fixed
-        p = self.prime
-        tail = tuple(
-            left + tuple(sum(x * y for x, y in zip(b_row, col)) % p
-                         for col in cols)
-            for b_row, left in zip(b, lower_a))
-        return CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, p))
+        a, head, tails = fixed
+        tail = tuple(t[row] for t, row in zip(tails, b))
+        return CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, self.prime))
 
     def __iter__(self):
         p = self.prime
@@ -291,14 +301,16 @@ class CosetSystem(Sequence):
             raise IndexError("coset index out of range") from None
         if isinstance(i, range):
             return [self[k] for k in i]
-        p = self.prime
-        for j in range(self.degree + 1):
-            cell = self._cell(j)
+        n, p = self.degree, self.prime
+        for j in range(n + 1):
             entries = j * (j + 1) // 2
-            size = p ** entries * len(cell)
+            # p^entries choices of B times the Gaussian binomial [n choose j]_p
+            size = (p ** entries * prod(p ** (n - k) - 1 for k in range(j))
+                    // prod(p ** (k + 1) - 1 for k in range(j)))
             if i < size:
                 break
             i -= size
+        cell = self._cell(j)
         # B's upper-triangle entries are the base-p digits of b_index, the
         # first entry most significant, as product(range(p)) orders them
         b_index, a_index = divmod(i, len(cell))

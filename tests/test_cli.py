@@ -262,6 +262,9 @@ class TestCosetsCommand:
              "d0e8cc206f8e81d022a435d932a232edeaefee43a70a5c7f1a991d6b0250f105"),
             (2, 5, 71461,
              "67800ade39e6637d821667d413cc08b40aa9393db88317f72734f4fca40924e2"),
+            # the largest listing allowed; its cell-3 row tables have p^3 rows
+            (3, 5, 16649599,
+             "0850a3e0836d19b5adbcec2014a94c1d9e8282ebae9f8242b1689014592acb46"),
         ):
             out = tmp_path / ("c%d_%d.json" % (n, p))
             assert run(["cosets", "--degree", str(n), "--prime", str(p),

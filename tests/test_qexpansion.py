@@ -1014,7 +1014,11 @@ class TestJsonText:
     def test_memo_keeps_ints_and_bools_apart(self):
         for tree in ([[1, 0], [True, False], [1, 0]],
                      [[True], {"a": [1]}, [[1], [True]]],
-                     [["1"], [1], ("1",), (1,)]):
+                     [["1"], [1], ("1",), (1,)],
+                     # a tuple is its own memo key: its items are checked
+                     # before the lookup, or (False,) would find (0,)
+                     [(0,), (False,)], ((False,), (0,)), [[[0]], [(False,)]],
+                     {"a": (1,), "b": (True,)}):
             assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("obj", [

@@ -328,6 +328,8 @@ class TestCosetSystem:
         assert built == []
         assert s[12345].cell == 3
         assert built.count("element") == 1
+        # only the element's own cell has its row tables built
+        assert built.count("parabolic") == 1
         assert isinstance(random.Random(3).choice(s), CosetRep)
         assert built.count("element") == 2
 
