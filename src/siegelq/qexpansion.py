@@ -128,7 +128,7 @@ def rational_from_str(s, name="rational"):
     and non-strings, is a ValueError that names the field and quotes s,
     and so is a numerator or denominator longer than Python's limit on
     integer strings, looked at only when s itself is longer; a zero
-    denominator raises ZeroDivisionError."""
+    denominator is a ZeroDivisionError that names the field and quotes s."""
     match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if match is None:
         raise ValueError("%s must be a 'num/den' or integer string, got %r" % (name, s))
@@ -137,7 +137,10 @@ def rational_from_str(s, name="rational"):
     if limit and len(s) > limit:
         _require_digits(name, "numerator", len(numerator.lstrip("+-")))
         _require_digits(name, "denominator", len(denominator or ""))
-    return Fraction(int(numerator), int(denominator) if denominator else 1)
+    den = int(denominator) if denominator else 1
+    if not den:
+        raise ZeroDivisionError("%s has a zero denominator, got %r" % (name, s))
+    return Fraction(int(numerator), den)
 
 
 def _normalize_shape(shape, degree):
@@ -220,7 +223,7 @@ def _keys(codes, degree, bound):
             d = (c + half) % key_base - half
             digits.append(d)
             c = (c - d) // key_base
-        digits.append(2 * c - sum(map(digits.__getitem__, diagonal)))
+        digits.append(2 * c - sum([digits[d] for d in diagonal]))
         yield symmetric(degree, digits)
 
 

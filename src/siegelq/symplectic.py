@@ -23,16 +23,18 @@ closed form,
 and coset_reps writes these blocks directly instead of multiplying.
 Only the bottom j rows depend on B, and row i of them only on B's row i:
 it is A's row i followed by that row of B times the bottom j rows of
-A^{-t}.  Each cell keeps, per A and per bottom row, a table of that row
-for all p^j rows of B, so an element is assembled from kept rows with no
-arithmetic.  coset_reps returns a CosetSystem, a sequence that builds
-each element only when it is asked for, so the CLI writes a listing one
-element at a time and never holds it whole.  It refuses, at once, a
-system of more than MAX_LISTING elements.  The limit bounds time and
-output size, not memory: the largest listings allowed (degree 3 at
-p = 5, degree 2 at p = 31) write 16.6 and 14.6 MB of JSON in about 0.3 s
-and peak at 17.5 to 18.5 MB of RSS (README gives the host and the
-method).  coset_count gives the size of any system.
+A^{-t}.  While it lists a cell, coset_reps keeps, per A and per bottom
+row, a table of that row for all p^j rows of B, so an element is
+assembled from kept rows with no arithmetic.  It returns a CosetSystem,
+a sized iterable that builds each element as the iteration reaches it,
+so the CLI writes a listing one element at a time and never holds it
+whole.  It refuses, at once, a system of more than MAX_LISTING elements,
+as gl_parabolic_reps refuses more than MAX_LISTING representatives.
+The limit bounds time and output size, not memory: the largest
+listings allowed (degree 3 at p = 5, degree 2 at p = 31) write 16.6 and
+14.6 MB of JSON in about 0.3 s and peak at 17.5 to 18.5 MB of RSS
+(README gives the host and the method).  coset_count gives the size of
+any system.
 
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
@@ -41,7 +43,6 @@ Keys come from halfint.row_reduce and inverses from its mat_inverse,
 both over F_p, as every Gauss-Jordan elimination of the package is.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -171,19 +172,22 @@ def gl_parabolic_reps(n, j, p):
     bottom j rows the reduced row echelon basis of the space and its top
     rows the standard vectors of the non-pivot columns.  Ordered by
     (pivot columns, echelon free entries), both lexicographic; the count
-    is the Gaussian binomial [n choose j]_p."""
+    is the Gaussian binomial [n choose j]_p.  ValueError, at once and
+    naming the count, if it exceeds MAX_LISTING."""
     require_int(n, "degree", 1, 3)
     require_int(j, "cell", 0, n)
     require_odd_prime(p)
     one = identity(n)
+    shapes = [
+        (pivots, [(row, col) for row in range(j)
+                  for col in range(pivots[row] + 1, n) if col not in pivots])
+        for pivots in combinations(range(n), j)]
+    count = sum(p ** len(free) for _, free in shapes)
+    if count > MAX_LISTING:
+        raise ValueError("P_{%d,%d} has %d cosets in GL_%d(F_%d), more than the "
+                         "listing limit %d" % (n, j, count, n, p, MAX_LISTING))
     out = []
-    for pivots in combinations(range(n), j):
-        free = [
-            (row, col)
-            for row in range(j)
-            for col in range(pivots[row] + 1, n)
-            if col not in pivots
-        ]
+    for pivots, free in shapes:
         top = tuple(one[c] for c in range(n) if c not in pivots)
         for values in product(range(p), repeat=len(free)):
             ech = [list(one[c]) for c in pivots]
@@ -217,22 +221,21 @@ def coset_reps(n, p):
     cell ordered by (B entries, A representative); prod_{i=1..n} (p^i + 1)
     elements in total.  The lower-left block of every element has rank j,
     which is a coset invariant.  ValueError, at once, if the count exceeds
-    MAX_LISTING.  No element is built until it is asked for."""
+    MAX_LISTING.  len() builds nothing, and iterating builds each element
+    in turn."""
     return CosetSystem(n, p)
 
 
-class CosetSystem(Sequence):
-    """The coset system of Sp_n(F_p) as a read-only sequence whose
-    elements are built when asked for, so a listing never exists whole.
+class CosetSystem:
+    """The coset system of Sp_n(F_p) as a sized iterable whose elements
+    are built as they are iterated, so a listing never exists whole.
 
-    len() is coset_count(n, p).  Iterating builds the elements in order;
-    s[i] decodes i into (cell j, B, A) and builds that one element.  Both
-    go through one builder, which computes nothing per element: the rows
-    that do not depend on B are built once per (cell, A), and each row
-    that does is looked up by B's row in a table built once per (cell, A,
-    row).  A cell's tables are built when an element of it is first asked
-    for, and hold at most j times as many rows as the cell has
-    elements."""
+    len() is coset_count(n, p) and builds nothing.  Iterating computes
+    nothing per element: per cell, the rows that do not depend on B are
+    built once per A, and each row that does is looked up by B's row in a
+    table built once per (A, row).  A cell's tables are built when the
+    iteration reaches it, dropped when it leaves it, and hold at most j
+    times as many rows as the cell has elements."""
 
     def __init__(self, n, p):
         count = coset_count(n, p)
@@ -245,24 +248,20 @@ class CosetSystem(Sequence):
         self.degree = n
         self.prime = p
         self._count = count
-        self._cells = {}
 
     def __len__(self):
         return self._count
 
-    def _cell(self, j):
-        """For each A of cell j, in order: (A, the rows that do not depend
-        on B, one table per bottom row of A).  The table of A's bottom row
-        i maps every row r in F_p^j to the element row that B's row i = r
-        gives, A's row i followed by r times the bottom j rows of A^{-t}
-        mod p."""
-        cell = self._cells.get(j)
-        if cell is None:
-            n, p = self.degree, self.prime
+    def __iter__(self):
+        n, p = self.degree, self.prime
+        zero = (0,) * n
+        for j in range(n + 1):
             h = n - j
-            zero = (0,) * n
             rows = list(product(range(p), repeat=j))
-            cell = self._cells[j] = []
+            # per A: the rows that do not depend on B, and per bottom row i
+            # of A a table from every row r of B to the element row, A's
+            # row i followed by r times the bottom j rows of A^{-t} mod p
+            cell = []
             for a in gl_parabolic_reps(n, j, p):
                 ait = transpose(mat_inverse(a, p))
                 head = (
@@ -274,50 +273,11 @@ class CosetSystem(Sequence):
                          for r in rows]
                 tails = tuple(dict(zip(rows, [left + x for x in right])) for left in a[h:])
                 cell.append((a, head, tails))
-        return cell
-
-    def _element(self, j, b, fixed):
-        """The element of cell j with symmetric block b and the A that
-        fixed (an entry of _cell(j)) describes."""
-        a, head, tails = fixed
-        tail = tuple(t[row] for t, row in zip(tails, b))
-        return CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, self.prime))
-
-    def __iter__(self):
-        p = self.prime
-        for j in range(self.degree + 1):
-            cell = self._cell(j)
             for values in product(range(p), repeat=j * (j + 1) // 2):
                 b = symmetric(j, values)
-                for fixed in cell:
-                    yield self._element(j, b, fixed)
-
-    def __getitem__(self, index):
-        """The element at index, or the list of those a slice selects; the
-        index is read as range(len(self)) reads it."""
-        try:
-            i = range(self._count)[index]
-        except IndexError:
-            raise IndexError("coset index out of range") from None
-        if isinstance(i, range):
-            return [self[k] for k in i]
-        n, p = self.degree, self.prime
-        for j in range(n + 1):
-            entries = j * (j + 1) // 2
-            # p^entries choices of B times the Gaussian binomial [n choose j]_p
-            size = (p ** entries * prod(p ** (n - k) - 1 for k in range(j))
-                    // prod(p ** (k + 1) - 1 for k in range(j)))
-            if i < size:
-                break
-            i -= size
-        cell = self._cell(j)
-        # B's upper-triangle entries are the base-p digits of b_index, the
-        # first entry most significant, as product(range(p)) orders them
-        b_index, a_index = divmod(i, len(cell))
-        values = [0] * entries
-        for pos in reversed(range(entries)):
-            b_index, values[pos] = divmod(b_index, p)
-        return self._element(j, symmetric(j, values), cell[a_index])
+                for a, head, tails in cell:
+                    tail = tuple(t[row] for t, row in zip(tails, b))
+                    yield CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, p))
 
 
 def coset_count(n, p):

@@ -460,6 +460,26 @@ class TestRobustness:
             assert captured.out == ""
             assert captured.err == "error: %s\n" % error
 
+    def test_zero_denominator_named(self, tmp_path, capsys):
+        # a "1/0" in a document names the field and quotes the string
+        path = str(tmp_path / "zero.json")
+        value = qexpansion.to_json_dict(qexpansion.eisenstein(4, 2))
+        value["coeffs"][1]["value"] = "1/0"
+        weight = qexpansion.to_json_dict(qexpansion.eisenstein(4, 2))
+        weight["meta"]["weight"] = "-3/00"
+        block = qexpansion.to_json_dict(
+            qexpansion.FourierExpansion(2, 1, {}, shape=("compound", 1)))
+        block["coeffs"].append({"t2": [[0, 0], [0, 0]], "value": [["1", "0"], ["1/0", "2"]]})
+        for doc, error in (
+                (value, "value has a zero denominator, got '1/0'"),
+                (block, "block value entry has a zero denominator, got '1/0'"),
+                (weight, "weight has a zero denominator, got '-3/00'")):
+            write(path, doc)
+            assert run(["dilate", "--f", path, "--factor", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s\n" % error
+
     def test_duplicate_keys_exit_two(self, tmp_path, capsys):
         # read last-wins, each of these files passes as valid input
         path = str(tmp_path / "dup.json")

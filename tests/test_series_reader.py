@@ -163,8 +163,10 @@ def test_rational_from_str_agrees_with_fraction():
 
 
 def test_rational_from_str_refusals():
-    with pytest.raises(ZeroDivisionError):
-        rational_from_str("1/0", "value")
+    for s in ("1/0", "-7/000"):
+        with pytest.raises(ZeroDivisionError) as info:
+            rational_from_str(s, "value")
+        assert str(info.value) == "value has a zero denominator, got %r" % s
     for s in ("1.5", " 3", "1_0", "٣", "1/-2", "", "/2", 3, None):
         with pytest.raises(ValueError) as info:
             rational_from_str(s, "value")

@@ -1,8 +1,8 @@
 """Symplectic mod-p elements and the coset system."""
 
 import random
+import time
 import tracemalloc
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +13,6 @@ from siegelq.halfint import row_reduce
 from siegelq.symplectic import (
     MAX_LISTING,
     CosetRep,
-    CosetSystem,
     SymplecticModP,
     coset_count,
     coset_reps,
@@ -225,6 +224,19 @@ class TestGlParabolicReps:
         for r in gl_parabolic_reps(3, 2, 3):
             assert len(row_reduce(r, 3)[1]) == 3
 
+    def test_oversized_refused_at_once(self):
+        # [3 choose 1]_p = p^2 + p + 1 passes MAX_LISTING between 223 and 227
+        assert len(gl_parabolic_reps(3, 1, 223)) == 49953
+        start = time.perf_counter()
+        for n, j, p, count in ((3, 1, 227, 51757), (3, 1, 10007, 100150057),
+                               (3, 2, 10007, 100150057), (2, 1, 50021, 50022)):
+            with pytest.raises(ValueError) as info:
+                gl_parabolic_reps(n, j, p)
+            assert str(info.value) == (
+                "P_{%d,%d} has %d cosets in GL_%d(F_%d), more than the listing "
+                "limit 50000" % (n, j, count, n, p))
+        assert time.perf_counter() - start < 1.0
+
     def test_trivial_cells(self):
         assert gl_parabolic_reps(2, 0, 3) == [((1, 0), (0, 1))]
         assert len(gl_parabolic_reps(2, 2, 3)) == 1
@@ -293,45 +305,30 @@ class TestCosetSystem:
             with pytest.raises(ValueError, match="--count-only"):
                 coset_reps(n, p)
 
-    def test_indexing_matches_iteration(self):
-        for n, p in COUNT_CASES:
-            s = coset_reps(n, p)
-            assert isinstance(s, Sequence)
-            elements = list(s)
-            assert [s[i] for i in range(len(s))] == elements
-            assert s[-1] == elements[-1] and s[-len(s)] == elements[0]
-            assert s[::-7] == elements[::-7]
-            assert list(reversed(s)) == elements[::-1]
-            for bad in (len(s), -len(s) - 1):
-                with pytest.raises(IndexError, match="^coset index out of range$"):
-                    s[bad]
-        with pytest.raises(TypeError):
-            s[1.0]
-
     def test_len_builds_nothing(self, monkeypatch):
         built = []
-        element = CosetSystem._element
         parabolic = symplectic.gl_parabolic_reps
 
-        def counting_element(self, *args):
-            built.append("element")
-            return element(self, *args)
-
         def counting_parabolic(*args):
-            built.append("parabolic")
+            built.append(args)
             return parabolic(*args)
 
-        monkeypatch.setattr(CosetSystem, "_element", counting_element)
         monkeypatch.setattr(symplectic, "gl_parabolic_reps", counting_parabolic)
         s = coset_reps(3, 5)
         assert len(s) == coset_count(3, 5) == 19656
         assert built == []
-        assert s[12345].cell == 3
-        assert built.count("element") == 1
-        # only the element's own cell has its row tables built
-        assert built.count("parabolic") == 1
-        assert isinstance(random.Random(3).choice(s), CosetRep)
-        assert built.count("element") == 2
+        # the first element needs only cell 0's representatives
+        assert next(iter(s)).cell == 0
+        assert built == [(3, 0, 5)]
+
+    def test_iterations_agree(self):
+        # each pass rebuilds the cells' tables; two passes of one system
+        # give equal elements in the same order
+        for n, p in COUNT_CASES:
+            s = coset_reps(n, p)
+            first = list(s)
+            assert list(s) == first
+            assert len(first) == len(s)
 
     def test_listing_streams(self, tmp_path):
         # a listing is written element by element: the peak of memory
@@ -366,7 +363,7 @@ def _embed(b_small, n):
 
 class TestSameCoset:
     def test_reflexive_and_symmetric(self):
-        reps = coset_reps(2, 3)
+        reps = list(coset_reps(2, 3))
         rng = random.Random(81)
         for _ in range(40):
             r1 = rng.choice(reps)
@@ -378,7 +375,7 @@ class TestSameCoset:
         # multiplying on the left by an upper-block element never moves
         # the coset
         rng = random.Random(82)
-        reps = coset_reps(2, 3)
+        reps = list(coset_reps(2, 3))
         for _ in range(25):
             r = rng.choice(reps)
             b = [[rng.randrange(3) for _ in range(2)] for _ in range(2)]
@@ -418,11 +415,14 @@ class TestSameCoset:
             assert got.count(True) == 1
 
     def test_mismatch_rejected(self):
+        def first(n, p):
+            return next(iter(coset_reps(n, p))).mat
+
         with pytest.raises(ValueError):
-            same_coset(coset_reps(1, 3)[0].mat, coset_reps(1, 5)[0].mat)
+            same_coset(first(1, 3), first(1, 5))
         with pytest.raises(ValueError):
-            same_coset(coset_reps(1, 3)[0].mat, coset_reps(2, 3)[0].mat)
-        m = coset_reps(1, 3)[0].mat
+            same_coset(first(1, 3), first(2, 3))
+        m = first(1, 3)
         with pytest.raises(TypeError, match=r"^m2: expected a SymplecticModP, got 5$"):
             same_coset(m, 5)
         with pytest.raises(TypeError, match=r"^m1: expected a SymplecticModP, got \(\(1, 0\),"):
