@@ -175,8 +175,20 @@ def rankin_cohen(f, g, params):
 
 def leading_part(f, g, params):
     """Derivative-free part of the bracket: the alpha = r term alone,
-    (-1)^r half_rising(l - (r-1)/2, r) * theta_operator(f, r) * g."""
-    r = require_instance(params, BracketParams, "params").minor_order
-    require_expansion(f, "f", params.degree, SCALAR)
-    require_expansion(g, "g", params.degree, SCALAR)
-    return (theta_operator(f, r) * g).scale(_bracket_weights(params)[r])
+    c theta_operator(f, r) * g with c = (-1)^r half_rising(l - (r-1)/2, r),
+    in the weight, level and shape of that product.  Entry (I, J) is one
+    _pair_loop of c * M_(I, J) f * g, g encoded once; _blocks decodes the
+    grid of entries."""
+    n = require_instance(params, BracketParams, "params").degree
+    r = params.minor_order
+    require_expansion(f, "f", n, SCALAR)
+    require_expansion(g, "g", n, SCALAR)
+    c = _bracket_weights(params)[r]
+    bound = min(f.trace_bound, g.trace_bound)
+    right = _numerators(g, bound)
+    weight = None if None in (f.weight, g.weight) else f.weight + g.weight
+    level = f.level if f.level == g.level else None
+    subs = subset_order(n, r)
+    return _blocks([[_pair_loop([(c, _numerators(f, bound, rows, cols), right)], n, bound)
+                     for cols in subs] for rows in subs],
+                   n, bound, ("compound", r), weight, level, None)

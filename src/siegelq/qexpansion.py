@@ -49,6 +49,14 @@ sorted by code, over the lcm of its products' denominators.  So a power
 encodes its base once, runs its square-and-multiply chain on packed
 terms and decodes once, and a square f * f encodes f once.  Only output
 keys are decoded, once each, also those of a block result.
+
+At degree 1 a code is the trace itself, so an operand's terms fill
+0..N densely and a product is a polynomial product: _kronecker packs
+each operand into one int, numerator i in the i-th slot of w bits, and
+multiplies once in C (Kronecker substitution).  At degree 2 and up the
+codes are sparse (22 keys among 676 codes at degree 2, bound 3), and a
+pair whose traces add past N can alias onto a valid code, so the pair
+loop runs over the pairs of terms and stops each row at the bound.
 """
 
 import json
@@ -187,15 +195,21 @@ def _numerators(f, bound, rows=(), cols=(), entry=None):
 
 def _pair_loop(products, degree, bound):
     """The packed sum of the products c * left * right (c rational, left
-    and right packed): one loop over the pairs of terms whose traces add to
-    at most bound, over the lcm of the products' denominators."""
+    and right packed), over the lcm of the products' denominators.  At
+    degree 1 a code is its trace, so the terms are dense in 0..bound and
+    each product is one integer multiplication (_kronecker); at degree 2
+    and up, where codes are sparse, one loop over the pairs of terms whose
+    traces add to at most bound."""
+    den = lcm(*(c.denominator * f_den * g_den for c, (_, f_den), (_, g_den) in products))
+    scaled = [(c.numerator * (den // (c.denominator * f_den * g_den)), left, right)
+              for c, (left, f_den), (right, g_den) in products]
+    if degree == 1:
+        return _kronecker(scaled, bound), den
     place = (4 * bound + 1) ** len(_coded(degree))
     half = place // 2
-    den = lcm(*(c.denominator * f_den * g_den for c, (_, f_den), (_, g_den) in products))
     acc = {}
     get = acc.get
-    for c, (left, f_den), (right, g_den) in products:
-        scale = c.numerator * (den // (c.denominator * f_den * g_den))
+    for scale, left, right in scaled:
         for ca, na in left:
             # the largest code of a key whose trace is at most bound - trace(ca)
             room = (bound - (ca + half) // place) * place + half
@@ -206,6 +220,39 @@ def _pair_loop(products, degree, bound):
                 code = ca + cb
                 acc[code] = get(code, 0) + na * nb
     return [(c, s) for c, s in sorted(acc.items()) if s], den
+
+
+def _kronecker(products, bound):
+    """The nonzero slots 0..bound of the sum of scale * left * right over
+    degree-1 packed terms, by Kronecker substitution: an operand is the int
+    with numerator i at bits [w i, w (i + 1)).  The slot width w, a whole
+    number of bytes, has 2^(w - 1) above every slot's sum.  So adding
+    2^(w - 1) to each slot 0..bound makes it a w-bit digit, and the terms
+    past bound are a multiple of 2^(w (bound + 1)), which the mask drops."""
+    products = [(s, left, right) for s, left, right in products if left and right]
+    bits = max((abs(s).bit_length() + max(abs(n) for _, n in left).bit_length()
+                + max(abs(n) for _, n in right).bit_length()
+                + min(len(left), len(right)).bit_length() for s, left, right in products),
+               default=0)
+    size = (bits + len(products).bit_length()) // 8 + 1
+    offset = 1 << (8 * size - 1)
+    fill = offset.to_bytes(size, "little")
+    slots = bound + 1
+    offsets = int.from_bytes(fill * slots, "little")
+
+    def pack(terms):
+        digits = [fill] * slots
+        for code, n in terms:
+            digits[code] = (n + offset).to_bytes(size, "little")
+        return int.from_bytes(b"".join(digits), "little") - offsets
+
+    total = 0
+    for s, left, right in products:
+        a = pack(left)
+        total += s * (a * (a if right is left else pack(right)))
+    data = ((total + offsets) & ((1 << (8 * size * slots)) - 1)).to_bytes(size * slots, "little")
+    return [(i, int.from_bytes(d, "little") - offset) for i, d in
+            enumerate(data[j:j + size] for j in range(0, size * slots, size)) if d != fill]
 
 
 def _keys(codes, degree, bound):

@@ -6,7 +6,8 @@ the eta product q prod (1 - q^n)^24 expanded by plain list convolution,
 against (E4^3 - E6^2) / 1728 and against Ramanujan's tau(1..10); the
 integer product kernel against a pairwise Fraction product with its own
 key addition, truncation and zero-dropping, and a power against the left
-fold of that product; the JSON writer against the stdlib's
+fold of that product; the degree-1 kernel on packed terms against a
+schoolbook convolution in Fractions; the JSON writer against the stdlib's
 json.dumps(obj, sort_keys=True, indent=2).
 """
 
@@ -20,7 +21,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -353,14 +354,13 @@ class TestRingLaws:
                                              for row in entry_series(block)]
 
     def test_block_operations_build_one_series_each(self):
-        # a block sum, multiple and block times scalar build their result
-        # only, a difference the negation too, and leading_part the theta
-        # operator, its product and the multiple: no entry series
+        # a block sum, multiple, block times scalar and leading_part build
+        # their result only, a difference the negation too: no entry series
         src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
         done = subprocess.run([sys.executable, "-c", BLOCK_SERIES_BUILT],
                               capture_output=True, env=dict(os.environ, PYTHONPATH=src),
                               check=True)
-        assert done.stdout.decode().split() == ["1", "2", "1", "1", "3"] * 2
+        assert done.stdout.decode().split() == ["1", "2", "1", "1", "1"] * 2
 
     def test_mul_bound_is_min(self):
         rng = random.Random(35)
@@ -507,6 +507,131 @@ class TestIntegerKernel:
                 assert (f * g).coeffs[top] == sum(
                     f.coeffs[key(entries, a)] * g.coeffs[key(entries, bound - a)]
                     for a in range(0, bound + 1, 2))
+
+
+def schoolbook(products, bound):
+    """The slots 0..bound of sum c * left * right, the operands lists of
+    (trace, numerator) over a denominator, by the schoolbook convolution in
+    Fractions, zero slots dropped."""
+    sums = [Fraction(0)] * (bound + 1)
+    for c, (left, left_den), (right, right_den) in products:
+        for i, a in left:
+            for j, b in right:
+                if i + j <= bound:
+                    sums[i + j] += Fraction(c) * a * b / (left_den * right_den)
+    return {k: s for k, s in enumerate(sums) if s}
+
+
+def assert_dense(products, bound):
+    """The degree-1 pair loop against the schoolbook convolution: slots
+    sorted, zero sums absent, over the lcm of the products' denominators."""
+    terms, den = qexpansion._pair_loop(products, 1, bound)
+    assert den == lcm(*(Fraction(c).denominator * left_den * right_den
+                        for c, (_, left_den), (_, right_den) in products))
+    codes = [k for k, _ in terms]
+    assert codes == sorted(set(codes))
+    assert all(type(s) is int and s for _, s in terms)
+    assert {k: Fraction(s, den) for k, s in terms} == schoolbook(products, bound)
+    return terms
+
+
+class TestDenseKernel:
+    """The degree-1 pair loop, one integer product per operand pair,
+    against the schoolbook convolution."""
+
+    def test_numerators_at_slot_width_edges(self):
+        rng = random.Random(71)
+        edges = [x for k in (7, 8, 63, 64, 127) for x in (2 ** k - 1, 2 ** k)]
+        for bound in (0, 1, 5, 12):
+            for _ in range(20):
+                left = [(t, rng.choice((1, -1)) * rng.choice(edges)) for t in range(bound + 1)]
+                right = [(t, rng.choice((1, -1)) * rng.choice(edges)) for t in range(bound + 1)]
+                assert_dense([(1, (left, 1), (right, 3))], bound)
+                assert_dense([(Fraction(-1, 2), (left, 1), (left, 1))], bound)
+        for x in edges:
+            for sign in (1, -1):
+                top = [(t, sign * x) for t in range(8)]
+                # every slot 0..7 is sign^2 x^2 (t + 1)
+                terms = assert_dense([(1, (top, 1), (top, 1))], 7)
+                assert terms == [(t, x * x * (t + 1)) for t in range(8)]
+
+    def test_sums_that_fill_the_slot_width(self):
+        # equal-sign numerators at the edges, a large scale, long operands
+        # and many products: slot t sums copies * c * x^2 * (t + 1), which
+        # takes every term of the width
+        for k in (7, 8, 63, 64, 127):
+            for x in (2 ** k - 1, 2 ** k):
+                for c, bound, copies in ((1, 600, 1), (-(2 ** 64 - 1), 255, 1),
+                                         (2 ** 8, 40, 255), (-3, 12, 3)):
+                    ones = [(t, -x) for t in range(bound + 1)]
+                    products = [(c, (ones, 1), (ones, 1))] * copies
+                    assert qexpansion._pair_loop(products, 1, bound) == (
+                        [(t, copies * c * x * x * (t + 1)) for t in range(bound + 1)], 1)
+
+    def test_all_negative_and_alternating_operands(self):
+        rng = random.Random(72)
+        for bound in (3, 20, 60):
+            negative = [(t, -rng.randint(1, 10 ** 12)) for t in range(bound + 1)]
+            alternating = [(t, (-1) ** t * rng.randint(1, 10 ** 12)) for t in range(bound + 1)]
+            for left in (negative, alternating):
+                for right in (negative, alternating):
+                    assert_dense([(1, (left, 7), (right, 1))], bound)
+                    assert_dense([(-3, (left, 1), (right, 1))], bound)
+
+    def test_cancelled_slots_are_absent(self):
+        # (1 + q)(1 - q) = 1 - q^2, and f g - g f = 0 slot by slot
+        plus, minus = [(0, 1), (1, 1)], [(0, 1), (1, -1)]
+        assert assert_dense([(1, (plus, 1), (minus, 1))], 3) == [(0, 1), (2, -1)]
+        rng = random.Random(73)
+        f = [(t, rng.randint(-2 ** 70, 2 ** 70)) for t in range(30)]
+        g = [(t, rng.randint(-2 ** 70, 2 ** 70)) for t in range(30)]
+        assert assert_dense([(1, (f, 1), (g, 1)), (-1, (g, 1), (f, 1))], 29) == []
+        # slot 3 cancels between two products, the others do not
+        a, b = [(0, 2), (3, 5)], [(0, 1)]
+        assert assert_dense([(1, (a, 1), (b, 1)), (-1, ([(3, 5)], 1), (b, 1))], 4) == [(0, 2)]
+
+    def test_empty_operands_and_bound_zero(self):
+        some = [(0, -5), (1, 7)]
+        for products in ([(1, ([], 1), (some, 1))], [(1, (some, 1), ([], 3))],
+                         [(1, ([], 1), ([], 1))], [(0, (some, 1), (some, 1))]):
+            assert assert_dense(products, 1) == []
+        assert assert_dense([(1, ([], 1), (some, 1)), (2, (some, 1), (some, 1))], 1) == [
+            (0, 50), (1, -140)]
+        assert assert_dense([(1, ([(0, -(2 ** 64))], 1), ([(0, 2 ** 64 - 1)], 1))], 0) == [
+            (0, -(2 ** 128) + 2 ** 64)]
+
+    def test_sparse_supports(self):
+        rng = random.Random(74)
+        bound = 40
+        even = [(t, rng.randint(-10 ** 9, 10 ** 9) or 1) for t in range(0, bound + 1, 2)]
+        top = [(bound, rng.randint(1, 10 ** 9))]
+        low_top = [(0, 3), (bound, -(2 ** 100))]
+        for left in (even, top, low_top):
+            for right in (even, top, low_top):
+                assert_dense([(1, (left, 1), (right, 1))], bound)
+        # only the top trace: every pair sum lies past the bound
+        assert assert_dense([(1, (top, 1), (top, 1))], bound) == []
+        assert all(k % 2 == 0 for k, _ in assert_dense([(1, (even, 1), (even, 1))], bound))
+
+    def test_weighted_products_as_in_a_bracket(self):
+        # a degree-1 bracket entry: k f theta(g) - l theta(f) g with
+        # half-integral weights, here several products of mixed sign
+        rng = random.Random(75)
+        bound = 30
+        f = [(t, rng.randint(-10 ** 6, 10 ** 6)) for t in range(bound + 1)]
+        g = [(t, rng.randint(-10 ** 6, 10 ** 6)) for t in range(bound + 1)]
+        theta_f = [(t, 2 * t * a) for t, a in f if t]
+        theta_g = [(t, 2 * t * b) for t, b in g if t]
+        for weights in ((Fraction(7, 2), Fraction(-5, 2)), (Fraction(-1, 3), Fraction(4)),
+                        (Fraction(9, 4), Fraction(9, 4))):
+            assert_dense([(weights[0], (f, 5), (theta_g, 2)),
+                          (weights[1], (theta_f, 2), (g, 3))], bound)
+            assert_dense([(weights[0], (f, 1), (theta_g, 2)),
+                          (weights[1], (theta_f, 2), (g, 1)),
+                          (Fraction(-11, 6), (f, 1), (g, 1))], bound)
+
+    def test_e4_power_against_the_oracle_fold(self):
+        check_power(eisenstein(4, 200), 7)
 
 
 @st.composite
