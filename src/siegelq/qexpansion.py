@@ -50,13 +50,16 @@ encodes its base once, runs its square-and-multiply chain on packed
 terms and decodes once, and a square f * f encodes f once.  Only output
 keys are decoded, once each, also those of a block result.
 
-At degree 1 a code is the trace itself, so an operand's terms fill
-0..N densely and a product is a polynomial product: _kronecker packs
-each operand into one int, numerator i in the i-th slot of w bits, and
-multiplies once in C (Kronecker substitution).  At degree 2 and up the
-codes are sparse (22 keys among 676 codes at degree 2, bound 3), and a
-pair whose traces add past N can alias onto a valid code, so the pair
-loop runs over the pairs of terms and stops each row at the bound.
+At degree 1 a code is the trace itself, so a product is a polynomial
+product.  When its pairs of terms outnumber the N + 1 slots of 0..N,
+_kronecker packs each operand into one int, numerator i in the i-th
+slot of w bits, and multiplies once in C (Kronecker substitution); its
+cost follows N, so an operand with few terms up to a large bound, such
+as a dilated series, takes the pair loop instead, whose cost follows
+the pairs.  At degree 2 and up the codes are sparse (22 keys among 676
+codes at degree 2, bound 3), and a pair whose traces add past N can
+alias onto a valid code, so the pair loop runs over the pairs of terms
+and stops each row at the bound.
 """
 
 import json
@@ -196,14 +199,15 @@ def _numerators(f, bound, rows=(), cols=(), entry=None):
 def _pair_loop(products, degree, bound):
     """The packed sum of the products c * left * right (c rational, left
     and right packed), over the lcm of the products' denominators.  At
-    degree 1 a code is its trace, so the terms are dense in 0..bound and
-    each product is one integer multiplication (_kronecker); at degree 2
-    and up, where codes are sparse, one loop over the pairs of terms whose
-    traces add to at most bound."""
+    degree 1 a code is its trace, and when the pairs of terms number more
+    than bound, each product is one integer multiplication (_kronecker)
+    over the slots 0..bound.  Otherwise, and at every degree 2 and up,
+    where codes are sparse, one loop over the pairs of terms whose traces
+    add to at most bound (at degree 1 a code's place is 1)."""
     den = lcm(*(c.denominator * f_den * g_den for c, (_, f_den), (_, g_den) in products))
     scaled = [(c.numerator * (den // (c.denominator * f_den * g_den)), left, right)
               for c, (left, f_den), (right, g_den) in products]
-    if degree == 1:
+    if degree == 1 and sum(len(left) * len(right) for _, left, right in scaled) > bound:
         return _kronecker(scaled, bound), den
     place = (4 * bound + 1) ** len(_coded(degree))
     half = place // 2

@@ -1,11 +1,11 @@
 """Symplectic groups over F_p and their theta-stable coset systems.
 
-Matrices are 2n x 2n int tuples with entries reduced mod p, wrapped in
-SymplecticModP, whose constructor checks M^t J M = J for J = [[0, 1],
-[-1, 0]] (n x n blocks).  Products, inverses and the builders, which check
-their own inputs, are symplectic by construction and skip that check.
-The coset system below U(p)-type operators is indexed by a cell
-0 <= j <= n and consists of
+A group element is a SymplecticModP: a 2n x 2n int tuple with entries
+reduced mod p, made only by its constructor, which checks M^t J M = J for
+J = [[0, 1], [-1, 0]] (n x n blocks).  Products, inverses and the
+builders return what that constructor made, so every element has passed
+the check.  The coset system below U(p)-type operators is indexed by a
+cell 0 <= j <= n and consists of
 
     partial_involution(n, j) * unipotent(B) * levi(A)
 
@@ -20,7 +20,8 @@ closed form,
 
     [[E A, -F A^{-t}], [F A, (B_f + E) A^{-t}]]  mod p,
 
-and coset_reps writes these blocks directly instead of multiplying.
+and coset_reps writes these blocks directly as rows instead of
+multiplying; the listing makes no group element at all.
 Only the bottom j rows depend on B, and row i of them only on B's row i:
 it is A's row i followed by that row of B times the bottom j rows of
 A^{-t}.  While it lists a cell, coset_reps keeps, per A and per bottom
@@ -64,7 +65,7 @@ def _freeze_mod(rows, p):
 class SymplecticModP:
     """Element of Sp_n(F_p), stored as a reduced 2n x 2n int tuple."""
 
-    __slots__ = ("degree", "prime", "mat", "_key")
+    __slots__ = ("degree", "prime", "mat")
 
     def __init__(self, mat, p):
         require_odd_prime(p)
@@ -80,28 +81,26 @@ class SymplecticModP:
         self.degree = n
         self.prime = p
         self.mat = m
-        self._key = None
 
     def __mul__(self, other):
         if not isinstance(other, SymplecticModP):
             return NotImplemented
         if other.degree != self.degree or other.prime != self.prime:
             raise ValueError("degree or prime mismatch")
-        return _trusted(_freeze_mod(mat_mul(self.mat, other.mat), self.prime), self.prime)
+        return SymplecticModP(mat_mul(self.mat, other.mat), self.prime)
 
     def inverse(self):
         """J^{-1} M^t J = [[D^t, -B^t], [-C^t, A^t]], the inverse of a
         symplectic M."""
         a, b, c, d = (transpose(self.block(i, k)) for i in (0, 1) for k in (0, 1))
         inv = from_blocks(d, mat_scale(-1, b), mat_scale(-1, c), a)
-        return _trusted(_freeze_mod(inv, self.prime), self.prime)
+        return SymplecticModP(inv, self.prime)
 
     def coset_key(self):
-        """RREF of the bottom rows (C | D) mod p, the same for two elements
-        iff they lie in the same right coset of the Siegel parabolic."""
-        if self._key is None:
-            self._key = row_reduce(self.mat[self.degree:], self.prime)[0]
-        return self._key
+        """RREF of the bottom rows (C | D) mod p, computed on each call; the
+        same for two elements iff they lie in the same right coset of the
+        Siegel parabolic."""
+        return row_reduce(self.mat[self.degree:], self.prime)[0]
 
     def block(self, row, col):
         """n x n block: (0,0)=A, (0,1)=B, (1,0)=C, (1,1)=D."""
@@ -125,17 +124,6 @@ class SymplecticModP:
         return "SymplecticModP(degree=%d, p=%d)" % (self.degree, self.prime)
 
 
-def _trusted(mat, p):
-    """Wrap a reduced matrix that is symplectic by construction, without
-    the constructor's checks."""
-    out = SymplecticModP.__new__(SymplecticModP)
-    out.degree = len(mat) // 2
-    out.prime = p
-    out.mat = mat
-    out._key = None
-    return out
-
-
 def partial_involution(n, j, p):
     """The element with A = D = diag(1_{n-j}, 0_j), the lower-right j x j
     of B equal to -1, and of C equal to +1; j = 0 gives the identity and
@@ -146,14 +134,14 @@ def partial_involution(n, j, p):
     one, zero = identity(n), zero_matrix(n)
     a = one[:n - j] + zero[n - j:]
     c = zero[:n - j] + one[n - j:]
-    return _trusted(_freeze_mod(from_blocks(a, mat_scale(-1, c), c, a), p), p)
+    return SymplecticModP(from_blocks(a, mat_scale(-1, c), c, a), p)
 
 
 def levi(a, p):
     """Levi element diag(A, A^{-t}); A must be square and invertible mod p."""
     ait = transpose(mat_inverse(a, p))
     zero = zero_matrix(len(ait))
-    return _trusted(from_blocks(_freeze_mod(a, p), zero, zero, ait), p)
+    return SymplecticModP(from_blocks(_freeze_mod(a, p), zero, zero, ait), p)
 
 
 def unipotent(b, p):
@@ -163,7 +151,7 @@ def unipotent(b, p):
     if b != transpose(b):
         raise ValueError("B must be symmetric mod p")
     one, zero = identity(len(b)), zero_matrix(len(b))
-    return _trusted(from_blocks(one, b, zero, one), p)
+    return SymplecticModP(from_blocks(one, b, zero, one), p)
 
 
 def gl_parabolic_reps(n, j, p):
@@ -200,19 +188,21 @@ def gl_parabolic_reps(n, j, p):
 @dataclass(frozen=True)
 class CosetRep:
     """One coset: its cell j, the symmetric j x j block B, the GL part A,
-    and the assembled group element."""
+    and mat, the rows of the element partial_involution(n, j) *
+    unipotent(B) * levi(A) mod p as a 2n x 2n tuple of row tuples.
+    SymplecticModP(mat, p) makes it a group element."""
 
     cell: int
     b: tuple
     a: tuple
-    mat: SymplecticModP
+    mat: tuple
 
     def to_json_dict(self):
         return {
             "cell": self.cell,
             "b": self.b,
             "a": self.a,
-            "mat": self.mat.mat,
+            "mat": self.mat,
         }
 
 
@@ -277,7 +267,7 @@ class CosetSystem:
                 b = symmetric(j, values)
                 for a, head, tails in cell:
                     tail = tuple(t[row] for t, row in zip(tails, b))
-                    yield CosetRep(cell=j, b=b, a=a, mat=_trusted(head + tail, p))
+                    yield CosetRep(cell=j, b=b, a=a, mat=head + tail)
 
 
 def coset_count(n, p):

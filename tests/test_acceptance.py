@@ -20,7 +20,7 @@ code with the library paths they judge.
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import isqrt
 
 from siegelq.diffops import BracketParams, polarize_compound, rankin_cohen
@@ -249,13 +249,14 @@ def test_8_coset_system():
             for i in range(1, n + 1):
                 want *= p ** i + 1
             assert len(reps) == want, (n, p, len(reps))
-            mats = [r.mat for r in reps]
-            for m1, m2 in combinations(mats, 2):
-                assert not same_coset(m1, m2)
+            # same_coset compares coset keys, so distinct keys mean no two
+            # representatives share a coset
+            keys = {SymplecticModP(r.mat, p).coset_key() for r in reps}
+            assert len(keys) == want, (n, p, len(keys))
 
         # brute force cross-check for (1, 3): all 24 elements of SL2(F_3)
         # sort into the 4 cosets, 6 apiece
-        reps13 = coset_reps(1, 3)
+        reps13 = [SymplecticModP(r.mat, 3) for r in coset_reps(1, 3)]
         tally = [0] * len(reps13)
         count = 0
         for a, b, c, d in product(range(3), repeat=4):
@@ -263,7 +264,7 @@ def test_8_coset_system():
                 continue
             count += 1
             m = SymplecticModP(((a, b), (c, d)), 3)
-            hits = [i for i, r in enumerate(reps13) if same_coset(m, r.mat)]
+            hits = [i for i, r in enumerate(reps13) if same_coset(m, r)]
             assert len(hits) == 1, (a, b, c, d)
             tally[hits[0]] += 1
         assert count == 24

@@ -150,6 +150,24 @@ class TestBasicCommands:
         assert qexpansion.from_json_dict(read(br)) == want
 
 
+    def test_ci_bracket_pinned(self, tmp_path):
+        # the CI workflow's bracket step: [E4, E6] of order 1 at trace
+        # bound 200 is -3456 Delta, a nonzero value; its first five values
+        # are -3456 tau(n) for Ramanujan's tau(1..5), written out here
+        e4, e6, br = (str(tmp_path / name) for name in ("e4.json", "e6.json", "br.json"))
+        assert run(["eisenstein", "--weight", "4", "--trace-bound", "200", "-o", e4]) == 0
+        assert run(["eisenstein", "--weight", "6", "--trace-bound", "200", "-o", e6]) == 0
+        assert run(["bracket", "--f", e4, "--g", e6, "--minor-order", "1",
+                    "--weight-f", "4", "--weight-g", "6", "-o", br]) == 0
+        with open(br, "rb") as handle:
+            data = handle.read()
+        assert hashlib.sha256(data).hexdigest() == (
+            "c286b8326c901cf80c83912d9c665de830d88af79b19c6e992b1940a3cdb67de")
+        head = json.loads(data)["coeffs"][:5]
+        assert head == [{"t2": [[2 * n]], "value": [["%d/1" % (-3456 * tau)]]}
+                        for n, tau in enumerate((1, -24, 252, -1472, 4830), 1)]
+
+
 class TestCongruenceCommands:
     def test_congruent_exit_codes(self, tmp_path):
         th = tmp_path / "th.json"

@@ -45,8 +45,7 @@ series.
 No module but qexpansion and theta wraps a series with "_trusted(":
 every series that diffops, padic and cli return comes from qexpansion
 (the ring operations, _decode and _blocks) or from theta, so coefficient
-values are made in one place.  symplectic is exempt by module: its
-_trusted wraps coset matrices, not series.
+values are made in one place.
 
 No module but qexpansion calls "_decode(" or "_keys(": packed terms are
 decoded only there, a scalar result by _decode and a block result by
@@ -319,7 +318,7 @@ def test_one_identity_and_symmetric_builder(path):
 
 
 TRUSTED_CALL = re.compile(r"\b_trusted\(")
-SERIES_MAKERS = {"qexpansion.py", "theta.py", "symplectic.py"}
+SERIES_MAKERS = {"qexpansion.py", "theta.py"}
 
 
 def trusted_calls(lines):

@@ -15,7 +15,7 @@ from siegelq.diffops import BracketParams, leading_part, rankin_cohen
 from siegelq.halfint import require_instance
 from siegelq.padic import congruent
 from siegelq.qexpansion import FourierExpansion, eisenstein
-from siegelq.symplectic import coset_reps, same_coset
+from siegelq.symplectic import SymplecticModP, coset_reps, same_coset
 from siegelq.theta import (
     GramLattice,
     cycle_isometry,
@@ -28,7 +28,7 @@ from siegelq.theta import (
 
 E4 = eisenstein(4, 2)
 A1 = gram_a(1)
-M = next(iter(coset_reps(1, 3))).mat
+M = SymplecticModP(next(iter(coset_reps(1, 3))).mat, 3)
 
 TABLE = {
     "rep_numbers": (lambda x: rep_numbers(x, 2, 3), "lattice", "GramLattice"),

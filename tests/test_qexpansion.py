@@ -20,6 +20,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, lcm
 
@@ -599,6 +600,39 @@ class TestDenseKernel:
             (0, 50), (1, -140)]
         assert assert_dense([(1, ([(0, -(2 ** 64))], 1), ([(0, 2 ** 64 - 1)], 1))], 0) == [
             (0, -(2 ** 128) + 2 ** 64)]
+
+    def test_branch_follows_the_pair_count(self, monkeypatch):
+        # _kronecker packs bound + 1 slots, so it runs only when the pairs
+        # of terms outnumber the bound; either branch matches schoolbook
+        packed = []
+
+        def counting_kronecker(products, bound):
+            packed.append(bound)
+            return kronecker(products, bound)
+
+        kronecker = qexpansion._kronecker
+        monkeypatch.setattr(qexpansion, "_kronecker", counting_kronecker)
+        left, right = [(0, 3), (2, -1), (5, 4)], [(0, 1), (1, 2)]
+        for bound in (5, 6, 7):
+            assert_dense([(1, (left, 1), (right, 1))], bound)
+        # 6 pairs: dense at bound 5 only; 6 + 6 pairs: dense at 6 and 7 too
+        assert packed == [5]
+        for bound in (6, 11, 12):
+            assert_dense([(1, (left, 1), (right, 1)), (2, (right, 1), (left, 5))], bound)
+        assert packed == [5, 6, 11]
+
+    def test_sparse_operands_cost_their_pairs(self):
+        # a dilated series has 11 terms up to trace 10^6: its square visits
+        # 121 pairs and packs no 10^6 slots
+        f = eisenstein(4, 10).dilate(10 ** 5)
+        tracemalloc.start()
+        try:
+            square = f ** 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert square == eisenstein(8, 10).dilate(10 ** 5)
+        assert peak < 2 ** 20
 
     def test_sparse_supports(self):
         rng = random.Random(74)

@@ -1,6 +1,9 @@
 """Symplectic mod-p elements and the coset system."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -76,9 +79,32 @@ def same_coset_reference(m1, m2):
     )
 
 
+def is_symplectic(rows, p):
+    """rows is a 2n x 2n tuple of row tuples of ints in range(p) with
+    M^t J M = J mod p, J = [[0, 1], [-1, 0]] (n x n blocks): entry (i, k)
+    of M^t J M is the form sum_a M[a][i] M[n + a][k] - M[n + a][i] M[a][k]
+    on columns i and k, which must be 1 for k = i + n, -1 for i = k + n
+    and 0 otherwise."""
+    size = len(rows)
+    n = size // 2
+    if not (isinstance(rows, tuple) and size and size % 2 == 0 and all(
+            isinstance(row, tuple) and len(row) == size
+            and all(type(x) is int and 0 <= x < p for x in row) for row in rows)):
+        return False
+    return all(
+        sum(rows[a][i] * rows[n + a][k] - rows[n + a][i] * rows[a][k]
+            for a in range(n)) % p == ((k == i + n) - (i == k + n)) % p
+        for i in range(size) for k in range(size))
+
+
 def assert_checked(m):
     """m passes the checked constructor, which evaluates M^t J M = J."""
     assert SymplecticModP(m.mat, m.prime).mat == m.mat
+
+
+def elements(n, p):
+    """The listed coset representatives as group elements."""
+    return [SymplecticModP(r.mat, p) for r in coset_reps(n, p)]
 
 
 # 1.9 and Fraction(3, 2) truncate to 1, "1" parses and True is 1: not
@@ -126,9 +152,9 @@ class TestSymplecticModP:
             with pytest.raises(ValueError, match="^degree or prime mismatch$"):
                 m * other
 
-    def test_unchecked_outputs_pass_checked_constructor(self):
-        # products, inverses and builder outputs skip the M^t J M = J
-        # check, so validate them here once; also m m^-1 = m^-1 m = 1
+    def test_group_operations_pass_checked_constructor(self):
+        # products, inverses and builder outputs come from the checked
+        # constructor; re-check them, and m m^-1 = m^-1 m = 1
         rng = random.Random(84)
         for n, p in ((1, 3), (2, 3), (3, 3), (2, 5)):
             one = identity_element(n, p)
@@ -137,14 +163,14 @@ class TestSymplecticModP:
             built.append(unipotent([[b[min(i, k)][max(i, k)] for k in range(n)]
                                     for i in range(n)], p))
             built.append(levi(_rand_invertible(rng, n, p), p))
-            elements = built + [r.mat for r in coset_reps(n, p)]
-            for m in elements:
+            group = built + elements(n, p)
+            for m in group:
                 assert_checked(m)
                 inv = m.inverse()
                 assert_checked(inv)
                 assert m * inv == one and inv * m == one
             for _ in range(20):
-                prod = rng.choice(elements) * rng.choice(elements)
+                prod = rng.choice(group) * rng.choice(group)
                 assert_checked(prod)
                 assert_checked(prod.inverse())
 
@@ -256,6 +282,7 @@ class TestGlParabolicReps:
 
 
 COUNT_CASES = ((1, 3), (1, 5), (2, 3), (2, 5), (3, 3))
+LISTING_CASES = ((1, 3), (1, 5), (2, 3), (2, 5), (2, 7), (3, 3))
 
 
 class TestCosetSystem:
@@ -266,7 +293,7 @@ class TestCosetSystem:
                 want *= p ** i + 1
             reps = coset_reps(n, p)
             assert len(reps) == want == coset_count(n, p)
-            assert len({r.mat.coset_key() for r in reps}) == want
+            assert len({m.coset_key() for m in elements(n, p)}) == want
             # cross-check the cell decomposition against the closed form
             by_cell = {}
             for r in reps:
@@ -276,18 +303,18 @@ class TestCosetSystem:
 
     def test_cell_is_lower_left_rank(self):
         for r in coset_reps(2, 3):
-            assert len(row_reduce(r.mat.block(1, 0), 3)[1]) == r.cell
+            assert len(row_reduce(SymplecticModP(r.mat, 3).block(1, 0), 3)[1]) == r.cell
 
     def test_deterministic_order(self):
-        a = [r.mat.mat for r in coset_reps(2, 3)]
-        b = [r.mat.mat for r in coset_reps(2, 3)]
+        a = [r.mat for r in coset_reps(2, 3)]
+        b = [r.mat for r in coset_reps(2, 3)]
         assert a == b
         cells = [r.cell for r in coset_reps(2, 3)]
         assert cells == sorted(cells)
 
     def test_rep_fields_consistent(self):
         # the closed-form blocks against the group product of the builders
-        for n, p in ((1, 3), (1, 5), (2, 3), (2, 5), (2, 7), (3, 3)):
+        for n, p in LISTING_CASES:
             for r in coset_reps(n, p):
                 assert isinstance(r, CosetRep)
                 assert len(r.b) == r.cell
@@ -296,8 +323,40 @@ class TestCosetSystem:
                     * unipotent(_embed(r.b, n), p)
                     * levi(r.a, p)
                 )
-                assert built == r.mat
-                assert_checked(r.mat)
+                assert built.mat == r.mat
+
+    def test_listed_rows_are_symplectic(self):
+        # every listed element is a plain row tuple, judged by the oracle
+        # above, which shares no code with the package
+        for n, p in LISTING_CASES:
+            for r in coset_reps(n, p):
+                assert is_symplectic(r.mat, p), (n, p, r.mat)
+        assert not is_symplectic(((1, 0), (0, 2)), 3)
+        assert not is_symplectic(((1, 0), (0, 4)), 3)  # not reduced
+        assert not is_symplectic([[1, 0], [0, 1]], 3)  # not row tuples
+        assert is_symplectic(((0, 2), (1, 0)), 3)
+
+    def test_listing_makes_no_group_element(self):
+        # every SymplecticModP, checked or not, goes through __new__; the
+        # count runs in a fresh interpreter, since a __new__ patched onto
+        # a class cannot be taken off it again.  The last element is made
+        # to show that the patch sees one.
+        script = "\n".join([
+            "from siegelq.symplectic import SymplecticModP, coset_reps",
+            "made = []",
+            "def counting_new(cls, *args):",
+            "    made.append(args)",
+            "    return object.__new__(cls)",
+            "SymplecticModP.__new__ = counting_new",
+            "listed = sum(1 for _ in coset_reps(3, 3))",
+            "print(listed, len(made))",
+            "SymplecticModP(((1, 0), (0, 1)), 3)",
+            "print(len(made))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(symplectic.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout.decode("utf-8").split() == ["1120", "0", "1"]
 
     def test_listing_limit(self):
         assert coset_count(3, 5) <= MAX_LISTING < coset_count(3, 7)
@@ -363,40 +422,39 @@ def _embed(b_small, n):
 
 class TestSameCoset:
     def test_reflexive_and_symmetric(self):
-        reps = list(coset_reps(2, 3))
+        reps = elements(2, 3)
         rng = random.Random(81)
         for _ in range(40):
-            r1 = rng.choice(reps)
-            r2 = rng.choice(reps)
-            assert same_coset(r1.mat, r1.mat)
-            assert same_coset(r1.mat, r2.mat) == same_coset(r2.mat, r1.mat)
+            m1 = rng.choice(reps)
+            m2 = rng.choice(reps)
+            assert same_coset(m1, m1)
+            assert same_coset(m1, m2) == same_coset(m2, m1)
 
     def test_parabolic_left_translation_preserved(self):
         # multiplying on the left by an upper-block element never moves
         # the coset
         rng = random.Random(82)
-        reps = list(coset_reps(2, 3))
+        reps = elements(2, 3)
         for _ in range(25):
-            r = rng.choice(reps)
+            m = rng.choice(reps)
             b = [[rng.randrange(3) for _ in range(2)] for _ in range(2)]
             b[1][0] = b[0][1]
             q = unipotent(b, 3) * levi(_rand_invertible(rng, 2, 3), 3)
-            assert same_coset(q * r.mat, r.mat)
+            assert same_coset(q * m, m)
 
     def test_every_element_in_exactly_one_coset(self):
         rng = random.Random(83)
-        reps = coset_reps(2, 3)
-        gens = [r.mat for r in reps]
+        reps = elements(2, 3)
         for _ in range(20):
-            m = rng.choice(gens)
+            m = rng.choice(reps)
             for _ in range(5):
-                m = m * rng.choice(gens)
-            hits = sum(1 for r in reps if same_coset(m, r.mat))
+                m = m * rng.choice(reps)
+            hits = sum(1 for r in reps if same_coset(m, r))
             assert hits == 1
 
     def test_matches_block_reference(self):
         # key equality against the definition, with an inverse written here
-        reps = [r.mat for r in coset_reps(2, 3)]
+        reps = elements(2, 3)
         for m1 in reps:
             for m2 in reps:
                 assert same_coset(m1, m2) == same_coset_reference(m1, m2)
@@ -416,7 +474,7 @@ class TestSameCoset:
 
     def test_mismatch_rejected(self):
         def first(n, p):
-            return next(iter(coset_reps(n, p))).mat
+            return SymplecticModP(next(iter(coset_reps(n, p))).mat, p)
 
         with pytest.raises(ValueError):
             same_coset(first(1, 3), first(1, 5))
