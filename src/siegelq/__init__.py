@@ -37,7 +37,6 @@ from .padic import (
     vp_expansion,
 )
 from .symplectic import (
-    CosetRep,
     CosetSystem,
     SymplecticModP,
     coset_count,
@@ -78,7 +77,6 @@ __all__ = [
     "unit_ladder",
     "vp",
     "vp_expansion",
-    "CosetRep",
     "CosetSystem",
     "SymplecticModP",
     "coset_count",

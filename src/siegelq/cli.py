@@ -3,7 +3,7 @@
 Each subcommand is declared once, in build_parser: its options and its
 action, a function of the parsed arguments set as the subparser's run
 default.  An action returns an expansion, a congruence report or plain
-JSON data (the coset listing as an iterator of its elements), and one
+JSON data (the coset listing as an iterator of its records), and one
 function, _run_command, turns that into the output and the exit code.
 Every subcommand reads and writes the documented JSON formats.  Input is
 strict JSON, read by qexpansion.json_parse: duplicate object keys, NaN,
@@ -80,9 +80,9 @@ def _cosets(a):
     if a.count_only:
         return {"degree": a.degree, "p": a.prime,
                 "count": symplectic.coset_count(a.degree, a.prime)}
-    # coset_reps runs, and refuses an oversized system, when this
-    # generator is made: before _emit opens the output
-    return (r.to_json_dict() for r in symplectic.coset_reps(a.degree, a.prime))
+    # coset_reps refuses an oversized system here, before _emit opens the
+    # output; json_write writes an iterator's records one at a time
+    return iter(symplectic.coset_reps(a.degree, a.prime))
 
 
 def build_parser():

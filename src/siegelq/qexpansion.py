@@ -480,16 +480,20 @@ class FourierExpansion:
 
     def u_p(self, p):
         """Coefficient extraction a(T) -> a(pT); the bound drops to N // p.
-        A key 2pT is p times a key 2T: every entry divisible by p and
-        every diagonal entry by 2p, which an odd p leaves implied."""
+        A level L becomes lcm(L, p): f has level lcm(L, p) too, and U(p)
+        keeps a level that p divides (E4|U(5) = 126 E4 - 125 E4(5z) has
+        level 5).  A key 2pT is p times a key 2T: every entry divisible
+        by p and every diagonal entry by 2p, which an odd p leaves
+        implied."""
         require_int(p, "p", 2)
         coeffs = {}
         for k, v in self.coeffs.items():
             if (all(x % p == 0 for row in k for x in row)
                     and all(k[i][i] % (2 * p) == 0 for i in range(len(k)))):
                 coeffs[tuple(tuple(x // p for x in row) for row in k)] = v
+        level = None if self.level is None else lcm(self.level, p)
         return _trusted(self.degree, self.trace_bound // p, coeffs, self.shape,
-                        self.weight, self.level, self.character)
+                        self.weight, level, self.character)
 
     def dilate(self, c):
         """Substitution q^T -> q^(cT); the bound grows to c * N."""

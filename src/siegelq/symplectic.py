@@ -27,10 +27,16 @@ it is A's row i followed by that row of B times the bottom j rows of
 A^{-t}.  While it lists a cell, coset_reps keeps, per A and per bottom
 row, a table of that row for all p^j rows of B, so an element is
 assembled from kept rows with no arithmetic.  It returns a CosetSystem,
-a sized iterable that builds each element as the iteration reaches it,
-so the CLI writes a listing one element at a time and never holds it
-whole.  It refuses, at once, a system of more than MAX_LISTING elements,
-as gl_parabolic_reps refuses more than MAX_LISTING representatives.
+a sized iterable that builds each element as the iteration reaches it
+and yields it as the JSON record the cosets command writes,
+
+    {"a": A, "b": B, "cell": j, "mat": rows of the element},
+
+every matrix a tuple of row tuples, so the CLI writes a listing one
+record at a time and never holds it whole; SymplecticModP(record["mat"],
+p) makes a record's element a group element.  It refuses, at once, a
+system of more than MAX_LISTING elements, as gl_parabolic_reps refuses
+more than MAX_LISTING representatives.
 The limit bounds time and output size, not memory: the largest
 listings allowed (degree 3 at p = 5, degree 2 at p = 31) write 16.6 and
 14.6 MB of JSON in about 0.3 s and peak at 17.5 to 18.5 MB of RSS
@@ -44,7 +50,6 @@ Keys come from halfint.row_reduce and inverses from its mat_inverse,
 both over F_p, as every Gauss-Jordan elimination of the package is.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
@@ -185,30 +190,11 @@ def gl_parabolic_reps(n, j, p):
     return out
 
 
-@dataclass(frozen=True)
-class CosetRep:
-    """One coset: its cell j, the symmetric j x j block B, the GL part A,
-    and mat, the rows of the element partial_involution(n, j) *
-    unipotent(B) * levi(A) mod p as a 2n x 2n tuple of row tuples.
-    SymplecticModP(mat, p) makes it a group element."""
-
-    cell: int
-    b: tuple
-    a: tuple
-    mat: tuple
-
-    def to_json_dict(self):
-        return {
-            "cell": self.cell,
-            "b": self.b,
-            "a": self.a,
-            "mat": self.mat,
-        }
-
-
 def coset_reps(n, p):
-    """The full coset system as a CosetSystem: cells j = 0..n, within a
-    cell ordered by (B entries, A representative); prod_{i=1..n} (p^i + 1)
+    """The full coset system as a CosetSystem of JSON records {"a": A,
+    "b": B, "cell": j, "mat": rows}, one per element partial_involution(n,
+    j) * unipotent(B) * levi(A) mod p: cells j = 0..n, within a cell
+    ordered by (B entries, A representative); prod_{i=1..n} (p^i + 1)
     elements in total.  The lower-left block of every element has rank j,
     which is a coset invariant.  ValueError, at once, if the count exceeds
     MAX_LISTING.  len() builds nothing, and iterating builds each element
@@ -218,7 +204,8 @@ def coset_reps(n, p):
 
 class CosetSystem:
     """The coset system of Sp_n(F_p) as a sized iterable whose elements
-    are built as they are iterated, so a listing never exists whole.
+    are built as they are iterated, each yielded as the JSON record that
+    coset_reps describes, so a listing never exists whole.
 
     len() is coset_count(n, p) and builds nothing.  Iterating computes
     nothing per element: per cell, the rows that do not depend on B are
@@ -267,7 +254,7 @@ class CosetSystem:
                 b = symmetric(j, values)
                 for a, head, tails in cell:
                     tail = tuple(t[row] for t, row in zip(tails, b))
-                    yield CosetRep(cell=j, b=b, a=a, mat=head + tail)
+                    yield {"a": a, "b": b, "cell": j, "mat": head + tail}
 
 
 def coset_count(n, p):
@@ -280,7 +267,9 @@ def coset_count(n, p):
 
 def same_coset(m1, m2):
     """True iff m1 and m2 have equal coset keys, i.e. the lower-left n x n
-    block of m1 * m2^{-1} vanishes mod p."""
+    block of m1 * m2^{-1} vanishes mod p.  Each call row-reduces both
+    elements, so comparing many elements pair by pair is quadratic in row
+    reductions: compare one coset_key per element instead."""
     require_instance(m1, SymplecticModP, "m1")
     require_instance(m2, SymplecticModP, "m2")
     if m1.degree != m2.degree or m1.prime != m2.prime:

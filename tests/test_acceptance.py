@@ -251,12 +251,12 @@ def test_8_coset_system():
             assert len(reps) == want, (n, p, len(reps))
             # same_coset compares coset keys, so distinct keys mean no two
             # representatives share a coset
-            keys = {SymplecticModP(r.mat, p).coset_key() for r in reps}
+            keys = {SymplecticModP(r["mat"], p).coset_key() for r in reps}
             assert len(keys) == want, (n, p, len(keys))
 
         # brute force cross-check for (1, 3): all 24 elements of SL2(F_3)
         # sort into the 4 cosets, 6 apiece
-        reps13 = [SymplecticModP(r.mat, 3) for r in coset_reps(1, 3)]
+        reps13 = [SymplecticModP(r["mat"], 3) for r in coset_reps(1, 3)]
         tally = [0] * len(reps13)
         count = 0
         for a, b, c, d in product(range(3), repeat=4):

@@ -82,7 +82,8 @@ class TestBasicCommands:
         # sha256 and size of the series pipeline's files at trace bound 30,
         # as written when delta was (E4^3 - E6^2) / 1728 and every power
         # was a chain of ring products; "frac" is a power of a series with
-        # coprime value denominators
+        # coprime value denominators; frob5 and frob7 have levels 5 and 7,
+        # since U(p) takes level 1 to level p
         frac = tmp_path / "frac.json"
         write(frac, {"degree": 1, "trace_bound": 30, "shape": "scalar",
                      "coeffs": [{"t2": [[2 * m]], "value": "%d/%d" % (m - 3, m + 2)}
@@ -117,8 +118,8 @@ class TestBasicCommands:
             "mul": (3321, "2d02aa3eb96984d0379411ee20baeb4b760af1337b57ad9357d771303c0652aa"),
             "pow": (3341, "b55af6d08b837de2f048d93df6c352f806ec578fe3cd84503dbbbccbdb926f7e"),
             "powfrac": (3650, "03c37fed08e24e736b27d0190de6ef5811cedbbc27362571f7ff20c6d2d2f16e"),
-            "frob5": (903, "0c1d4e54811efefb5285d94dbe3abb9ae642d025a3c6718c332fe22be41b51e1"),
-            "frob7": (566, "cb75eaecb8d3e7ffbad4bfd555e8a8699706b8e980d3e6d8c3fe5d8b1935bae6"),
+            "frob5": (903, "9a52cdb6fa2078d5babbccfd45b54cf48143f55532b9b3b20deffb4b976a5503"),
+            "frob7": (566, "b8a5f1a025199e66ec4c491b6d6d51a52804df659e42b5feb3680c998aa5ef0a"),
             "bracket": (4343, "5ed91785bca2aebb8a6f21d70894681bff7ec2b4dfe91f8e2568076f58013644"),
         }
 

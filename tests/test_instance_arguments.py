@@ -28,7 +28,7 @@ from siegelq.theta import (
 
 E4 = eisenstein(4, 2)
 A1 = gram_a(1)
-M = SymplecticModP(next(iter(coset_reps(1, 3))).mat, 3)
+M = SymplecticModP(next(iter(coset_reps(1, 3)))["mat"], 3)
 
 TABLE = {
     "rep_numbers": (lambda x: rep_numbers(x, 2, 3), "lattice", "GramLattice"),

@@ -46,7 +46,7 @@ from siegelq.qexpansion import (
     rational_to_str,
     to_json_dict,
 )
-from siegelq.theta import gram_a, rep_numbers
+from siegelq.theta import direct_sum, gram_a, rep_numbers
 
 
 # Counts the series each block operation builds, in a fresh interpreter
@@ -979,6 +979,18 @@ class TestMeta:
     def test_dilate_scales_level(self):
         th = rep_numbers(gram_a(2), 1, 3)
         assert th.dilate(3).level == 9
+
+    def test_u_p_level_is_the_lcm(self):
+        # E4|U(5) = 126 E4 - 125 E4(5z), and E4(5z) has level 5
+        e4 = eisenstein(4, 10)
+        got = eisenstein(4, 50).u_p(5)
+        assert got == (e4.scale(126) - e4.dilate(5).scale(125)).truncate(10)
+        assert got.level == 5
+        # a level that p divides stays
+        th = rep_numbers(direct_sum(gram_a(2), gram_a(2)), 1, 6)
+        assert th.level == 3
+        assert th.u_p(3).level == 3
+        assert FourierExpansion(1, 6).u_p(3).level is None
 
     def test_meta_not_in_equality(self):
         a = FourierExpansion(1, 2, {key1(1): 1}, weight=4)

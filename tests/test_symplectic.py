@@ -1,5 +1,6 @@
 """Symplectic mod-p elements and the coset system."""
 
+import json
 import os
 import random
 import subprocess
@@ -15,7 +16,6 @@ from siegelq import cli, symplectic
 from siegelq.halfint import row_reduce
 from siegelq.symplectic import (
     MAX_LISTING,
-    CosetRep,
     SymplecticModP,
     coset_count,
     coset_reps,
@@ -104,7 +104,7 @@ def assert_checked(m):
 
 def elements(n, p):
     """The listed coset representatives as group elements."""
-    return [SymplecticModP(r.mat, p) for r in coset_reps(n, p)]
+    return [SymplecticModP(r["mat"], p) for r in coset_reps(n, p)]
 
 
 # 1.9 and Fraction(3, 2) truncate to 1, "1" parses and True is 1: not
@@ -297,40 +297,60 @@ class TestCosetSystem:
             # cross-check the cell decomposition against the closed form
             by_cell = {}
             for r in reps:
-                by_cell[r.cell] = by_cell.get(r.cell, 0) + 1
+                by_cell[r["cell"]] = by_cell.get(r["cell"], 0) + 1
             for j in range(n + 1):
                 assert by_cell[j] == p ** (j * (j + 1) // 2) * gaussian_binomial(n, j, p)
 
     def test_cell_is_lower_left_rank(self):
         for r in coset_reps(2, 3):
-            assert len(row_reduce(SymplecticModP(r.mat, 3).block(1, 0), 3)[1]) == r.cell
+            rank = len(row_reduce(SymplecticModP(r["mat"], 3).block(1, 0), 3)[1])
+            assert rank == r["cell"]
 
     def test_deterministic_order(self):
-        a = [r.mat for r in coset_reps(2, 3)]
-        b = [r.mat for r in coset_reps(2, 3)]
+        a = [r["mat"] for r in coset_reps(2, 3)]
+        b = [r["mat"] for r in coset_reps(2, 3)]
         assert a == b
-        cells = [r.cell for r in coset_reps(2, 3)]
+        cells = [r["cell"] for r in coset_reps(2, 3)]
         assert cells == sorted(cells)
 
     def test_rep_fields_consistent(self):
         # the closed-form blocks against the group product of the builders
         for n, p in LISTING_CASES:
             for r in coset_reps(n, p):
-                assert isinstance(r, CosetRep)
-                assert len(r.b) == r.cell
+                assert len(r["b"]) == r["cell"]
                 built = (
-                    partial_involution(n, r.cell, p)
-                    * unipotent(_embed(r.b, n), p)
-                    * levi(r.a, p)
+                    partial_involution(n, r["cell"], p)
+                    * unipotent(_embed(r["b"], n), p)
+                    * levi(r["a"], p)
                 )
-                assert built.mat == r.mat
+                assert built.mat == r["mat"]
+
+    def test_iteration_yields_the_written_records(self, tmp_path):
+        # each element is exactly the record cosets writes: a plain dict
+        # with four keys whose matrices are tuples of row tuples, equal,
+        # with tuples read as lists, to the parsed output
+        def as_lists(x):
+            return [as_lists(y) for y in x] if isinstance(x, tuple) else x
+
+        for n, p in ((1, 3), (2, 3), (2, 5), (3, 3)):
+            out = tmp_path / ("c%d_%d.json" % (n, p))
+            assert cli.run(["cosets", "--degree", str(n), "--prime", str(p),
+                            "-o", str(out)]) == 0
+            records = list(coset_reps(n, p))
+            for r in records:
+                assert type(r) is dict and r.keys() == {"a", "b", "cell", "mat"}
+                assert all(type(m) is tuple and all(type(row) is tuple for row in m)
+                           for m in (r["a"], r["b"], r["mat"]))
+            with open(out, encoding="utf-8") as handle:
+                written = json.load(handle)
+            assert [{k: as_lists(v) for k, v in r.items()} for r in records] == written
 
     def test_listed_rows_are_symplectic(self):
         # every listed element is a plain row tuple, judged by the oracle
         # above, which shares no code with the package
         for n, p in LISTING_CASES:
             for r in coset_reps(n, p):
-                assert is_symplectic(r.mat, p), (n, p, r.mat)
+                assert is_symplectic(r["mat"], p), (n, p, r["mat"])
         assert not is_symplectic(((1, 0), (0, 2)), 3)
         assert not is_symplectic(((1, 0), (0, 4)), 3)  # not reduced
         assert not is_symplectic([[1, 0], [0, 1]], 3)  # not row tuples
@@ -377,7 +397,7 @@ class TestCosetSystem:
         assert len(s) == coset_count(3, 5) == 19656
         assert built == []
         # the first element needs only cell 0's representatives
-        assert next(iter(s)).cell == 0
+        assert next(iter(s))["cell"] == 0
         assert built == [(3, 0, 5)]
 
     def test_iterations_agree(self):
@@ -474,7 +494,7 @@ class TestSameCoset:
 
     def test_mismatch_rejected(self):
         def first(n, p):
-            return SymplecticModP(next(iter(coset_reps(n, p))).mat, p)
+            return SymplecticModP(next(iter(coset_reps(n, p)))["mat"], p)
 
         with pytest.raises(ValueError):
             same_coset(first(1, 3), first(1, 5))
