@@ -19,7 +19,6 @@ from .theta import (
     rep_numbers,
 )
 from .diffops import (
-    BracketParams,
     half_rising,
     leading_part,
     polarize_compound,
@@ -63,7 +62,6 @@ __all__ = [
     "gram_a",
     "is_free_isometry",
     "rep_numbers",
-    "BracketParams",
     "half_rising",
     "leading_part",
     "polarize_compound",

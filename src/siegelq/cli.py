@@ -55,13 +55,6 @@ def _rational(text):
         raise argparse.ArgumentTypeError("bad rational %r" % text) from exc
 
 
-def _bracket(a):
-    f = _read_expansion(a.f)
-    g = _read_expansion(a.g)
-    params = diffops.BracketParams(f.degree, a.minor_order, a.weight_f, a.weight_g)
-    return diffops.rankin_cohen(f, g, params)
-
-
 def _vp(a):
     if a.f is not None:
         v = padic.vp_expansion(_read_expansion(a.f), a.prime)
@@ -154,7 +147,9 @@ def build_parser():
     sub.add_argument("--weight-g", type=_rational, required=True,
                      help="weight of g, a rational a/b; a negative one "
                           "as --weight-g=-1/2")
-    sub.set_defaults(run=_bracket)
+    sub.set_defaults(run=lambda a: diffops.rankin_cohen(
+        _read_expansion(a.f), _read_expansion(a.g), a.minor_order,
+        a.weight_f, a.weight_g))
 
     sub = subs.add_parser("vp", help="p-adic valuation of an expansion or rational")
     group = sub.add_mutually_exclusive_group(required=True)

@@ -14,14 +14,13 @@ a(T) -> det T[A, B] a(T), each encoded in integers by qexpansion._numerators;
 no polynomial arithmetic.  A theta operator's entry is such an encoding.
 Both hand their grid of packed entries to qexpansion._blocks, which
 decodes each key once and builds the one block series of the result.
+leading_part, the alpha = r term alone, is c theta^[r] f * g in the ring.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .halfint import (as_rational, minor, require_instance, require_int, square_matrix,
-                      subset_order)
+from .halfint import as_rational, minor, require_int, square_matrix, subset_order
 from .qexpansion import SCALAR, _blocks, _numerators, _pair_loop, require_expansion
 
 
@@ -82,31 +81,22 @@ def polarize_compound(r_mat, s_mat, r):
             for q in range(r + 1)]
 
 
-@dataclass(frozen=True)
-class BracketParams:
-    """Degree, minor order and the two scalar weights of a bracket."""
-
-    degree: int
-    minor_order: int
-    weight_f: Fraction
-    weight_g: Fraction
-
-    def __post_init__(self):
-        require_int(self.degree, "degree", 1)
-        require_int(self.minor_order, "minor_order", 1, self.degree)
-        object.__setattr__(self, "weight_f", as_rational(self.weight_f, "weight_f"))
-        object.__setattr__(self, "weight_g", as_rational(self.weight_g, "weight_g"))
-
-
-def _bracket_weights(params):
+def _bracket_weights(r, weight_f, weight_g):
     """The weights of the bracket's polarized pieces, alpha = 0..r (see
     rankin_cohen); alpha = r gives the factor of the derivative-free part."""
-    r = params.minor_order
     half = Fraction(r - 1, 2)
-    kp = params.weight_f - half
-    lp = params.weight_g - half
+    kp = as_rational(weight_f, "weight_f") - half
+    lp = as_rational(weight_g, "weight_g") - half
     return [(-1) ** alpha * half_rising(lp, alpha) * half_rising(kp, r - alpha)
             for alpha in range(r + 1)]
+
+
+def _checked_weights(f, g, r, weight_f, weight_g):
+    """_bracket_weights after checking f, g (of f's degree) and r, in order."""
+    n = require_expansion(f, "f", shape=SCALAR).degree
+    require_expansion(g, "g", n, SCALAR)
+    require_int(r, "minor_order", 1, n)
+    return _bracket_weights(r, weight_f, weight_g)
 
 
 def theta_operator(f, r):
@@ -123,8 +113,9 @@ def theta_operator(f, r):
                    n, bound, ("compound", r), f.weight, f.level, f.character)
 
 
-def rankin_cohen(f, g, params):
-    """Exact Rankin-Cohen bracket D(f, g) of minor order r.
+def rankin_cohen(f, g, r, weight_f, weight_g):
+    """Exact Rankin-Cohen bracket D(f, g) of minor order r of scalar f and g
+    of one degree, k = weight_f and l = weight_g (ints or Fractions).
 
     The coefficient at T sums, over splittings T = T1 + T2 with T1 in the
     support of f and T2 in that of g,
@@ -143,19 +134,16 @@ def rankin_cohen(f, g, params):
     factor; the ('compound', r) shape carries the rest.  So at degree 1,
     where each order adds a factor (c z + d)^2, [E4, E6] = -3456 Delta
     records weight 10 although Delta has weight 12 = 10 + 2r.  The weight
-    is None unless both f and g carry one.
+    is None unless both f and g carry one; the level is a shared one, as
+    for the ring product, and there is no character.
 
     Computed entry by entry through _laplace_split: entry (I, J) is one
     _pair_loop over the signed, weighted products M_(I-K, J-L) f * M_(K, L) g
     of the minor weights M_(A, B) h: a(T) -> det T[A, B] a(T) (M_() h = h),
     each encoded once, by _numerators(h, bound, A, B); _blocks decodes the
-    grid of entries."""
-    n = require_instance(params, BracketParams, "params").degree
-    r = params.minor_order
-    require_expansion(f, "f", n, SCALAR)
-    require_expansion(g, "g", n, SCALAR)
-    weights = _bracket_weights(params)
-    bound = min(f.trace_bound, g.trace_bound)
+    grid of entries.  Every argument is checked before any of this."""
+    weights = _checked_weights(f, g, r, weight_f, weight_g)
+    n, bound = f.degree, min(f.trace_bound, g.trace_bound)
     minors = [{(rows, cols): _numerators(h, bound, rows, cols)
                for s in range(r + 1)
                for rows in subset_order(n, s) for cols in subset_order(n, s)}
@@ -168,27 +156,14 @@ def rankin_cohen(f, g, params):
         return _pair_loop(products, n, bound)
 
     weight = None if None in (f.weight, g.weight) else f.weight + g.weight
-    subs = subset_order(n, r)
-    return _blocks([[entry(rows, cols) for cols in subs] for rows in subs],
-                   n, bound, ("compound", r), weight, None, None)
-
-
-def leading_part(f, g, params):
-    """Derivative-free part of the bracket: the alpha = r term alone,
-    c theta_operator(f, r) * g with c = (-1)^r half_rising(l - (r-1)/2, r),
-    in the weight, level and shape of that product.  Entry (I, J) is one
-    _pair_loop of c * M_(I, J) f * g, g encoded once; _blocks decodes the
-    grid of entries."""
-    n = require_instance(params, BracketParams, "params").degree
-    r = params.minor_order
-    require_expansion(f, "f", n, SCALAR)
-    require_expansion(g, "g", n, SCALAR)
-    c = _bracket_weights(params)[r]
-    bound = min(f.trace_bound, g.trace_bound)
-    right = _numerators(g, bound)
-    weight = None if None in (f.weight, g.weight) else f.weight + g.weight
     level = f.level if f.level == g.level else None
     subs = subset_order(n, r)
-    return _blocks([[_pair_loop([(c, _numerators(f, bound, rows, cols), right)], n, bound)
-                     for cols in subs] for rows in subs],
+    return _blocks([[entry(rows, cols) for cols in subs] for rows in subs],
                    n, bound, ("compound", r), weight, level, None)
+
+
+def leading_part(f, g, r, weight_f, weight_g):
+    """Derivative-free part of rankin_cohen, the alpha = r term alone: the ring
+    product c theta_operator(f, r) * g, c = (-1)^r half_rising(l - (r-1)/2, r)."""
+    c = _checked_weights(f, g, r, weight_f, weight_g)[r]
+    return theta_operator(f, r).scale(c) * g

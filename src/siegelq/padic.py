@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .diffops import BracketParams, _bracket_weights, rankin_cohen
+from .diffops import _bracket_weights, rankin_cohen
 from .halfint import SIZE_LIMIT, as_rational, require_instance, require_int, require_odd_prime
 from .qexpansion import SCALAR, FourierExpansion, require_expansion
 from .theta import gram_a, rep_numbers
@@ -190,14 +190,16 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     and at T2 = 0 only the alpha = r piece, compound(T1, r), survives, so
     D(f, 1) = c theta_operator(f, r).  F is built at bound
     ceil(N_f / p^(m_dilate - 1)), so the dilation covers N_f exactly;
-    A_{p-1} needs p - 1 <= SIZE_LIMIT."""
+    A_{p-1} needs p - 1 <= SIZE_LIMIT.  f has weight k; r and k are
+    checked, as rankin_cohen checks them, before F is built."""
     require_odd_prime(p)
     require_int(p, "p", 3, SIZE_LIMIT + 1)
     require_expansion(f, "f", shape=SCALAR)
     require_int(m, "m", 1)
     require_int(m_dilate, "m_dilate", 1)
-    n = f.degree
-    params = BracketParams(n, r, k, (p - 1) * p ** (m - 1))
+    n, l = f.degree, (p - 1) * p ** (m - 1)
+    require_int(r, "minor_order", 1, n)
+    c = _bracket_weights(r, k, l)[r]
     if vp_expansion(f, p) < 0:
         raise ValueError("expansion is not p-integral")
     dil = p ** (m_dilate - 1)
@@ -206,8 +208,7 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     one = FourierExpansion.constant(1, n, base_bound)
     if not congruent(unit, one, p, 1).holds:
         raise ValueError("theta series failed the unit congruence")
-    diff = rankin_cohen(f, (unit ** (p ** (m - 1)) - one).dilate(dil), params)
-    c = _bracket_weights(params)[r]
+    diff = rankin_cohen(f, (unit ** (p ** (m - 1)) - one).dilate(dil), r, k, l)
     if c == 0:
         raise ValueError("vanishing reference factor")
     zero = FourierExpansion.zero(n, diff.trace_bound, diff.shape)

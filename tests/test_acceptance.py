@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from siegelq.diffops import BracketParams, polarize_compound, rankin_cohen
+from siegelq.diffops import polarize_compound, rankin_cohen
 from siegelq.halfint import (
     compound,
     det,
@@ -147,7 +147,7 @@ def test_4_classical_bracket_value():
             assert e4.coefficient(key1(m)) == e4_oracle[m]
             assert e6.coefficient(key1(m)) == e6_oracle[m]
 
-        bracket = rankin_cohen(e4, e6, BracketParams(1, 1, 4, 6))
+        bracket = rankin_cohen(e4, e6, 1, 4, 6)
         for m in range(bound + 1):
             got = bracket.coefficient(key1(m))
             assert got == ((constant * delta_oracle[m],),), m
@@ -236,8 +236,8 @@ def test_7_polarization_and_antisymmetry():
             g = rand_expansion(n, 2)
             k = Fraction(rng.randint(1, 12), rng.choice([1, 2]))
             l = Fraction(rng.randint(1, 12), rng.choice([1, 2]))
-            fwd = rankin_cohen(f, g, BracketParams(n, r, k, l))
-            bwd = rankin_cohen(g, f, BracketParams(n, r, l, k))
+            fwd = rankin_cohen(f, g, r, k, l)
+            bwd = rankin_cohen(g, f, r, l, k)
             assert fwd == bwd.scale((-1) ** r)
 
 

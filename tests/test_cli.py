@@ -120,7 +120,7 @@ class TestBasicCommands:
             "powfrac": (3650, "03c37fed08e24e736b27d0190de6ef5811cedbbc27362571f7ff20c6d2d2f16e"),
             "frob5": (903, "9a52cdb6fa2078d5babbccfd45b54cf48143f55532b9b3b20deffb4b976a5503"),
             "frob7": (566, "b8a5f1a025199e66ec4c491b6d6d51a52804df659e42b5feb3680c998aa5ef0a"),
-            "bracket": (4343, "5ed91785bca2aebb8a6f21d70894681bff7ec2b4dfe91f8e2568076f58013644"),
+            "bracket": (4340, "0adb91ccd06258f7b4141a99282c3743aa74b83fd7d9eb52b90bc85129c23bde"),
         }
 
     def test_thetaop_and_bracket(self, tmp_path):
@@ -139,7 +139,7 @@ class TestBasicCommands:
                     "--weight-g", "6", "-o", str(br)]) == 0
         want = diffops.rankin_cohen(
             qexpansion.eisenstein(4, 5), qexpansion.eisenstein(6, 5),
-            diffops.BracketParams(1, 1, 4, 6))
+            1, 4, 6)
         assert qexpansion.from_json_dict(read(br)) == want
         # a negative weight is given in the OPTION=VALUE form
         assert run(["bracket", "--f", str(e4), "--g", str(e6),
@@ -147,7 +147,7 @@ class TestBasicCommands:
                     "--weight-g", "6", "-o", str(br)]) == 0
         want = diffops.rankin_cohen(
             qexpansion.eisenstein(4, 5), qexpansion.eisenstein(6, 5),
-            diffops.BracketParams(1, 1, Fraction(-1, 2), 6))
+            1, Fraction(-1, 2), 6)
         assert qexpansion.from_json_dict(read(br)) == want
 
 
@@ -163,7 +163,7 @@ class TestBasicCommands:
         with open(br, "rb") as handle:
             data = handle.read()
         assert hashlib.sha256(data).hexdigest() == (
-            "c286b8326c901cf80c83912d9c665de830d88af79b19c6e992b1940a3cdb67de")
+            "0d2214be5a622b625122786fc3641b63734fe5e5757d2e00d21565ac45017520")
         head = json.loads(data)["coeffs"][:5]
         assert head == [{"t2": [[2 * n]], "value": [["%d/1" % (-3456 * tau)]]}
                         for n, tau in enumerate((1, -24, 252, -1472, 4830), 1)]
@@ -234,6 +234,53 @@ class TestCongruenceCommands:
         assert run(["limit", *paths, "--target", str(target),
                     "--prime", "3"]) == 0
         assert json.loads(capsys.readouterr().out) == {"p": 3, "profile": [2, 3, 4]}
+
+    def test_ci_thm41_pinned(self, tmp_path):
+        # the CI workflow's degree-2 pipeline: the theta series of A2 at
+        # trace bound 2, its square and the thm41 report at p = 3, r = 2
+        names = ("a2", "th", "th2", "r")
+        a2, th, th2, rep = (str(tmp_path / (name + ".json")) for name in names)
+        assert run(["gram-a", "--rank", "2", "-o", a2]) == 0
+        assert run(["theta", "--gram", a2, "--degree", "2", "--trace-bound", "2",
+                    "-o", th]) == 0
+        assert run(["pow", "--f", th, "--exp", "2", "-o", th2]) == 0
+        assert run(["thm41", "--f", th2, "--weight", "2", "--prime", "3", "--m", "1",
+                    "--minor-order", "2", "--dilate-exp", "1", "-o", rep]) == 0
+        digests = {}
+        for path in (th, th2, rep):
+            with open(path, "rb") as handle:
+                digests[os.path.basename(path)] = hashlib.sha256(handle.read()).hexdigest()
+        assert digests == {
+            "th.json": "f40fa8206cd695424529c8b21ae6665a925599de47cca7052ac4a1d22db999e6",
+            "th2.json": "bbf5944a1290b63933cfd82bf08617dca37a8013f345c51a8971322c5417c683",
+            "r.json": "c3ecab7a9397666dad8bca69d611698caaa80333272097c7ae7230abe1e8437b",
+        }
+        body = read(rep)
+        assert (body["holds"], body["m"], body["min_valuation"], body["bound"]) == (
+            True, 2, 3, 2)
+        assert body["witness_t2"] == [[2, -1], [-1, 2]]
+
+    def test_thm41_order_refused_before_the_unit_series(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # a minor order above the degree exits 2 before the theta series of
+        # A_{p-1} is built
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return theta.rep_numbers(*args)
+
+        monkeypatch.setattr(padic, "rep_numbers", counting)
+        f = str(tmp_path / "f.json")
+        write(f, qexpansion.to_json_dict(theta.rep_numbers(theta.gram_a(2), 2, 2)))
+        assert run(["thm41", "--f", f, "--weight", "1", "--prime", "3", "--m", "1",
+                    "--minor-order", "3", "--dilate-exp", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: minor_order must be an integer in 1..2, got 3\n")
+        assert calls == []
+        assert run(["thm41", "--f", f, "--weight", "1", "--prime", "3", "--m", "1",
+                    "--minor-order", "2", "--dilate-exp", "1"]) in (0, 1)
+        assert len(calls) == 1
 
     def test_thm41(self, tmp_path):
         f = tmp_path / "f.json"
@@ -448,8 +495,8 @@ class TestRobustness:
                  % scalar),
                 (["bracket", "--f", "block", "--g", "e4", "--minor-order", "1",
                   "--weight-f", "4", "--weight-g", "4"],
-                 "f: expected a FourierExpansion %s, got degree 1 and shape "
-                 "('compound', 1)" % scalar),
+                 "f: expected a FourierExpansion with shape 'scalar', got degree 1 "
+                 "and shape ('compound', 1)"),
                 (["thm41", "--f", "block", "--weight", "4", "--prime", "3", "--m", "1",
                   "--minor-order", "1", "--dilate-exp", "1"],
                  "f: expected a FourierExpansion with shape 'scalar', got degree 1 "

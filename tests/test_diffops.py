@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import siegelq
 from siegelq import diffops, qexpansion
 from siegelq.diffops import (
-    BracketParams,
     _bracket_weights,
     half_rising,
     leading_part,
@@ -52,7 +51,7 @@ def cramer_inverse(m):
 # a process of its own: once a class has had a Python __new__, deleting it
 # leaves object.__new__ refusing the constructor's arguments.
 SERIES_BUILT = """
-from siegelq.diffops import BracketParams, rankin_cohen, theta_operator
+from siegelq.diffops import rankin_cohen, theta_operator
 from siegelq.qexpansion import FourierExpansion
 from siegelq.theta import gram_a, rep_numbers
 
@@ -66,7 +65,7 @@ def building(cls, *args, **kwargs):
 
 FourierExpansion.__new__ = staticmethod(building)
 for r in (1, 2):
-    for call in (lambda: rankin_cohen(f, th, BracketParams(2, r, 5, 2)),
+    for call in (lambda: rankin_cohen(f, th, r, 5, 2),
                  lambda: theta_operator(f, r)):
         built.clear()
         call()
@@ -267,8 +266,7 @@ class TestBracket:
             f = rand_expansion(rng, 1, 4)
             g = rand_expansion(rng, 1, 4)
             k, l = rng.randint(1, 9), rng.randint(1, 9)
-            params = BracketParams(1, 1, k, l)
-            got = rankin_cohen(f, g, params)
+            got = rankin_cohen(f, g, 1, k, l)
             expect = (f * theta_operator(g, 1)).scale(k) + (
                 theta_operator(f, 1) * g
             ).scale(-l)
@@ -280,13 +278,12 @@ class TestBracket:
             f1 = rand_expansion(rng, n, 2)
             f2 = rand_expansion(rng, n, 2)
             g = rand_expansion(rng, n, 2)
-            params = BracketParams(n, r, 3, 5)
-            lhs = rankin_cohen(f1 + f2, g, params)
-            rhs = rankin_cohen(f1, g, params) + rankin_cohen(f2, g, params)
+            lhs = rankin_cohen(f1 + f2, g, r, 3, 5)
+            rhs = rankin_cohen(f1, g, r, 3, 5) + rankin_cohen(f2, g, r, 3, 5)
             assert lhs == rhs
             # and in the second slot, which thm41's D(f, g - 1) rests on
-            lhs = rankin_cohen(g, f1 + f2, params)
-            rhs = rankin_cohen(g, f1, params) + rankin_cohen(g, f2, params)
+            lhs = rankin_cohen(g, f1 + f2, r, 3, 5)
+            rhs = rankin_cohen(g, f1, r, 3, 5) + rankin_cohen(g, f2, r, 3, 5)
             assert lhs == rhs
 
     def test_constant_second_argument_is_leading_part(self):
@@ -295,14 +292,13 @@ class TestBracket:
         for n, r in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
             f = rand_expansion(rng, n, 2)
             g = FourierExpansion.constant(3, n, 2)
-            params = BracketParams(n, r, Fraction(7, 2), 4)
-            assert rankin_cohen(f, g, params) == leading_part(f, g, params)
+            k = Fraction(7, 2)
+            assert rankin_cohen(f, g, r, k, 4) == leading_part(f, g, r, k, 4)
             # D(f, 1) = c theta^[r] f at thm41's weights l = (p - 1) p^(m - 1)
             one = FourierExpansion.constant(1, n, 2)
             for l in (2, 4, 6, 18):
-                params = BracketParams(n, r, Fraction(7, 2), l)
-                c = _bracket_weights(params)[r]
-                assert rankin_cohen(f, one, params) == theta_operator(f, r).scale(c)
+                c = _bracket_weights(r, k, l)[r]
+                assert rankin_cohen(f, one, r, k, l) == theta_operator(f, r).scale(c)
 
     def test_antisymmetry_small(self):
         rng = random.Random(68)
@@ -310,8 +306,8 @@ class TestBracket:
             f = rand_expansion(rng, n, 2)
             g = rand_expansion(rng, n, 2)
             k, l = rng.randint(1, 8), rng.randint(1, 8)
-            fwd = rankin_cohen(f, g, BracketParams(n, r, k, l))
-            bwd = rankin_cohen(g, f, BracketParams(n, r, l, k))
+            fwd = rankin_cohen(f, g, r, k, l)
+            bwd = rankin_cohen(g, f, r, l, k)
             assert fwd == bwd.scale((-1) ** r)
 
     def test_matches_pairwise_oracle(self):
@@ -359,7 +355,7 @@ class TestBracket:
                              (Fraction(-3, 2), Fraction(4))):
                     f = rand_expansion(rng, n, bounds[0]).scale(Fraction(1, rng.randint(2, 4)))
                     g = rand_expansion(rng, n, bounds[1])
-                    got = rankin_cohen(f, g, BracketParams(n, r, k, l))
+                    got = rankin_cohen(f, g, r, k, l)
                     assert got == oracle(f, g, n, r, k, l)
                     assert got.trace_bound == bounds[1]
 
@@ -378,11 +374,11 @@ class TestBracket:
                     calls[name] += 1
                     return original(*args)
                 monkeypatch.setattr(module, name, counting)
-        digests = {1: "f3d79649980c162fa494fcefc44169d40c5d5782618345f18a1d8620b38b58b8",
-                   2: "ea6f7db7ed048d9025596bd35f2acad7bbcec1595222e97886c7c07b457fe6cc"}
+        digests = {1: "e01b0f74827f23fd99698956e22a729a3a54f50870455b3ebe1c28a76176c721",
+                   2: "575e07ebad4a7d19b1ce12df94cef98c59407223aad9814e453661e7e9ebc2d1"}
         for r, minors, entries in ((1, 10, 4), (2, 12, 1)):
             calls.update(dict.fromkeys(calls, 0))
-            b = rankin_cohen(f, th, BracketParams(2, r, 5, 2))
+            b = rankin_cohen(f, th, r, 5, 2)
             assert calls == {"_numerators": minors, "_pair_loop": entries, "_blocks": 1}
             assert hashlib.sha256(dumps(b).encode()).hexdigest() == digests[r]
             calls.update(dict.fromkeys(calls, 0))
@@ -404,7 +400,7 @@ class TestBracket:
                 half = Fraction(r - 1, 2)
                 f = rand_expansion(rng, n, 3)
                 g = rand_expansion(rng, n, 2)
-                got = rankin_cohen(f, g, BracketParams(n, r, half, half))
+                got = rankin_cohen(f, g, r, half, half)
                 assert got == FourierExpansion.zero(n, 2, ("compound", r))
                 assert got.coeffs == {}
 
@@ -412,33 +408,62 @@ class TestBracket:
         rng = random.Random(69)
         f = rand_expansion(rng, 1, 5)
         g = rand_expansion(rng, 1, 3)
-        assert rankin_cohen(f, g, BracketParams(1, 1, 4, 6)).trace_bound == 3
+        assert rankin_cohen(f, g, 1, 4, 6).trace_bound == 3
 
     def test_rational_weights_accepted(self):
         rng = random.Random(70)
         f = rand_expansion(rng, 2, 2)
         g = rand_expansion(rng, 2, 2)
-        params = BracketParams(2, 2, Fraction(1, 2), Fraction(3, 2))
-        rankin_cohen(f, g, params)  # exactness only; no crash, no floats
+        rankin_cohen(f, g, 2, Fraction(1, 2), Fraction(3, 2))  # exactness only; no floats
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            BracketParams(2, 3, 4, 6)
-        with pytest.raises(ValueError):
-            BracketParams(0, 1, 4, 6)
-        # weights are exact: 0.1 is not 3602879701896397/2^55
-        for k, l in ((0.1, 4), (4, 0.5), ("4", 6), (True, 6)):
-            with pytest.raises(ValueError):
-                BracketParams(1, 1, k, l)
         f = rep_numbers(gram_a(2), 2, 2)
+        for bracket in (rankin_cohen, leading_part):
+            with pytest.raises(ValueError):
+                bracket(f, f, 3, 4, 6)
+            # weights are exact: 0.1 is not 3602879701896397/2^55
+            for k, l in ((0.1, 4), (4, 0.5), ("4", 6), (True, 6)):
+                with pytest.raises(ValueError):
+                    bracket(f, f, 1, k, l)
         th = theta_operator(f, 1)
         with pytest.raises(ValueError):
-            rankin_cohen(th, f, BracketParams(2, 1, 1, 1))
+            rankin_cohen(th, f, 1, 1, 1)
         with pytest.raises(ValueError):
-            rankin_cohen(eisenstein(4, 2), f, BracketParams(2, 1, 4, 1))
+            rankin_cohen(eisenstein(4, 2), f, 1, 4, 1)
 
     def test_weight_metadata(self):
         e4 = eisenstein(4, 3)
         e6 = eisenstein(6, 3)
-        b = rankin_cohen(e4, e6, BracketParams(1, 1, 4, 6))
+        b = rankin_cohen(e4, e6, 1, 4, 6)
         assert b.weight == 10
+
+    def test_level_is_shared_or_none(self):
+        # as for the ring product: a level f and g share, else None
+        e4 = eisenstein(4, 3)
+        th = rep_numbers(gram_a(2), 1, 3)
+        assert (e4.level, th.level) == (1, 3)
+        for bracket in (rankin_cohen, leading_part):
+            assert bracket(e4, eisenstein(6, 3), 1, 4, 6).level == 1
+            assert bracket(th, e4, 1, 1, 4).level is None
+            assert bracket(th, th, 1, 1, 1).level == 3
+
+    def test_bad_weight_refused_before_any_encoding(self, monkeypatch):
+        # every argument is checked before the first _numerators call,
+        # and leading_part checks the weights before theta_operator runs
+        calls = []
+        for module in (diffops, qexpansion):
+            def counting(*args, original=getattr(module, "_numerators"), **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, "_numerators", counting)
+        e4 = eisenstein(4, 3)
+        for bracket in (rankin_cohen, leading_part):
+            with pytest.raises(ValueError) as info:
+                bracket(e4, e4, 1, 0.1, 4)
+            assert str(info.value) == "weight_f must be an integer or a Fraction, got 0.1"
+            with pytest.raises(ValueError) as info:
+                bracket(e4, e4, 1, 4, 0.1)
+            assert str(info.value) == "weight_g must be an integer or a Fraction, got 0.1"
+        assert calls == []
+        leading_part(e4, e4, 1, 4, 4)
+        assert calls

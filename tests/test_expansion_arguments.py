@@ -16,7 +16,7 @@ is due.
 
 import pytest
 
-from siegelq.diffops import BracketParams, leading_part, rankin_cohen, theta_operator
+from siegelq.diffops import leading_part, rankin_cohen, theta_operator
 from siegelq.padic import (
     bracket_theta_congruence,
     congruent,
@@ -30,7 +30,6 @@ from siegelq.qexpansion import SCALAR, FourierExpansion, eisenstein, require_exp
 E4 = eisenstein(4, 2)
 DEGREE_TWO = FourierExpansion.constant(1, 2, 2)
 BLOCK = FourierExpansion(1, 2, {((2,),): [[1]]}, ("compound", 1))
-PARAMS = BracketParams(1, 1, 4, 4)
 
 TABLE = {
     "__add__": (lambda x: E4 + x, "other", 1, SCALAR),
@@ -38,10 +37,11 @@ TABLE = {
     "__mul__": (lambda x: E4 * x, "other", 1, None),
     "__pow__": (lambda x: FourierExpansion.__pow__(x, 2), "base", None, SCALAR),
     "theta_operator": (lambda x: theta_operator(x, 1), "f", None, SCALAR),
-    "rankin_cohen f": (lambda x: rankin_cohen(x, E4, PARAMS), "f", 1, SCALAR),
-    "rankin_cohen g": (lambda x: rankin_cohen(E4, x, PARAMS), "g", 1, SCALAR),
-    "leading_part f": (lambda x: leading_part(x, E4, PARAMS), "f", 1, SCALAR),
-    "leading_part g": (lambda x: leading_part(E4, x, PARAMS), "g", 1, SCALAR),
+    # f sets the degree that g must have
+    "rankin_cohen f": (lambda x: rankin_cohen(x, E4, 1, 4, 4), "f", None, SCALAR),
+    "rankin_cohen g": (lambda x: rankin_cohen(E4, x, 1, 4, 4), "g", 1, SCALAR),
+    "leading_part f": (lambda x: leading_part(x, E4, 1, 4, 4), "f", None, SCALAR),
+    "leading_part g": (lambda x: leading_part(E4, x, 1, 4, 4), "g", 1, SCALAR),
     "frobenius_descent": (lambda x: frobenius_descent(x, 3), "g", None, SCALAR),
     "bracket_theta_congruence": (
         lambda x: bracket_theta_congruence(x, 4, 3, 1, 1, 1), "f", None, SCALAR),

@@ -1,17 +1,17 @@
 """One rule for arguments that must be an object of the package:
 halfint.require_instance.
 
-A lattice argument must be a GramLattice, bracket parameters a
-BracketParams, congruent's normalized flag a bool, same_coset's elements
-SymplecticModP and a series' coefficients a dict; anything else is one
-TypeError, "<name>: expected a <class name>, got <repr>", raised before
-any attribute of the argument is read.  The table lists each reader as (call with the argument set to
-x, name in the message, class name); the other arguments are valid.
+A lattice argument must be a GramLattice, congruent's normalized flag a
+bool, same_coset's elements SymplecticModP and a series' coefficients a
+dict; anything else is one TypeError, "<name>: expected a <class name>,
+got <repr>", raised before any attribute of the argument is read.  The
+table lists each reader as (call with the argument set to x, name in the
+message, class name); the other arguments are valid.  A bracket's order
+and weights are plain numbers, checked by require_int and as_rational.
 """
 
 import pytest
 
-from siegelq.diffops import BracketParams, leading_part, rankin_cohen
 from siegelq.halfint import require_instance
 from siegelq.padic import congruent
 from siegelq.qexpansion import FourierExpansion, eisenstein
@@ -37,8 +37,6 @@ TABLE = {
     "gram_to_json": (gram_to_json, "lattice", "GramLattice"),
     "direct_sum a": (lambda x: direct_sum(x, A1), "a", "GramLattice"),
     "direct_sum b": (lambda x: direct_sum(A1, x), "b", "GramLattice"),
-    "rankin_cohen": (lambda x: rankin_cohen(E4, E4, x), "params", "BracketParams"),
-    "leading_part": (lambda x: leading_part(E4, E4, x), "params", "BracketParams"),
     "congruent": (lambda x: congruent(E4, E4, 5, 1, normalized=x), "normalized", "bool"),
     "same_coset m1": (lambda x: same_coset(x, M), "m1", "SymplecticModP"),
     "same_coset m2": (lambda x: same_coset(M, x), "m2", "SymplecticModP"),
@@ -59,9 +57,6 @@ def test_readers_accept_their_class():
     assert direct_sum(A1, A1).gram == ((2, 0), (0, 2))
     assert is_free_isometry(gram_a(2), cycle_isometry(2), 3)
     assert rep_numbers(A1, 1, 1).coefficient(((2,),)) == 2
-    params = BracketParams(1, 1, 4, 4)
-    assert rankin_cohen(E4, E4, params) == FourierExpansion.zero(1, 2, ("compound", 1))
-    assert leading_part(E4, E4, params).shape == ("compound", 1)
     assert congruent(E4, E4, 5, 1, normalized=True).normalized is True
     assert same_coset(M, M) is True
     assert FourierExpansion(1, 2, {((2,),): 3}).coefficient(((2,),)) == 3

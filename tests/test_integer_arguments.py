@@ -15,6 +15,7 @@ from siegelq.halfint import PRIME_LIMIT, SIZE_LIMIT, identity, require_int
 
 E4 = qexpansion.eisenstein(4, 2)
 A2 = theta.gram_a(2)
+TH2 = theta.rep_numbers(A2, 2, 1)
 P = (3, PRIME_LIMIT - 1)
 
 TABLE = {
@@ -73,10 +74,8 @@ TABLE = {
     "polarize_compound": (
         lambda x: diffops.polarize_compound(identity(2), identity(2), x),
         "minor_order", 1, 2),
-    "BracketParams degree": (
-        lambda x: diffops.BracketParams(x, 1, 4, 4), "degree", 1, None),
-    "BracketParams minor_order": (
-        lambda x: diffops.BracketParams(2, x, 4, 4), "minor_order", 1, 2),
+    "rankin_cohen minor_order": (
+        lambda x: diffops.rankin_cohen(TH2, TH2, x, 4, 4), "minor_order", 1, 2),
     "theta_operator": (lambda x: diffops.theta_operator(E4, x), "minor_order", 1, 1),
     "vp": (lambda x: padic.vp(3, x), "p", *P),
     "vp_expansion": (lambda x: padic.vp_expansion(E4, x), "p", *P),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelq import diffops, padic
-from siegelq.diffops import BracketParams, _bracket_weights, rankin_cohen, theta_operator
+from siegelq.diffops import _bracket_weights, rankin_cohen, theta_operator
 from siegelq.halfint import enumerate_indices
 from siegelq.padic import (
     CongruenceReport,
@@ -372,13 +372,12 @@ def two_series_bracket_congruence(f, k, p, m, r, m_dilate):
     """thm41 as two series: the bracket D(f, g) against the unit power g,
     and the reference c theta^[r] f built on its own, compared by
     congruent."""
-    n = f.degree
-    params = BracketParams(n, r, k, (p - 1) * p ** (m - 1))
+    n, l = f.degree, (p - 1) * p ** (m - 1)
     dil = p ** (m_dilate - 1)
     unit = rep_numbers(gram_a(p - 1), n, -(-f.trace_bound // dil)) ** 2
     g = (unit ** (p ** (m - 1))).dilate(dil)
-    c = _bracket_weights(params)[r]
-    return congruent(rankin_cohen(f, g, params), theta_operator(f, r).scale(c),
+    c = _bracket_weights(r, k, l)[r]
+    return congruent(rankin_cohen(f, g, r, k, l), theta_operator(f, r).scale(c),
                      p, m + vp(c, p))
 
 

@@ -53,7 +53,7 @@ from siegelq.theta import direct_sum, gram_a, rep_numbers
 # since FourierExpansion.__new__ is replaced: at r = 1 and 2, a block sum,
 # difference, multiple and block times scalar, then leading_part.
 BLOCK_SERIES_BUILT = """
-from siegelq.diffops import BracketParams, leading_part, theta_operator
+from siegelq.diffops import leading_part, theta_operator
 from siegelq.qexpansion import FourierExpansion
 from siegelq.theta import gram_a, rep_numbers
 
@@ -69,7 +69,7 @@ blocks = {r: (theta_operator(f, r), theta_operator(th, r)) for r in (1, 2)}
 FourierExpansion.__new__ = staticmethod(building)
 for r, (a, b) in blocks.items():
     for call in (lambda: a + b, lambda: a - b, lambda: a.scale(3), lambda: a * th,
-                 lambda: leading_part(f, th, BracketParams(2, r, 5, 2))):
+                 lambda: leading_part(f, th, r, 5, 2)):
         built.clear()
         call()
         print(len(built))
@@ -355,13 +355,15 @@ class TestRingLaws:
                                              for row in entry_series(block)]
 
     def test_block_operations_build_one_series_each(self):
-        # a block sum, multiple, block times scalar and leading_part build
-        # their result only, a difference the negation too: no entry series
+        # a block sum, multiple and block times scalar build their result
+        # only, a difference the negation too: no entry series; leading_part
+        # builds three, c theta^[r] f * g in the ring: the theta operator,
+        # its multiple by c and the product
         src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
         done = subprocess.run([sys.executable, "-c", BLOCK_SERIES_BUILT],
                               capture_output=True, env=dict(os.environ, PYTHONPATH=src),
                               check=True)
-        assert done.stdout.decode().split() == ["1", "2", "1", "1", "1"] * 2
+        assert done.stdout.decode().split() == ["1", "2", "1", "1", "3"] * 2
 
     def test_mul_bound_is_min(self):
         rng = random.Random(35)

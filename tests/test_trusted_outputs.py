@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from siegelq.diffops import BracketParams, leading_part, rankin_cohen, theta_operator
+from siegelq.diffops import leading_part, rankin_cohen, theta_operator
 from siegelq.halfint import enumerate_indices
 from siegelq.qexpansion import FourierExpansion, delta, eisenstein
 from siegelq.theta import direct_sum, gram_a, rep_numbers
@@ -83,10 +83,9 @@ def test_bracket_outputs():
         f = rand_expansion(rng, degree, 2)
         g = rand_expansion(rng, degree, 1 + rng.randint(0, 2))
         for r in range(1, degree + 1):
-            params = BracketParams(degree, r, Fraction(rng.randint(1, 9), 2),
-                                   rng.randint(1, 6))
-            assert_checked(rankin_cohen(f, g, params))
-            assert_checked(leading_part(f, g, params))
+            k, l = Fraction(rng.randint(1, 9), 2), rng.randint(1, 6)
+            assert_checked(rankin_cohen(f, g, r, k, l))
+            assert_checked(leading_part(f, g, r, k, l))
 
 
 def test_bracket_whose_blocks_all_cancel():
@@ -94,7 +93,7 @@ def test_bracket_whose_blocks_all_cancel():
     rng = random.Random(3)
     for degree in (1, 2, 3):
         f = rand_expansion(rng, degree, 2)
-        out = assert_checked(rankin_cohen(f, f, BracketParams(degree, 1, 5, 5)))
+        out = assert_checked(rankin_cohen(f, f, 1, 5, 5))
         assert out.coeffs == {}
         assert out.shape == ("compound", 1) and out.trace_bound == 2
 
