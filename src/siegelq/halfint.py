@@ -28,7 +28,6 @@ matrix's determinant and adjugate in integers.
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, isqrt, lcm, prod
-from operator import getitem
 
 
 def is_int(x):
@@ -64,11 +63,15 @@ def square_matrix(rows, name, entry=require_int):
     else a ValueError naming the matrix and quoting rows.  The shape is
     checked first, so a ragged matrix is reported as ragged."""
     if isinstance(rows, (list, tuple)) and rows:
-        n = len(rows)
+        n, exact = len(rows), entry is require_int
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 break
+            for x in row:
+                exact = exact and type(x) is int
         else:
+            if exact:  # require_int would return each entry as it is
+                return tuple(map(tuple, rows))
             label = name + " entry"
             return tuple([tuple([entry(x, label) for x in row]) for row in rows])
     raise ValueError("%s must be a non-empty square array of arrays, got %r" % (name, rows))
@@ -250,18 +253,18 @@ def psd_rows(m):
     bareiss but with no row swap: a zero pivot must head a zero row, which is
     passed over.  The rows, or None iff m is not psd (each pivot is a positive
     multiple of Gauss's); m > 0 iff no pivot is 0, and then they are bareiss's."""
-    a = list(map(list, m))
-    prev = 1
+    a, prev = list(m), 1  # a row is built anew only when a step changes it
     for k, top in enumerate(a):
         pivot = top[k]
         if pivot < 0 or not pivot and any(top[k + 1:]):
             return None
         if pivot:
-            for row in a[k + 1:]:
+            for i, row in enumerate(a[k + 1:], k + 1):
                 f = row[k]
-                row[k:] = [(x * pivot - f * y) // prev for x, y in zip(row[k:], top[k:])]
+                a[i] = row[:k] + tuple([(x * pivot - f * y) // prev
+                                        for x, y in zip(row[k:], top[k:])])
             prev = pivot
-    return tuple(map(tuple, a))
+    return tuple(a)
 
 
 def adjugate(m):
@@ -385,7 +388,10 @@ class HalfIntegralMatrix:
 
 def key_trace(key):
     """Trace of T from its doubled key matrix."""
-    return sum(map(getitem, key, range(len(key)))) // 2
+    trace = 0
+    for i, row in enumerate(key):
+        trace += row[i]
+    return trace // 2
 
 
 def key_half(key):
@@ -394,8 +400,8 @@ def key_half(key):
 
 
 def key_sort(key):
-    """The (trace, row-major entries) order of doubled key matrices."""
-    return (key_trace(key), tuple(x for row in key for x in row))
+    """(trace, 2T): rows of one length compare as their row-major entries do."""
+    return key_trace(key), key
 
 
 def enumerate_indices(degree, trace_bound):

@@ -209,7 +209,5 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     if not congruent(unit, one, p, 1).holds:
         raise ValueError("theta series failed the unit congruence")
     diff = rankin_cohen(f, (unit ** (p ** (m - 1)) - one).dilate(dil), r, k, l)
-    if c == 0:
-        raise ValueError("vanishing reference factor")
     zero = FourierExpansion.zero(n, diff.trace_bound, diff.shape)
     return congruent(diff, zero, p, m + vp(c, p))

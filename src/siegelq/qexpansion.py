@@ -12,19 +12,19 @@ an order-r minor theta operator; the shape field is "scalar" or
 ("compound", r).  Sums and multiples act on block values; any other
 block result is a grid of packed entries, which _blocks decodes.
 
-Keys are checked once, at the boundary.  FourierExpansion(...) is for
-outside input (user code, constant, zero, JSON): it checks the metadata,
-then reads its (key, value) pairs in one private loop, _terms, which
-from_json_dict runs too on a document's (t2, value) entries.  That loop
-reads each key once, by square_matrix (2T integral), and checks it
-symmetric with even diagonal, of the degree, within the bound, not a
-repeat and positive semidefinite, in that order; it reads each value
-once, by the caller's rule (as_rational for int or Fraction values,
-rational_from_str for a document's strings), and drops zeros.  A series
+Keys are checked once, at the boundary.  FourierExpansion(...) is for outside
+input (user code, constant, zero, JSON): it checks the metadata, then reads
+its (key, value) pairs in one private loop, _terms, which from_json_dict runs
+too on a document's (t2, value) entries.  That loop reads each key once, by
+square_matrix (2T integral; an exact int entry costs no call), and checks it
+symmetric with even diagonal, of the degree, within the bound, not a repeat
+and positive semidefinite, in that order; it reads each value once, by the
+caller's rule (as_rational for int or Fraction values, rational_from_str for
+a document's strings, an "n/1" with no gcd), and drops zeros.  A series
 computed from valid series (the ring operations, _decode, _blocks, theta
-series) or from an integer closed form (eisenstein, delta) is wrapped by
-the private _trusted without checks; each such builder stores only
-nonzero Fraction values and blocks that are not all zero.
+series) or from an integer closed form (eisenstein, delta) is wrapped by the
+private _trusted without checks; each such builder stores only nonzero
+Fraction values and blocks that are not all zero.
 
 A product of scalar series is three steps: both operands are encoded
 (_numerators), one pair loop over Python ints multiplies them
@@ -133,12 +133,12 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational_from_str(s, name="rational"):
-    """Parse 'a/b' or a plain integer string, read once: the numerator
-    and denominator are the groups of one match, and the value is one
-    Fraction of their ints.  Anything else, including decimals, exponents
-    and non-strings, is a ValueError that names the field and quotes s,
-    and so is a numerator or denominator longer than Python's limit on
-    integer strings, looked at only when s itself is longer; a zero
+    """Parse 'a/b' or a plain integer string, read once: the numerator and
+    denominator are the groups of one match, and the value is one Fraction of
+    their ints, with no gcd for a denominator of 1.  Anything else, including
+    decimals, exponents and non-strings, is a ValueError that names the field
+    and quotes s, and so is a numerator or denominator longer than Python's
+    limit on integer strings, looked at only when s itself is longer; a zero
     denominator is a ZeroDivisionError that names the field and quotes s."""
     match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if match is None:
@@ -151,7 +151,7 @@ def rational_from_str(s, name="rational"):
     den = int(denominator) if denominator else 1
     if not den:
         raise ZeroDivisionError("%s has a zero denominator, got %r" % (name, s))
-    return Fraction(int(numerator), den)
+    return Fraction(int(numerator)) if den == 1 else Fraction(int(numerator), den)
 
 
 def _normalize_shape(shape, degree):
@@ -726,7 +726,11 @@ def _json_text(obj, newline, memo):
                 raise TypeError("JSON object keys must be str, not %s"
                                 % type(bad).__name__)
         inner = newline + "  "
-        items = [_escape(k) + ": " + _json_text(obj[k], inner, memo) for k in keys]
+        items = []
+        for k in keys:
+            v = obj[k]  # a str or int value is written here, not by a call
+            items.append(_escape(k) + ": " + (_escape(v) if type(v) is str else int.__repr__(v)
+                                              if type(v) is int else _json_text(v, inner, memo)))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if obj is None:
         return "null"
@@ -778,10 +782,12 @@ def json_fields(d, what, *fields):
     and the field."""
     if not isinstance(d, dict):
         raise ValueError("%s: expected a JSON object, got %s" % (what, type(d).__name__))
+    out = []
     for field in fields:
         if field not in d:
             raise ValueError("%s object has no %r field" % (what, field))
-    return [d[field] for field in fields]
+        out.append(d[field])
+    return out
 
 
 def _shape_to_json(shape):
@@ -800,8 +806,8 @@ def _shape_from_json(obj):
 
 def to_json_dict(f):
     """Schema: degree, trace_bound, shape, meta, and coeffs as a list of
-    {"t2": rows of 2T, "value": "a/b" | [["a/b", ...], ...]} sorted by
-    (trace, entries)."""
+    {"t2": the row tuples of 2T, "value": "a/b" | [["a/b", ...], ...]}
+    sorted by (trace, entries)."""
     entries = []
     for k in f.support():
         v = f.coeffs[k]
@@ -809,7 +815,7 @@ def to_json_dict(f):
             value = rational_to_str(v)
         else:
             value = [[rational_to_str(x) for x in row] for row in v]
-        entries.append({"t2": [list(row) for row in k], "value": value})
+        entries.append({"t2": k, "value": value})
     return {
         "degree": f.degree,
         "trace_bound": f.trace_bound,

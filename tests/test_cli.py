@@ -168,6 +168,32 @@ class TestBasicCommands:
         assert head == [{"t2": [[2 * n]], "value": [["%d/1" % (-3456 * tau)]]}
                         for n, tau in enumerate((1, -24, 252, -1472, 4830), 1)]
 
+    def test_ci_series_pinned(self, tmp_path):
+        # the CI workflow's degree-1 files at trace bound 200: E4, E6, E4^7,
+        # the Frobenius descent of E4 at p = 7 and its congruence report
+        def path(name):
+            return str(tmp_path / (name + ".json"))
+
+        for argv in (["eisenstein", "--weight", "4", "--trace-bound", "200", "-o", path("e4")],
+                     ["pow", "--f", path("e4"), "--exp", "7", "-o", path("e4_7")],
+                     ["frobenius", "--f", path("e4"), "--prime", "7", "-o", path("fr")],
+                     ["congruent", "--f", path("fr"), "--g", path("e4"), "--prime", "7",
+                      "--m", "1", "-o", path("cg")],
+                     ["eisenstein", "--weight", "6", "--trace-bound", "200", "-o", path("e6")]):
+            assert run(argv) == 0
+        digests = {}
+        for name in ("e4", "e6", "e4_7", "fr", "cg"):
+            with open(path(name), "rb") as handle:
+                digests[name] = hashlib.sha256(handle.read()).hexdigest()
+        assert digests == {
+            "e4": "038bcaadf2c672949bc3737814261023854fd4e11bc62f66f608ae4a1dd4823d",
+            "e6": "f8201e18918339eb7b978c5448d04bb0e9dd751c312626912a575f335002703f",
+            "e4_7": "6cc4cce5619fd62782bce5846ca16b38a19342d2353d8fbd59e85ee7e7c78745",
+            "fr": "21f0ed99439c20a37bac4f94ec65a517f252cc1440a387e87692a1943e6819eb",
+            "cg": "f7fc55267c6cbf9ca80a063c170600f7e78495554d06e4526cd7eb44576c3cdb",
+        }
+        assert read(path("cg"))["holds"] is True
+
 
 class TestCongruenceCommands:
     def test_congruent_exit_codes(self, tmp_path):

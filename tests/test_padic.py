@@ -420,6 +420,17 @@ class TestBracketThetaCongruence:
             bracket_theta_congruence(f, 4, 5, 1, r, 1)
             assert calls == ["bracket"]
 
+    def test_reference_factor_never_vanishes(self):
+        # rep_numbers takes degree 1..3, so r <= 3, and l = (p - 1) p^(m-1) >= 2,
+        # so each factor l - (r-1)/2 + i/2 of (-1)^r c is at least 1
+        primes = [p for p in range(3, 68, 2) if all(p % q for q in range(3, p, 2))]
+        assert primes[-1] == 67 and len(primes) == 18
+        for r in (1, 2, 3):
+            for p in primes:
+                for m in (1, 2, 3):
+                    c = _bracket_weights(r, 4, (p - 1) * p ** (m - 1))[r]
+                    assert (-1) ** r * c >= 1
+
     def test_holds_degree_one(self):
         f = eisenstein(4, 4)
         for m in (1, 2):

@@ -18,11 +18,13 @@ from math import comb
 import pytest
 
 from siegelq import halfint, qexpansion
+from siegelq.diffops import rankin_cohen
 from siegelq.halfint import HalfIntegralMatrix, enumerate_indices
 from siegelq.qexpansion import (
     FourierExpansion,
     dumps,
     eisenstein,
+    json_text,
     loads,
     rational_from_str,
     to_json_dict,
@@ -43,6 +45,21 @@ MALFORMED_KEYS = [
     ("past the bound", 1, 1, [((4,),)]),
     ("duplicate", 1, 2, [((2,),), ((2,),)]),
 ]
+
+# (name, degree, trace bound, keys, message): a key with two faults is
+# refused for the first in the documented order.  A repeated key that is
+# not psd is refused at its first copy, so the reader never reads the
+# second and the case is not one of MALFORMED_KEYS, which reads every key.
+TWO_FAULTS = [
+    ("bool entry, asymmetric", 2, 2, [((2, True), (0, 2))],
+     "key entry must be an integer, got True"),
+    ("odd diagonal, past the bound", 1, 1, [((5,),)], "key must have even diagonal"),
+    ("wrong degree, not psd", 1, 1, [((2, 3), (3, 2))],
+     "key degree mismatch: 2T ((2, 3), (3, 2)) has degree 2, the series 1"),
+    ("duplicate, not psd", 2, 3, [((2, 3), (3, 2)), ((2, 3), (3, 2))],
+     "keys must be positive semidefinite, got 2T ((2, 3), (3, 2))"),
+]
+MALFORMED_KEYS += [case[:4] for case in TWO_FAULTS[:3]]
 
 
 def as_lists(key):
@@ -87,6 +104,29 @@ def same_text(message):
     for old, new in (("t2", "key"), ("[", "("), ("]", ")"), (",)", ")")):
         message = message.replace(old, new)
     return message
+
+
+@pytest.mark.parametrize("case", TWO_FAULTS, ids=[c[0] for c in TWO_FAULTS])
+def test_two_faults_give_the_first_message(case, monkeypatch):
+    name, degree, bound, keys, message = case
+    coeffs = {keys[0]: 1}
+    if len(keys) == 2:
+        coeffs[HalfIntegralMatrix(keys[1])] = 1
+    with pytest.raises(ValueError) as built:
+        FourierExpansion(degree, bound, coeffs)
+    assert str(built.value) == message
+    reads = []
+    original = qexpansion.square_matrix
+
+    def counting(rows, *args):
+        reads.append(rows)
+        return original(rows, *args)
+
+    monkeypatch.setattr(qexpansion, "square_matrix", counting)
+    with pytest.raises(ValueError) as read:
+        loads(document(degree, bound, keys))
+    assert same_text(str(read.value)) == message
+    assert reads == [as_lists(keys[0])]
 
 
 def test_each_key_and_value_is_read_once(monkeypatch):
@@ -160,6 +200,62 @@ def test_rational_from_str_agrees_with_fraction():
         assert got == Fraction(s), s
         assert (got.numerator, got.denominator) == (Fraction(s).numerator,
                                                     Fraction(s).denominator)
+
+
+def test_integer_strings_read_as_fraction_does():
+    # the writer's "n/1" is read with no gcd step; the result is Fraction(s)
+    limit = sys.get_int_max_str_digits()
+    for s in ("-0/1", "+7/1", "0007/1", "3/01", "9" * limit + "/1"):
+        got, want = rational_from_str(s, "value"), Fraction(s)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_key_sort_is_trace_then_row_major_entries(degree):
+    keys = [t.doubled for t in enumerate_indices(degree, (8, 3, 2)[degree - 1])]
+    random.Random(degree).shuffle(keys)
+
+    def row_major(key):
+        return (sum(key[i][i] for i in range(degree)) // 2,
+                tuple(x for row in key for x in row))
+
+    assert sorted(keys, key=halfint.key_sort) == sorted(keys, key=row_major)
+
+
+def primes(count):
+    out = []
+    n = 2
+    while len(out) < count:
+        if all(n % p for p in out):
+            out.append(n)
+        n += 1
+    return out
+
+
+def long_documents():
+    """A degree-1 series at bound 200 with ~100-digit numerators over distinct
+    prime denominators, and a degree-2 order-1 bracket (2 x 2 blocks) at bound 4."""
+    rng = random.Random(340)
+    wide = FourierExpansion(1, 200, {
+        ((2 * t,),): Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** 99, 10 ** 100), p)
+        for t, p in enumerate(primes(201))}, weight=Fraction(7, 2), level=4)
+
+    def integral():
+        return FourierExpansion(2, 4, {t.doubled: rng.randint(-9, 9)
+                                       for t in enumerate_indices(2, 4)})
+
+    return [wide, rankin_cohen(integral(), integral(), 1, 4, 6)]
+
+
+@pytest.mark.parametrize("f", long_documents(), ids=["degree 1", "degree 2 bracket"])
+def test_long_documents_survive_a_byte_round_trip(f):
+    text = dumps(f)
+    assert len(f.coeffs) > 40
+    assert dumps(loads(text)) == text
+    assert loads(text) == f
+    doc = to_json_dict(f)
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_rational_from_str_refusals():
