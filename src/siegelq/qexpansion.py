@@ -263,7 +263,10 @@ def _keys(codes, degree, bound):
     """The keys 2T of the degree coded, at the bound, by the codes, in
     their order: each code's signed digits, least significant first, are
     the entries at _coded(degree) of its key; what is left is the trace,
-    which gives the last diagonal entry."""
+    which gives the last diagonal entry (at degree 1, the only one)."""
+    if degree == 1:
+        yield from [((2 * c,),) for c in codes]
+        return
     coded = _coded(degree)
     key_base = 4 * bound + 1
     half = key_base // 2
@@ -639,12 +642,12 @@ def json_text(obj):
 
     The stdlib writes indented JSON with one Python generator per nesting
     level and one chunk per token.  Here each container is one join, and
-    a leaf array, one of exact ints and strs (a matrix row, a row of
-    rationals), is formatted once per call for each depth and content,
-    since rows repeat (a coset listing mod p has at most p^(2n) distinct
-    rows).  Whether an array is a leaf is one pass over its items; a
-    tuple is its own memo key; and an array's leaf children are looked up
-    in the same call, so a matrix costs one call, not one per row."""
+    a leaf array in an array, one of exact ints and strs (a matrix row),
+    is formatted once per call for each depth and content, since rows
+    repeat (a coset listing mod p has at most p^(2n) distinct rows).  The
+    memo keeps the first tuple of each value, which is known again by one
+    lookup and an identity test, any other array by one pass over its
+    items, in the call that writes the array holding it."""
     return _json_text(obj, "\n", {})
 
 
@@ -674,9 +677,9 @@ def json_write(obj, opener):
 
 def _json_text(obj, newline, memo):
     """obj at the depth whose line break and indent is newline; memo maps
-    (newline, items) to the text of a non-empty leaf array, items being
-    the array itself when it is a tuple.  Items are type-checked before
-    any lookup, since (False,) == (0,) and (1.0,) == (1,)."""
+    a depth's newline to a dict from the items, as a tuple, of a leaf row
+    in an array to (the first such tuple, its text).  Other arrays are
+    type-checked first, since (False,) == (0,) and (1.0,) == (1,)."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
@@ -686,32 +689,30 @@ def _json_text(obj, newline, memo):
         if not obj:
             return "[]"
         inner = newline + "  "
-        for x in obj:
-            kind = type(x)
-            if kind is not int and kind is not str:
-                break
-        else:
-            key = (newline, obj if type(obj) is tuple else tuple(obj))
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = _leaf_text(obj, newline, inner)
-            return text
+        rows = memo.get(inner) or memo.setdefault(inner, {})
         deeper = inner + "  "
         items = []
         for x in obj:
             kind = type(x)
             if (kind is tuple or kind is list) and x:
+                key = x if kind is tuple else tuple(x)
+                try:
+                    hit = rows.get(key)
+                except TypeError:  # an unhashable item, so not a leaf
+                    hit = None
+                if hit is not None and hit[0] is x:  # never true of a list
+                    items.append(hit[1])
+                    continue
                 for y in x:
                     if type(y) is not int and type(y) is not str:
                         break
                 else:
-                    key = (inner, x if kind is tuple else tuple(x))
-                    text = memo.get(key)
-                    if text is None:
-                        text = memo[key] = _leaf_text(x, inner, deeper)
-                    items.append(text)
+                    if hit is None:
+                        hit = rows[key] = (key, _leaf_text(x, inner, deeper))
+                    items.append(hit[1])
                     continue
-            items.append(_json_text(x, inner, memo))
+            items.append(_escape(x) if kind is str else int.__repr__(x) if kind is int
+                         else _json_text(x, inner, memo))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:

@@ -24,11 +24,14 @@ and coset_reps writes these blocks directly as rows instead of
 multiplying; the listing makes no group element at all.
 Only the bottom j rows depend on B, and row i of them only on B's row i:
 it is A's row i followed by that row of B times the bottom j rows of
-A^{-t}.  While it lists a cell, coset_reps keeps, per A and per bottom
-row, a table of that row for all p^j rows of B, so an element is
-assembled from kept rows with no arithmetic.  It returns a CosetSystem,
-a sized iterable that builds each element as the iteration reaches it
-and yields it as the JSON record the cosets command writes,
+A^{-t}.  While it lists a cell, coset_reps keeps the table of all p^j
+rows r of B and, per A and per bottom row, a table of that row for each
+r, so an element is assembled from kept rows with no arithmetic: B's row
+i is a row r that begins with column i of the rows above it.  Equal rows
+are one tuple throughout a listing, so the writer knows a row it has
+written by identity.  It returns a CosetSystem, a sized iterable that
+builds each element as the iteration reaches it and yields it as the
+JSON record the cosets command writes,
 
     {"a": A, "b": B, "cell": j, "mat": rows of the element},
 
@@ -36,12 +39,11 @@ every matrix a tuple of row tuples, so the CLI writes a listing one
 record at a time and never holds it whole; SymplecticModP(record["mat"],
 p) makes a record's element a group element.  It refuses, at once, a
 system of more than MAX_LISTING elements, as gl_parabolic_reps refuses
-more than MAX_LISTING representatives.
-The limit bounds time and output size, not memory: the largest
-listings allowed (degree 3 at p = 5, degree 2 at p = 31) write 16.6 and
-14.6 MB of JSON in about 0.3 s and peak at 17.5 to 18.5 MB of RSS
-(README gives the host and the method).  coset_count gives the size of
-any system.
+more than MAX_LISTING representatives.  The limit bounds time and output
+size, not memory: the largest listings allowed (degree 3 at p = 5,
+degree 2 at p = 31) write 16.6 and 14.6 MB of JSON in 0.3 to 0.65 s and
+peak at 17.3 to 18.1 MB of RSS (README gives the host and the method).
+coset_count gives the size of any system.
 
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of
 the bottom rows (C | D) mod p.  Keys agree iff the lower-left n x n block
@@ -50,12 +52,14 @@ Keys come from halfint.row_reduce and inverses from its mat_inverse,
 both over F_p, as every Gauss-Jordan elimination of the package is.
 """
 
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import getitem
 
 from .halfint import (SIZE_LIMIT, from_blocks, identity, mat_inverse, mat_mul, mat_scale,
                       require_instance, require_int, require_odd_prime, row_reduce,
-                      square_matrix, symmetric, transpose, zero_matrix)
+                      square_matrix, transpose, zero_matrix)
 
 MAX_LISTING = 50_000
 
@@ -209,10 +213,11 @@ class CosetSystem:
 
     len() is coset_count(n, p) and builds nothing.  Iterating computes
     nothing per element: per cell, the rows that do not depend on B are
-    built once per A, and each row that does is looked up by B's row in a
-    table built once per (A, row).  A cell's tables are built when the
-    iteration reaches it, dropped when it leaves it, and hold at most j
-    times as many rows as the cell has elements."""
+    built once per A, each row that does is looked up by B's row in a
+    table built once per (A, row), and B is made of rows of the cell's
+    table of all p^j rows (_symmetric_blocks).  The tables hold at most j
+    times as many rows as the cell has elements; one tuple per distinct
+    row is kept until the iteration ends, as the writer's memo keeps it."""
 
     def __init__(self, n, p):
         count = coset_count(n, p)
@@ -232,12 +237,12 @@ class CosetSystem:
     def __iter__(self):
         n, p = self.degree, self.prime
         zero = (0,) * n
+        share = {}.setdefault  # one tuple per row value, for the writer
         for j in range(n + 1):
             h = n - j
-            rows = list(product(range(p), repeat=j))
-            # per A: the rows that do not depend on B, and per bottom row i
-            # of A a table from every row r of B to the element row, A's
-            # row i followed by r times the bottom j rows of A^{-t} mod p
+            rows = [share(r, r) for r in product(range(p), repeat=j)]
+            # per A: the rows that do not depend on B and, per bottom row i of A, a
+            # table from each row r of B to A's row i, then r A^{-t}[h:] mod p
             cell = []
             for a in gl_parabolic_reps(n, j, p):
                 ait = transpose(mat_inverse(a, p))
@@ -248,13 +253,28 @@ class CosetSystem:
                 cols = tuple(zip(*ait[h:]))
                 right = [tuple(sum(x * y for x, y in zip(r, col)) % p for col in cols)
                          for r in rows]
-                tails = tuple(dict(zip(rows, [left + x for x in right])) for left in a[h:])
-                cell.append((a, head, tails))
-            for values in product(range(p), repeat=j * (j + 1) // 2):
-                b = symmetric(j, values)
+                tails = tuple(dict(zip(rows, [share(r, r) for r in (left + x for x in right)]))
+                              for left in a[h:])
+                cell.append((tuple(map(share, a, a)), tuple(map(share, head, head)), tails))
+            for b in _symmetric_blocks(j, p, rows):
                 for a, head, tails in cell:
-                    tail = tuple(t[row] for t, row in zip(tails, b))
-                    yield {"a": a, "b": b, "cell": j, "mat": head + tail}
+                    yield {"a": a, "b": b, "cell": j, "mat": head + tuple(map(getitem, tails, b))}
+
+
+def _symmetric_blocks(j, p, rows):
+    """Every symmetric j x j matrix over range(p), in the product order of
+    its upper-triangle entries row by row, as a tuple of rows of the table
+    rows = list(product(range(p), repeat=j)): row i is one of the p^(j-i)
+    consecutive rows that begin with column i of the rows above it."""
+    def extend(blocks, i):
+        size = p ** (j - i)
+        for b in blocks:
+            start = 0
+            for row in b:
+                start = start * p + row[i]
+            for row in rows[start * size:(start + 1) * size]:
+                yield b + (row,)
+    return reduce(extend, range(j), iter(((),)))
 
 
 def coset_count(n, p):

@@ -669,6 +669,26 @@ class TestDenseKernel:
     def test_e4_power_against_the_oracle_fold(self):
         check_power(eisenstein(4, 200), 7)
 
+    def test_degree_one_keys_are_read_off_the_trace(self):
+        # a degree-1 code is the trace t, decoded to the key ((2t,),), by
+        # the dense kernel and, for the sparse dilated product, the pair
+        # loop; the oracle adds the operands' keys instead
+        e4 = eisenstein(4, 60)
+        sparse = eisenstein(4, 5).dilate(50)
+        for f, g in ((e4, e4), (delta(60), eisenstein(6, 60)), (sparse, sparse)):
+            bound = min(f.trace_bound, g.trace_bound)
+            oracle = {}
+            for (k,), v in f.coeffs.items():
+                for (l,), w in g.coeffs.items():
+                    if k[0] + l[0] <= 2 * bound:
+                        t2 = ((k[0] + l[0],),)
+                        oracle[t2] = oracle.get(t2, 0) + v * w
+            product = f * g
+            assert product.coeffs == {k: v for k, v in oracle.items() if v}
+            for (row,) in product.coeffs:
+                assert type(row) is tuple and type(row[0]) is int and row[0] % 2 == 0
+        assert len(sparse.coeffs) ** 2 <= sparse.trace_bound  # the pair loop's branch
+
 
 @st.composite
 def expansion_triples(draw):
@@ -1193,6 +1213,62 @@ class TestJsonText:
                      [(0,), (False,)], ((False,), (0,)), [[[0]], [(False,)]],
                      {"a": (1,), "b": (True,)}):
             assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @staticmethod
+    def written(items):
+        handle = io.StringIO()
+        json_write(iter(items), lambda: contextlib.nullcontext(handle))
+        return handle.getvalue()
+
+    def test_memo_knows_a_written_tuple_only_at_its_depth(self):
+        # the memo keeps one tuple per depth and value; a row written again
+        # is known by identity, and only at the depth it was written at
+        row = (1, "a")
+        items = [(row,), {"m": (row, row)}, [[(row,)]], (row, (row,)), row, (row,)]
+        assert self.written(items) == json.dumps(items, sort_keys=True, indent=2) + "\n"
+
+    def test_an_equal_row_of_other_types_is_checked(self):
+        # (True, 0) == (1, 0) and (False,) == (0,): an equal tuple that is
+        # not the one the memo keeps is type-checked before its text is used
+        row = (1, 0)
+        for items in ([(row,), ((True, 0),), (row,), [row, (True, 0), row]],
+                      [((0,),), ((False,),), ((0,),)], [((False,),), ((0,),)],
+                      [row, (True, 0), row]):
+            assert self.written(items) == json.dumps(items, sort_keys=True, indent=2) + "\n"
+
+    def test_a_list_row_is_read_each_time(self):
+        # a list never takes the identity shortcut: mutated between two
+        # writes, it is written with its new items, also when they are
+        # equal to the old ones, as True == 1
+        row = [1, 0]
+
+        def records():
+            yield [row, (1, 0)]
+            row[0] = True
+            yield [row, (1, 0)]
+            row[0] = 5
+            yield [row]
+
+        expected = [[[1, 0], [1, 0]], [[True, 0], [1, 0]], [[5, 0]]]
+        assert self.written(records()) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_unhashable_items_in_a_tuple_row(self):
+        # a matrix row that holds a list or a dict cannot be looked up; it
+        # is written as nested arrays, every time it is written
+        for row in (([1, 2], 3), ({"a": [1]},), (1, [(2,)]), ((1, [2]), (3,))):
+            items = [(row,), (row, row), [row]]
+            assert self.written(items) == json.dumps(items, sort_keys=True, indent=2) + "\n"
+
+    def test_an_equal_row_of_bad_types_still_fails(self):
+        class Text(str):
+            pass
+
+        for first, bad in (((1, 2), (1.0, 2)), (("a", 1), (Text("a"), 1)),
+                           ((0,), (0.0,))):
+            with pytest.raises(TypeError):
+                self.written([(first,), (bad,)])
+            with pytest.raises(TypeError):
+                json_text([[first], [bad]])
 
     @pytest.mark.parametrize("obj", [
         1.5, [0, 0.0], {"a": [1, {"b": 2.5}]}, {1, 2}, {"a": {3}},

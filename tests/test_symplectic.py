@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 from siegelq import cli, symplectic
-from siegelq.halfint import row_reduce
+from siegelq.halfint import row_reduce, symmetric
 from siegelq.symplectic import (
     MAX_LISTING,
     SymplecticModP,
@@ -423,6 +423,43 @@ class TestCosetSystem:
             tracemalloc.stop()
         assert out.stat().st_size == 935691
         assert peak < 935691 // 2
+
+    def test_b_blocks_are_rows_of_the_table(self):
+        # B in the upper-triangle product order, each of its rows one of
+        # the table's own tuples
+        for p in (3, 5):
+            for j in range(4):
+                rows = list(product(range(p), repeat=j))
+                ids = {id(r) for r in rows}
+                blocks = list(symplectic._symmetric_blocks(j, p, rows))
+                assert blocks == [symmetric(j, v)
+                                  for v in product(range(p), repeat=j * (j + 1) // 2)]
+                assert all(id(r) in ids for b in blocks for r in b)
+
+    def test_equal_rows_are_one_tuple(self):
+        # every row of a listing, in a, b or mat, is the one tuple of its
+        # value, which the writer's memo then knows by identity
+        for n, p in ((2, 5), (3, 3)):
+            shared = {}
+            for r in coset_reps(n, p):
+                for m in (r["a"], r["b"], r["mat"]):
+                    assert all(shared.setdefault(row, row) is row for row in m)
+
+    @pytest.mark.parametrize("n, p, bound", [(3, 5, 1 << 20), (2, 31, 2 << 20)],
+                             ids=["degree3-p5", "degree2-p31"])
+    def test_largest_listings_stay_small(self, tmp_path, n, p, bound):
+        # the two largest listings allowed, 16.6 and 14.6 MB of JSON,
+        # allocate at most 1 and 2 MB at once
+        out = tmp_path / "c.json"
+        argv = ["cosets", "--degree", str(n), "--prime", str(p), "-o", str(out)]
+        assert cli.run(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_validation(self):
         for build in (coset_reps, coset_count):
