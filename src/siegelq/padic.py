@@ -18,7 +18,7 @@ is linear in g and D(f, 1) = c theta^[r] f, it checks D(f, g - 1) = 0.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
 
@@ -75,8 +75,8 @@ def vp_expansion(f, p):
     return min((v for _, v in _valuations(f, p)), default=math.inf)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(namedtuple("CongruenceReport", ["prime", "power", "holds", "min_valuation",
+                                                       "witness", "bound", "normalized"])):
     """Outcome of a congruence check mod p^m up to a trace bound.
 
     min_valuation is the smallest valuation of a coefficient difference
@@ -84,13 +84,7 @@ class CongruenceReport:
     (trace, entries) order attaining it, bound the trace bound actually
     compared, normalized whether the threshold was shifted by vp(F)."""
 
-    prime: int
-    power: int
-    holds: bool
-    min_valuation: object
-    witness: object
-    bound: int
-    normalized: bool
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

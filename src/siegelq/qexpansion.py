@@ -642,12 +642,11 @@ def json_text(obj):
 
     The stdlib writes indented JSON with one Python generator per nesting
     level and one chunk per token.  Here each container is one join, and
-    a leaf array in an array, one of exact ints and strs (a matrix row),
-    is formatted once per call for each depth and content, since rows
-    repeat (a coset listing mod p has at most p^(2n) distinct rows).  The
-    memo keeps the first tuple of each value, which is known again by one
-    lookup and an identity test, any other array by one pass over its
-    items, in the call that writes the array holding it."""
+    a tuple of exact ints and strs in an array (a matrix row) is formatted
+    once per call for each depth: the memo knows it by identity, so a row
+    tuple written again, as the coset listing's shared rows are, costs one
+    lookup.  Rows that are equal but distinct objects, such as those of a
+    degree-2 series, are formatted each time."""
     return _json_text(obj, "\n", {})
 
 
@@ -657,8 +656,9 @@ def json_write(obj, opener):
 
     An iterator is written as the JSON array of its elements, one element
     at a time, so the array is never held whole: each element is
-    formatted by _json_text, with one memo for the whole array, and the
-    bytes are those of json_text(list(obj)).  Any other value is formatted
+    formatted by _json_text, with one memo for the whole array, so a row
+    tuple that several elements share is formatted once, and the bytes
+    are those of json_text(list(obj)).  Any other value is formatted
     whole before opener is called, so a value that cannot be written
     opens nothing."""
     if not isinstance(obj, Iterator):
@@ -677,9 +677,11 @@ def json_write(obj, opener):
 
 def _json_text(obj, newline, memo):
     """obj at the depth whose line break and indent is newline; memo maps
-    a depth's newline to a dict from the items, as a tuple, of a leaf row
-    in an array to (the first such tuple, its text).  Other arrays are
-    type-checked first, since (False,) == (0,) and (1.0,) == (1,)."""
+    a depth's newline to a dict from id(t) to (t, its text), for each
+    tuple t of exact ints and strs written as an item of an array at that
+    depth.  Holding t keeps its id from being reused while the memo
+    lives; its items cannot change.  Nothing is hashed by value, so a
+    deeply nested tuple meets the recursion limit, as json.dumps does."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
@@ -690,45 +692,35 @@ def _json_text(obj, newline, memo):
             return "[]"
         inner = newline + "  "
         rows = memo.get(inner) or memo.setdefault(inner, {})
-        deeper = inner + "  "
         items = []
         for x in obj:
             kind = type(x)
-            if (kind is tuple or kind is list) and x:
-                key = x if kind is tuple else tuple(x)
-                try:
-                    hit = rows.get(key)
-                except TypeError:  # an unhashable item, so not a leaf
-                    hit = None
-                if hit is not None and hit[0] is x:  # never true of a list
-                    items.append(hit[1])
-                    continue
-                for y in x:
-                    if type(y) is not int and type(y) is not str:
-                        break
-                else:
-                    if hit is None:
-                        hit = rows[key] = (key, _leaf_text(x, inner, deeper))
-                    items.append(hit[1])
-                    continue
-            items.append(_escape(x) if kind is str else int.__repr__(x) if kind is int
-                         else _json_text(x, inner, memo))
+            if kind is str:
+                items.append(_escape(x))
+            elif kind is int:
+                items.append(int.__repr__(x))
+            elif kind is tuple:
+                hit = rows.get(id(x))
+                if hit is None:
+                    hit = (x, _json_text(x, inner, memo))
+                    for y in x:
+                        if type(y) is not int and type(y) is not str:
+                            break
+                    else:
+                        rows[id(x)] = hit
+                items.append(hit[1])
+            else:
+                items.append(_json_text(x, inner, memo))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
-        try:
-            keys = sorted(obj)
-        except TypeError:
-            keys = obj
-        for k in keys:
+        for k in obj:
             if type(k) is not str:
-                bad = next(k for k in obj if type(k) is not str)
-                raise TypeError("JSON object keys must be str, not %s"
-                                % type(bad).__name__)
+                raise TypeError("JSON object keys must be str, not %s" % type(k).__name__)
         inner = newline + "  "
         items = []
-        for k in keys:
+        for k in sorted(obj):
             v = obj[k]  # a str or int value is written here, not by a call
             items.append(_escape(k) + ": " + (_escape(v) if type(v) is str else int.__repr__(v)
                                               if type(v) is int else _json_text(v, inner, memo)))
@@ -740,13 +732,6 @@ def _json_text(obj, newline, memo):
     if obj is False:
         return "false"
     raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
-
-
-def _leaf_text(items, newline, inner):
-    """A leaf array at the depth of newline, inner its items' indent."""
-    return ("[" + inner + ("," + inner).join(
-        [_escape(x) if type(x) is str else int.__repr__(x) for x in items])
-        + newline + "]")
 
 
 def _unique_keys(pairs):

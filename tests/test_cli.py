@@ -194,6 +194,39 @@ class TestBasicCommands:
         }
         assert read(path("cg"))["holds"] is True
 
+    def test_ci_reports_pinned(self, tmp_path):
+        # the CI workflow's report commands on E4 and E6 at trace bound 200
+        # and fr.json, the Frobenius descent of E4 at p = 7: exit codes and
+        # sha256 of each report file
+        def path(name):
+            return str(tmp_path / (name + ".json"))
+
+        for argv in (["eisenstein", "--weight", "4", "--trace-bound", "200", "-o", path("e4")],
+                     ["eisenstein", "--weight", "6", "--trace-bound", "200", "-o", path("e6")],
+                     ["frobenius", "--f", path("e4"), "--prime", "7", "-o", path("fr")]):
+            assert run(argv) == 0
+        codes = {
+            "bad": run(["congruent", "--f", path("e4"), "--g", path("e6"), "--prime", "5",
+                        "--m", "1", "-o", path("bad")]),
+            "lim": run(["limit", path("fr"), path("e4"), "--target", path("e4"),
+                        "--prime", "7", "-o", path("lim")]),
+            "vp": run(["vp", "--f", path("fr"), "--prime", "7", "-o", path("vp")]),
+            "norm": run(["congruent", "--f", path("fr"), "--g", path("e4"), "--prime", "7",
+                         "--m", "1", "--normalized", "-o", path("norm")]),
+        }
+        assert codes == {"bad": 1, "lim": 0, "vp": 0, "norm": 0}
+        digests = {}
+        for name in codes:
+            with open(path(name), "rb") as handle:
+                digests[name] = hashlib.sha256(handle.read()).hexdigest()
+        assert digests == {
+            "bad": "5d7f349c8bd085cee9e1441782af882be44bb74fe4358a55a9e330ea72af419e",
+            "lim": "f280e9a544cba7d0f21ae5bca1f988680224b834ab94fb9972a0ab6deb0fb37c",
+            "vp": "5fc837bc854d65eac48cecc436eadc7bda2da3e942a2bb87ccd70a8114feb1ee",
+            "norm": "4daf7cb39191ce71bb4c32b88d0678a884771982f16842aab383adf3cb5aafd1",
+        }
+        assert read(path("norm"))["bound"] == 28
+
 
 class TestCongruenceCommands:
     def test_congruent_exit_codes(self, tmp_path):

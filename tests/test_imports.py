@@ -52,6 +52,11 @@ decoded only there, a scalar result by _decode and a block result by
 _blocks, each key once through _keys, so diffops hands packed entries to
 _blocks unread.
 
+Importing siegelq.cli loads no module that a bare interpreter does not
+already load from dataclasses, inspect, ast, dis and tokenize: those
+cost several milliseconds and about a megabyte in every process, and
+the package needs none of them.
+
 No module but halfint builds an identity by hand, "1 if i == j else 0",
 or fills a symmetric matrix by hand, "g[i][j] = g[j][i]": every identity
 is halfint.identity and every symmetric matrix from its upper triangle
@@ -59,7 +64,10 @@ is halfint.symmetric, so the package has one builder of each.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -362,3 +370,19 @@ def test_checker_sees_decode_calls():
                          ids=lambda p: p.name)
 def test_keys_decoded_in_one_place(path):
     assert decode_calls(path.read_text(encoding="utf-8").splitlines()) == []
+
+
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def loaded(statement):
+    """Which HEAVY modules a fresh interpreter has loaded after statement."""
+    src = str(Path(siegelq.__file__).parent.parent)
+    script = statement + "\nimport sys\nprint(*[m for m in %r if m in sys.modules])" % (HEAVY,)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return set(done.stdout.decode().split())
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert loaded("import siegelq.cli") <= loaded("pass")

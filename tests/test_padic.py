@@ -176,6 +176,26 @@ class TestCongruent:
         d2 = congruent(f, f, 3, 1).to_json_dict()
         assert d2["min_valuation"] == "inf" and d2["witness_t2"] is None
 
+    def test_report_api(self):
+        # field order, keyword and positional construction, repr, hash and
+        # read-only attributes, as a frozen record had them
+        f = FourierExpansion(1, 2, {key1(1): 1})
+        rep = congruent(f, FourierExpansion.zero(1, 2), 3, 1)
+        fields = (3, 1, False, 0, ((2,),), 2, False)
+        assert rep == CongruenceReport(*fields) == CongruenceReport(
+            prime=3, power=1, holds=False, min_valuation=0, witness=((2,),), bound=2,
+            normalized=False)
+        assert repr(rep) == ("CongruenceReport(prime=3, power=1, holds=False, min_valuation=0, "
+                             "witness=((2,),), bound=2, normalized=False)")
+        assert hash(rep) == hash(fields)
+        assert (rep.prime, rep.power, rep.holds, rep.min_valuation, rep.witness, rep.bound,
+                rep.normalized) == fields
+        for name in ("holds", "witness", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, True)
+        assert rep.to_json_dict() == {"p": 3, "m": 1, "holds": False, "min_valuation": 0,
+                                      "witness_t2": [[2]], "bound": 2, "normalized": False}
+
 
 def reference_congruent(f, g, p, m, normalized):
     """The congruence report from a loop over the union of the stored keys

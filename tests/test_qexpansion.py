@@ -12,6 +12,7 @@ json.dumps(obj, sort_keys=True, indent=2).
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1269,6 +1270,59 @@ class TestJsonText:
                 self.written([(first,), (bad,)])
             with pytest.raises(TypeError):
                 json_text([[first], [bad]])
+
+    def test_a_deep_tuple_meets_the_recursion_limit(self):
+        # the memo is keyed by id, so a tuple row is never hashed: a tuple
+        # nested 200,000 deep raises RecursionError, as json.dumps does,
+        # where a hash of it would recurse in C and crash the process
+        script = ("from siegelq.qexpansion import json_text\n"
+                  "t = ()\n"
+                  "for _ in range(200000):\n"
+                  "    t = (t,)\n"
+                  "try:\n"
+                  "    json_text([t])\n"
+                  "except RecursionError:\n"
+                  "    print('RecursionError')\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=False)
+        assert (done.returncode, done.stdout.decode().split()) == (0, ["RecursionError"])
+
+    def test_fresh_rows_are_held_while_the_memo_lives(self):
+        # each record's row is a new tuple, dropped by the caller once the
+        # record is written (the youngest generation is collected too,
+        # which is cheap); the memo holds every row it keeps, so no later
+        # row can take a freed row's id and be written with its text.  The
+        # rows have three items: a freed pair's memory would be taken by
+        # the memo's own (row, text) pair before the next row is built
+        rows = [(i, -i, 2 * i) for i in range(10000)]
+
+        def records():
+            for a, b, c in rows:
+                yield ((a, b, c),)
+                gc.collect(0)
+
+        expected = [[list(row)] for row in rows]
+        text = self.written(records())
+        wrong = next((i for i, x in enumerate(json.loads(text)) if x != expected[i]), None)
+        assert wrong is None  # the first wrong record, a short report
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_a_tuple_holding_a_list_is_read_each_time(self):
+        # a tuple with a mutable item is no leaf and is never memoized: it
+        # is written as it is at the moment it is yielded
+        inner = [1, 2]
+        row = (inner, 3)
+
+        def records():
+            yield [row]
+            inner.append(4)
+            yield [row]
+            inner[0] = True
+            yield [[row]]
+
+        expected = [[[[1, 2], 3]], [[[1, 2, 4], 3]], [[[[True, 2, 4], 3]]]]
+        assert self.written(records()) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("obj", [
         1.5, [0, 0.0], {"a": [1, {"b": 2.5}]}, {1, 2}, {"a": {3}},
