@@ -246,7 +246,3 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

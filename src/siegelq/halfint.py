@@ -405,14 +405,14 @@ def key_sort(key):
 
 
 def enumerate_indices(degree, trace_bound):
-    """All psd half-integral T of the given degree with trace(T) <= bound,
-    sorted by (trace, row-major entries of 2T).  Degrees 1..4 supported.
+    """The keys 2T (tuples of row tuples) of all psd half-integral T of the
+    given degree with trace(T) <= bound, sorted by key_sort.  Degrees 1..4.
 
     Candidates come from the box |2T_ij|^2 <= (2T_ii)(2T_jj) forced by the
-    2x2 principal minors, then the full psd check filters."""
+    2x2 principal minors, symmetric with even diagonal; psd_rows filters."""
     n = require_int(degree, "degree", 1, 4)
     require_int(trace_bound, "trace_bound", 0)
-    out = []
+    keys = []
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     for diag in product(range(trace_bound + 1), repeat=n):
         if sum(diag) > trace_bound:
@@ -424,11 +424,10 @@ def enumerate_indices(degree, trace_bound):
             # on the diagonal s is 2T_ii itself
             ranges.append((s,) if i == j else range(-s, s + 1))
         for values in product(*ranges):
-            t = HalfIntegralMatrix(symmetric(n, values))
-            if t.is_psd():
-                out.append(t)
-    out.sort(key=lambda t: key_sort(t.doubled))
-    return out
+            t = symmetric(n, values)
+            if psd_rows(t) is not None:
+                keys.append(t)
+    return sorted(keys, key=key_sort)
 
 
 def block_count(degree, r):

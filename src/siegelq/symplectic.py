@@ -40,9 +40,8 @@ record at a time and never holds it whole; SymplecticModP(record["mat"],
 p) makes a record's element a group element.  It refuses, at once, a
 system of more than MAX_LISTING elements, as gl_parabolic_reps refuses
 more than MAX_LISTING representatives.  The limit bounds time and output
-size, not memory: the largest listings allowed (degree 3 at p = 5,
-degree 2 at p = 31) write 16.6 and 14.6 MB of JSON in 0.3 to 0.65 s and
-peak at 17.3 to 18.1 MB of RSS (README gives the host and the method).
+size, not memory: README gives the output size, time and peak RSS of
+the largest listings allowed (degree 3 at p = 5, degree 2 at p = 31).
 coset_count gives the size of any system.
 
 A (Siegel-parabolic) coset is keyed by the reduced row echelon form of

@@ -172,26 +172,15 @@ def _short_vectors(gram, norm_bound):
 
 def _components(gram):
     """Coordinates of each connected component of the graph whose edges
-    are the nonzero off-diagonal Gram entries, each list sorted, the lists
-    in order of their first coordinate.  The components are mutually
-    orthogonal, so the lattice is their direct sum."""
-    m = len(gram)
-    seen = [False] * m
-    out = []
-    for first in range(m):
-        if seen[first]:
-            continue
-        seen[first] = True
-        stack, block = [first], []
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for j in range(m):
-                if gram[i][j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        out.append(sorted(block))
-    return out
+    are the nonzero off-diagonal Gram entries, as sorted lists in order of
+    their first coordinate; coordinate i merges the earlier blocks its row
+    links to.  They are orthogonal, so the lattice is their direct sum."""
+    blocks = []
+    for i, row in enumerate(gram):
+        linked = [b for b in blocks if any(row[j] for j in b)]
+        blocks = [b for b in blocks if b not in linked]
+        blocks.append(sorted(sum(linked, [])) + [i])
+    return sorted(blocks)
 
 
 def _enumerate_theta(gram, n, trace_bound):

@@ -10,6 +10,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 import siegelq
 from siegelq import cli, diffops, padic, qexpansion, theta
 from siegelq.cli import run
@@ -683,6 +685,25 @@ class TestRobustness:
                   "coeffs": [{"t2": [[0]], "value": value}]})
         assert run(["pow", "--f", str(f), "--exp", "1", "-o", str(out)]) == 0
         assert read(out)["coeffs"][0]["value"] == value + "/1"
+
+    def test_denominator_past_the_string_limit_exits_two(self, tmp_path, capsys):
+        # 1/2^8300 (2,499 digits) and 1/3^5200 (2,482 digits) are each read,
+        # but the denominator of their product has 4,980 and is not written
+        limit = sys.get_int_max_str_digits()
+        message = ("value: the denominator has 4980 digits, more than the %d that "
+                   "Python converts between integers and strings" % limit)
+        f, g, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "out.json"
+        for path, den in ((f, 2 ** 8300), (g, 3 ** 5200)):
+            write(path, {"degree": 1, "trace_bound": 2, "shape": "scalar",
+                         "coeffs": [{"t2": [[2]], "value": "1/%d" % den}]})
+        assert run(["mul", "--f", str(f), "--g", str(g), "-o", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+        with pytest.raises(ValueError) as caught:
+            qexpansion.rational_to_str(Fraction(1, 2 ** 8300 * 3 ** 5200))
+        assert str(caught.value) == message
 
     def test_large_zero_key_reads_fast(self, tmp_path):
         # one 18 x 18 key: deciding it psd must not take 2^18 - 1 minors

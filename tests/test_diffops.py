@@ -85,7 +85,7 @@ def rand_symmetric_rational(rng, n):
 
 def rand_expansion(rng, degree, bound):
     coeffs = {
-        t.doubled: Fraction(rng.randint(-9, 9))
+        t: Fraction(rng.randint(-9, 9))
         for t in enumerate_indices(degree, bound)
     }
     return FourierExpansion(degree, bound, coeffs)
@@ -225,7 +225,7 @@ def rational_series(draw):
     has zero entries next to nonzero ones."""
     degree = draw(st.integers(1, 3))
     top = {1: 6, 2: 3, 3: 2}[degree]
-    keys = [t.doubled for t in enumerate_indices(degree, top)]
+    keys = enumerate_indices(degree, top)
     values = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(bool)
     coeffs = {k: draw(values)
               for k in draw(st.lists(st.sampled_from(keys), max_size=len(keys)))}

@@ -24,6 +24,7 @@ from siegelq.halfint import (
     identity,
     is_int,
     key_sort,
+    key_trace,
     mat_inverse,
     mat_mul,
     mat_scale,
@@ -445,7 +446,7 @@ class TestCompound:
 class TestEnumerateIndices:
     def test_degree_one(self):
         got = enumerate_indices(1, 4)
-        assert [t.doubled for t in got] == [((2 * k,),) for k in range(5)]
+        assert got == [((2 * k,),) for k in range(5)]
 
     def test_degree_two_counts(self):
         assert len(enumerate_indices(2, 2)) == 10
@@ -453,23 +454,21 @@ class TestEnumerateIndices:
 
     def test_all_psd_within_bound(self):
         for t in enumerate_indices(2, 3):
-            assert t.is_psd()
-            assert t.trace <= 3
+            assert psd_rows(t) is not None
+            assert key_trace(t) <= 3
 
     def test_sorted_and_deterministic(self):
         got = enumerate_indices(2, 2)
-        keys = [key_sort(t.doubled) for t in got]
+        keys = [key_sort(t) for t in got]
         assert keys == sorted(keys)
-        assert got[0].doubled == ((0, 0), (0, 0))
-        assert [t.doubled for t in enumerate_indices(2, 2)] == [
-            t.doubled for t in got
-        ]
+        assert got[0] == ((0, 0), (0, 0))
+        assert enumerate_indices(2, 2) == got
 
     def test_complete_against_direct_scan(self):
         # independent completeness check: scan the raw entry box and test
         # positive semidefiniteness through 2x2 criteria directly
         n, bound = 2, 3
-        keys = {t.doubled for t in enumerate_indices(n, bound)}
+        keys = set(enumerate_indices(n, bound))
         direct = set()
         for d00 in range(0, 2 * bound + 1, 2):
             for d11 in range(0, 2 * bound + 1, 2):
@@ -495,8 +494,8 @@ class TestEnumerateIndices:
 
     def test_degree_three_spot(self):
         got = enumerate_indices(3, 1)
-        assert all(t.trace <= 1 and t.is_psd() for t in got)
-        assert got[0].doubled == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+        assert all(key_trace(t) <= 1 and psd_rows(t) is not None for t in got)
+        assert got[0] == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
         # exactly the zero matrix plus the rank-one forms of trace 1
         assert len(got) == 1 + 3
 

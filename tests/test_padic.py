@@ -34,7 +34,7 @@ def key1(t):
 
 def rand_integral(rng, degree, bound):
     coeffs = {
-        t.doubled: rng.randint(-20, 20) for t in enumerate_indices(degree, bound)
+        t: rng.randint(-20, 20) for t in enumerate_indices(degree, bound)
     }
     return FourierExpansion(degree, bound, coeffs)
 
@@ -253,9 +253,9 @@ class TestCongruentAgainstReference:
             coeffs = {}
             for t in enumerate_indices(degree, bound):
                 if rng.random() < 0.7:
-                    coeffs[t.doubled] = (value() if shape == "scalar" else
-                                         [[value() for _ in range(size)]
-                                          for _ in range(size)])
+                    coeffs[t] = (value() if shape == "scalar" else
+                                 [[value() for _ in range(size)]
+                                  for _ in range(size)])
             return FourierExpansion(degree, bound, coeffs, shape)
 
         bounds = (rng.randint(0, 3), rng.randint(0, 3))
@@ -328,7 +328,7 @@ def p_integral_series(draw):
     p = draw(st.sampled_from((3, 5, 7)))
     degree = draw(st.integers(1, 2))
     bound = draw(st.integers(0, {1: 30, 2: 7}[degree]))
-    keys = [t.doubled for t in enumerate_indices(degree, bound)]
+    keys = enumerate_indices(degree, bound)
     values = st.builds(Fraction, st.integers(-50, 50),
                        st.integers(1, 30).filter(lambda d: d % p))
     coeffs = draw(st.dictionaries(st.sampled_from(keys), values))

@@ -156,7 +156,7 @@ def rand_expansion(rng, degree, bound, denominators=False):
     for t in enumerate_indices(degree, bound):
         num = rng.randint(-9, 9)
         den = rng.choice([1, 2, 3]) if denominators else 1
-        coeffs[t.doubled] = Fraction(num, den)
+        coeffs[t] = Fraction(num, den)
     return FourierExpansion(degree, bound, coeffs)
 
 
@@ -407,7 +407,7 @@ def rand_shaped(rng, degree, bound, shape, density=0.7):
     coeffs = {}
     for t in enumerate_indices(degree, bound):
         if rng.random() < density:
-            coeffs[t.doubled] = (
+            coeffs[t] = (
                 rand_rational(rng) if shape == "scalar"
                 else [[rand_rational(rng) for _ in range(size)] for _ in range(size)])
     return FourierExpansion(degree, bound, coeffs, shape)
@@ -695,7 +695,7 @@ class TestDenseKernel:
 def expansion_triples(draw):
     degree = draw(st.integers(1, 3))
     top = {1: 6, 2: 3, 3: 2}[degree]
-    keys = [t.doubled for t in enumerate_indices(degree, top)]
+    keys = enumerate_indices(degree, top)
     values = st.fractions(min_value=-50, max_value=50, max_denominator=60)
     out = []
     for _ in range(3):
@@ -731,7 +731,7 @@ def test_product_ring_laws_under_truncation(triple):
 def powers(draw):
     degree = draw(st.integers(1, 3))
     bound = draw(st.integers(0, {1: 6, 2: 3, 3: 2}[degree]))
-    keys = [t.doubled for t in enumerate_indices(degree, bound)]
+    keys = enumerate_indices(degree, bound)
     values = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     coeffs = {k: draw(values) for k in draw(st.lists(st.sampled_from(keys), max_size=len(keys)))}
     weight = draw(st.none() | st.integers(0, 6))

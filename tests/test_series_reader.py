@@ -156,8 +156,8 @@ def random_series(rng, degree, shape):
     coeffs = {}
     for t in enumerate_indices(degree, bound):
         if rng.random() < 0.7:
-            coeffs[t.doubled] = (value() if shape == "scalar" else
-                                 [[value() for _ in range(size)] for _ in range(size)])
+            coeffs[t] = (value() if shape == "scalar" else
+                         [[value() for _ in range(size)] for _ in range(size)])
     return FourierExpansion(
         degree, bound, coeffs, shape,
         weight=rng.choice([None, Fraction(rng.randint(1, 20), rng.choice([1, 2]))]),
@@ -213,7 +213,7 @@ def test_integer_strings_read_as_fraction_does():
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_key_sort_is_trace_then_row_major_entries(degree):
-    keys = [t.doubled for t in enumerate_indices(degree, (8, 3, 2)[degree - 1])]
+    keys = enumerate_indices(degree, (8, 3, 2)[degree - 1])
     random.Random(degree).shuffle(keys)
 
     def row_major(key):
@@ -242,7 +242,7 @@ def long_documents():
         for t, p in enumerate(primes(201))}, weight=Fraction(7, 2), level=4)
 
     def integral():
-        return FourierExpansion(2, 4, {t.doubled: rng.randint(-9, 9)
+        return FourierExpansion(2, 4, {t: rng.randint(-9, 9)
                                        for t in enumerate_indices(2, 4)})
 
     return [wide, rankin_cohen(integral(), integral(), 1, 4, 6)]

@@ -305,14 +305,14 @@ class TestRepNumbers:
             th = rep_numbers(lat, 1, 2)
             oracle = box_rep_oracle(lat.gram, 1, 2)
             for t in enumerate_indices(1, 2):
-                assert th.coefficient(t.doubled) == oracle.get(t.doubled, 0)
+                assert th.coefficient(t) == oracle.get(t, 0)
 
     def test_against_box_oracle_degree_two(self):
         lat = gram_a(2)
         th = rep_numbers(lat, 2, 2)
         oracle = box_rep_oracle(lat.gram, 2, 2)
         for t in enumerate_indices(2, 2):
-            assert th.coefficient(t.doubled) == oracle.get(t.doubled, 0)
+            assert th.coefficient(t) == oracle.get(t, 0)
 
     def test_against_box_oracle_degree_three(self):
         # every coefficient, zero and off-diagonal signs included, against
@@ -395,10 +395,10 @@ class TestE8:
     def test_degree_two_is_eisenstein(self):
         assert E8.det() == 1 and E8.level() == 1
         th = rep_numbers(E8, 2, 2)
-        indices = list(enumerate_indices(2, 2))
+        indices = enumerate_indices(2, 2)
         assert len(th.support()) == len(indices) == 10
         for t in indices:
-            assert th.coefficient(t.doubled) == self.E4[reduced_binary(t.doubled)]
+            assert th.coefficient(t) == self.E4[reduced_binary(t)]
         assert th.coefficient(((2, 2), (2, 2))) == 240
 
 
@@ -443,6 +443,34 @@ class TestProductPath:
         assert _components(gram_a(3).gram) == [[0, 1, 2]]
         assert _components(direct_sum(gram_a(2), gram_a(1)).gram) == [[0, 1], [2]]
         assert _components(self.INTERLEAVED.gram) == [[0, 3], [1], [2]]
+
+        def gram(m, edges):
+            g = [[2 * (i == j) for j in range(m)] for i in range(m)]
+            for i, j in edges:
+                g[i][j] = g[j][i] = 1
+            return g
+
+        # a coordinate that links two earlier blocks merges them
+        assert _components(gram(3, [(0, 2), (1, 2)])) == [[0, 1, 2]]
+        assert _components(gram(4, [(0, 3), (1, 3)])) == [[0, 1, 3], [2]]
+        # against a union-find that shares no code with theta
+        def root(parent, i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        rng = random.Random(37)
+        for _ in range(200):
+            m, density = rng.randint(1, 12), rng.random() / 2
+            edges = [(i, j) for i in range(m) for j in range(i + 1, m)
+                     if rng.random() < density]
+            parent = list(range(m))
+            for i, j in edges:
+                parent[root(parent, i)] = root(parent, j)
+            blocks = {}
+            for i in range(m):
+                blocks.setdefault(root(parent, i), []).append(i)
+            assert _components(gram(m, edges)) == sorted(blocks.values())
 
     def test_block_diagonal_against_box_oracle(self):
         lattices = (direct_sum(gram_a(1), gram_a(1)),
@@ -616,8 +644,8 @@ def test_gl_invariance(data, name, degree):
     bound = BOUNDS[degree]
     moved = 0  # nonzero coefficients checked at a key other than T
     for t in enumerate_indices(degree, bound):
-        image = conjugate(t.doubled, u)
+        image = conjugate(t, u)
         if sum(image[i][i] for i in range(degree)) <= 2 * bound:
-            assert th.coefficient(image) == th.coefficient(t.doubled)
-            moved += image != t.doubled and th.coefficient(image) != 0
+            assert th.coefficient(image) == th.coefficient(t)
+            moved += image != t and th.coefficient(image) != 0
     assume(moved)

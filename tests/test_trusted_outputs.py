@@ -38,7 +38,7 @@ def assert_checked(f):
 
 
 def rand_expansion(rng, degree, bound):
-    coeffs = {t.doubled: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    coeffs = {t: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
               for t in enumerate_indices(degree, bound)}
     return FourierExpansion(degree, bound, coeffs, weight=rng.randint(1, 6))
 
