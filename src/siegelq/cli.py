@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Each subcommand is declared once, in build_parser: its options and its
-action, a function of the parsed arguments set as the subparser's run
-default.  An action returns an expansion, a congruence report or plain
+Each subcommand is declared once, in the _COMMANDS table: its help, its
+options and its action, a function of the parsed arguments set as the
+subparser's run default.  run builds only what it needs: a command run
+in a process adds its own subparser, on first use, to one parser kept
+for the process, and the full parser of build_parser, built once on
+first need, serves help and the errors raised before a subcommand is
+named.  An action returns an expansion, a congruence report or plain
 JSON data (the coset listing as an iterator of its records), and one
 function, _run_command, turns that into the output and the exit code.
 Every subcommand reads and writes the documented JSON formats.  Input is
@@ -78,143 +82,139 @@ def _cosets(a):
     return iter(symplectic.coset_reps(a.degree, a.prime))
 
 
-def build_parser():
-    """A fresh parser.  Actions look up library functions when they run,
-    not when the parser is built: run's parser is cached per process, and
-    a wrapper installed on a module attribute later must still be
-    called."""
+_REQ = {"required": True}
+_INT = {"type": int, "required": True}
+_RATIONAL = {"type": _rational, "required": True}
+
+# Each subcommand once, in listing order: name -> (help, action, option,
+# ...).  An option is (flag, add_argument keywords); a tuple of options is
+# one required mutually exclusive group.  An action is a function of the
+# parsed arguments; it looks up library functions when it runs, not when
+# its parser is built: parsers are cached per process, and a wrapper
+# installed on a module attribute later must still be called.
+_COMMANDS = {
+    "theta": ("degree-n theta series of a lattice",
+              lambda a: theta.rep_numbers(_read_gram(a.gram), a.degree, a.trace_bound),
+              ("--gram", dict(_REQ, help="Gram JSON file")), ("--degree", _INT),
+              ("--trace-bound", _INT)),
+    "gram-a": ("Gram matrix of the root lattice A_m",
+               lambda a: theta.gram_to_json(theta.gram_a(a.rank)), ("--rank", _INT)),
+    "eisenstein": ("degree-1 Eisenstein series E_k",
+                   lambda a: qexpansion.eisenstein(a.weight, a.trace_bound),
+                   ("--weight", _INT), ("--trace-bound", _INT)),
+    "delta": ("degree-1 weight-12 cusp form",
+              lambda a: qexpansion.delta(a.trace_bound), ("--trace-bound", _INT)),
+    "mul": ("product of two expansions",
+            lambda a: _read_expansion(a.f) * _read_expansion(a.g),
+            ("--f", _REQ), ("--g", _REQ)),
+    "pow": ("integer power of an expansion",
+            lambda a: _read_expansion(a.f) ** a.exp, ("--f", _REQ), ("--exp", _INT)),
+    "up": ("apply the coefficient operator a(T) -> a(pT)",
+           lambda a: _read_expansion(a.f).u_p(a.prime), ("--f", _REQ), ("--prime", _INT)),
+    "dilate": ("substitute q^T -> q^(cT)",
+               lambda a: _read_expansion(a.f).dilate(a.factor),
+               ("--f", _REQ), ("--factor", _INT)),
+    "thetaop": ("order-r minor theta operator",
+                lambda a: diffops.theta_operator(_read_expansion(a.f), a.minor_order),
+                ("--f", _REQ), ("--minor-order", _INT)),
+    "bracket": ("Rankin-Cohen bracket of order r",
+                lambda a: diffops.rankin_cohen(
+                    _read_expansion(a.f), _read_expansion(a.g), a.minor_order,
+                    a.weight_f, a.weight_g),
+                ("--f", _REQ), ("--g", _REQ), ("--minor-order", _INT),
+                ("--weight-f", dict(_RATIONAL, help="weight of f, a rational a/b; a "
+                                    "negative one as --weight-f=-1/2")),
+                ("--weight-g", dict(_RATIONAL, help="weight of g, a rational a/b; a "
+                                    "negative one as --weight-g=-1/2"))),
+    "vp": ("p-adic valuation of an expansion or rational", _vp,
+           (("--f", {"help": "expansion JSON file"}),
+            ("--value", {"type": _rational,
+                         "help": "a rational a/b; a negative one as --value=-7/9"})),
+           ("--prime", _INT)),
+    "congruent": ("check f = g mod p^m up to the shared bound",
+                  lambda a: padic.congruent(
+                      _read_expansion(a.f), _read_expansion(a.g), a.prime, a.m,
+                      normalized=a.normalized),
+                  ("--f", _REQ), ("--g", _REQ), ("--prime", _INT), ("--m", _INT),
+                  ("--normalized", {"action": "store_true",
+                                    "help": "shift the threshold m by the valuation of f"})),
+    "frobenius": ("(f^p)|U(p), congruent to f mod p",
+                  lambda a: padic.frobenius_descent(_read_expansion(a.f), a.prime),
+                  ("--f", _REQ), ("--prime", _INT)),
+    "limit": ("valuation profile of a sequence against a target", _limit,
+              ("members", {"nargs": "+", "help": "expansion JSON files, in order"}),
+              ("--target", _REQ), ("--prime", _INT)),
+    "thm41": ("bracket-vs-theta-operator congruence report for a p-integral form",
+              lambda a: padic.bracket_theta_congruence(
+                  _read_expansion(a.f), a.weight, a.prime, a.m, a.minor_order,
+                  a.dilate_exp),
+              ("--f", _REQ),
+              ("--weight", dict(_RATIONAL, help="scalar weight of f, a rational a/b; a "
+                                "negative one as --weight=-1/2")),
+              ("--prime", _INT), ("--m", _INT), ("--minor-order", _INT),
+              ("--dilate-exp", dict(_INT, help="dilation exponent (p^(e-1) scaling of "
+                                    "the unit form)"))),
+    "cosets": ("theta-stable coset system of Sp_n(F_p)", _cosets,
+               ("--degree", _INT), ("--prime", _INT),
+               ("--count-only", {"action": "store_true"})),
+}
+
+
+def _top(metavar=None):
+    """A parser with no subcommands yet, and its subparsers action."""
     parser = argparse.ArgumentParser(
         prog="siegelq",
         description="Exact Fourier expansions of Siegel modular forms: "
                     "theta series, theta operators, Rankin-Cohen brackets, "
                     "p-adic congruence checks and symplectic coset systems.")
     # dest only names the missing subcommand in argparse's usage error
-    subs = parser.add_subparsers(dest="command", required=True)
+    return parser, parser.add_subparsers(dest="command", required=True,
+                                           metavar=metavar)
 
-    sub = subs.add_parser("theta", help="degree-n theta series of a lattice")
-    sub.add_argument("--gram", required=True, help="Gram JSON file")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--trace-bound", type=int, required=True)
-    sub.set_defaults(run=lambda a: theta.rep_numbers(
-        _read_gram(a.gram), a.degree, a.trace_bound))
 
-    sub = subs.add_parser("gram-a", help="Gram matrix of the root lattice A_m")
-    sub.add_argument("--rank", type=int, required=True)
-    sub.set_defaults(run=lambda a: theta.gram_to_json(theta.gram_a(a.rank)))
+def _add_command(subs, name):
+    """Add the subcommand name, as _COMMANDS declares it, to subs."""
+    help_text, action, *options = _COMMANDS[name]
+    sub = subs.add_parser(name, help=help_text)
+    for option in options:
+        if isinstance(option[0], str):
+            sub.add_argument(option[0], **option[1])
+        else:
+            group = sub.add_mutually_exclusive_group(required=True)
+            for flag, keywords in option:
+                group.add_argument(flag, **keywords)
+    sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+    sub.set_defaults(run=action)
 
-    sub = subs.add_parser("eisenstein", help="degree-1 Eisenstein series E_k")
-    sub.add_argument("--weight", type=int, required=True)
-    sub.add_argument("--trace-bound", type=int, required=True)
-    sub.set_defaults(run=lambda a: qexpansion.eisenstein(a.weight, a.trace_bound))
 
-    sub = subs.add_parser("delta", help="degree-1 weight-12 cusp form")
-    sub.add_argument("--trace-bound", type=int, required=True)
-    sub.set_defaults(run=lambda a: qexpansion.delta(a.trace_bound))
-
-    sub = subs.add_parser("mul", help="product of two expansions")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--g", required=True)
-    sub.set_defaults(run=lambda a: _read_expansion(a.f) * _read_expansion(a.g))
-
-    sub = subs.add_parser("pow", help="integer power of an expansion")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--exp", type=int, required=True)
-    sub.set_defaults(run=lambda a: _read_expansion(a.f) ** a.exp)
-
-    sub = subs.add_parser("up", help="apply the coefficient operator a(T) -> a(pT)")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--prime", type=int, required=True)
-    sub.set_defaults(run=lambda a: _read_expansion(a.f).u_p(a.prime))
-
-    sub = subs.add_parser("dilate", help="substitute q^T -> q^(cT)")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--factor", type=int, required=True)
-    sub.set_defaults(run=lambda a: _read_expansion(a.f).dilate(a.factor))
-
-    sub = subs.add_parser("thetaop", help="order-r minor theta operator")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--minor-order", type=int, required=True)
-    sub.set_defaults(run=lambda a: diffops.theta_operator(
-        _read_expansion(a.f), a.minor_order))
-
-    sub = subs.add_parser("bracket", help="Rankin-Cohen bracket of order r")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--g", required=True)
-    sub.add_argument("--minor-order", type=int, required=True)
-    sub.add_argument("--weight-f", type=_rational, required=True,
-                     help="weight of f, a rational a/b; a negative one "
-                          "as --weight-f=-1/2")
-    sub.add_argument("--weight-g", type=_rational, required=True,
-                     help="weight of g, a rational a/b; a negative one "
-                          "as --weight-g=-1/2")
-    sub.set_defaults(run=lambda a: diffops.rankin_cohen(
-        _read_expansion(a.f), _read_expansion(a.g), a.minor_order,
-        a.weight_f, a.weight_g))
-
-    sub = subs.add_parser("vp", help="p-adic valuation of an expansion or rational")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--f", help="expansion JSON file")
-    group.add_argument("--value", type=_rational,
-                       help="a rational a/b; a negative one as --value=-7/9")
-    sub.add_argument("--prime", type=int, required=True)
-    sub.set_defaults(run=_vp)
-
-    sub = subs.add_parser("congruent", help="check f = g mod p^m up to the shared bound")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--g", required=True)
-    sub.add_argument("--prime", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--normalized", action="store_true",
-                     help="shift the threshold m by the valuation of f")
-    sub.set_defaults(run=lambda a: padic.congruent(
-        _read_expansion(a.f), _read_expansion(a.g), a.prime, a.m,
-        normalized=a.normalized))
-
-    sub = subs.add_parser("frobenius", help="(f^p)|U(p), congruent to f mod p")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--prime", type=int, required=True)
-    sub.set_defaults(run=lambda a: padic.frobenius_descent(
-        _read_expansion(a.f), a.prime))
-
-    sub = subs.add_parser("limit", help="valuation profile of a sequence against a target")
-    sub.add_argument("members", nargs="+", help="expansion JSON files, in order")
-    sub.add_argument("--target", required=True)
-    sub.add_argument("--prime", type=int, required=True)
-    sub.set_defaults(run=_limit)
-
-    sub = subs.add_parser(
-        "thm41",
-        help="bracket-vs-theta-operator congruence report for a p-integral form")
-    sub.add_argument("--f", required=True)
-    sub.add_argument("--weight", type=_rational, required=True,
-                     help="scalar weight of f, a rational a/b; a negative one "
-                          "as --weight=-1/2")
-    sub.add_argument("--prime", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--minor-order", type=int, required=True)
-    sub.add_argument("--dilate-exp", type=int, required=True,
-                     help="dilation exponent (p^(e-1) scaling of the unit form)")
-    sub.set_defaults(run=lambda a: padic.bracket_theta_congruence(
-        _read_expansion(a.f), a.weight, a.prime, a.m, a.minor_order,
-        a.dilate_exp))
-
-    sub = subs.add_parser("cosets", help="theta-stable coset system of Sp_n(F_p)")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--prime", type=int, required=True)
-    sub.add_argument("--count-only", action="store_true")
-    sub.set_defaults(run=_cosets)
-
-    for sub in subs.choices.values():
-        sub.add_argument("-o", "--output", default=None,
-                         help="output file (default: stdout)")
+def build_parser():
+    """A fresh parser of every subcommand, in the order of _COMMANDS.  run
+    keeps one, built on first need, for an argv that does not start with a
+    subcommand's name: no argument, -h, an unknown command or an option
+    first, so top-level help and the invalid-choice and missing-command
+    errors are this parser's."""
+    parser, subs = _top()
+    for name in _COMMANDS:
+        _add_command(subs, name)
     return parser
 
 
 @functools.cache
-def _parser():
-    """The parser run uses, built once per process: parse_args keeps no
-    state between calls."""
+def _full_parser():
     return build_parser()
+
+
+@functools.cache
+def _parser():
+    """The parser run uses when argv starts with a subcommand's name, and
+    its subparsers action: built once per process with no subcommands, it
+    gains each the first time argv names it, so a process pays argparse's
+    set-up once and declares only the commands it runs.  parse_args keeps
+    no state between calls.  The metavar is the string argparse builds
+    from all choices, so the usage line that an unrecognized-arguments
+    error prints names every subcommand, as the full parser's does; the
+    full parser has none, as it would replace "command" in its errors."""
+    return _top(metavar="{%s}" % ",".join(_COMMANDS))
 
 
 def _run_command(args):
@@ -233,8 +233,14 @@ def _run_command(args):
 
 def run(argv):
     """Parse argv (no program name) and execute; returns the exit code."""
+    if argv and argv[0] in _COMMANDS:
+        parser, subs = _parser()
+        if argv[0] not in subs.choices:
+            _add_command(subs, argv[0])
+    else:
+        parser = _full_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -202,6 +202,8 @@ def bracket_theta_congruence(f, k, p, m, r, m_dilate):
     one = FourierExpansion.constant(1, n, base_bound)
     if not congruent(unit, one, p, 1).holds:
         raise ValueError("theta series failed the unit congruence")
-    diff = rankin_cohen(f, (unit ** (p ** (m - 1)) - one).dilate(dil), r, k, l)
+    # a first power and a dilation by 1 would only copy the series
+    g = (unit ** (p ** (m - 1)) if m > 1 else unit) - one
+    diff = rankin_cohen(f, g.dilate(dil) if dil > 1 else g, r, k, l)
     zero = FourierExpansion.zero(n, diff.trace_bound, diff.shape)
     return congruent(diff, zero, p, m + vp(c, p))

@@ -835,6 +835,25 @@ class TestRobustness:
         assert json.loads(capsys.readouterr().out) == {"rank": 1, "gram": [[2]]}
 
 
+# which subcommands run's parser holds after each command of a fresh
+# process, with build_parser made to fail
+SUBPARSERS_HELD = """
+import json
+from siegelq import cli
+
+def refuse():
+    raise AssertionError("full parser built")
+
+cli.build_parser = refuse
+held = []
+for argv in (["gram-a", "--rank", "2"], ["delta", "--trace-bound", "1"],
+             ["gram-a", "--rank", "1"]):
+    assert cli.run(argv) == 0
+    held.append(sorted(cli._parser()[1].choices))
+print(json.dumps(held))
+"""
+
+
 class TestParser:
     def subcommands(self):
         parser = cli.build_parser()
@@ -871,6 +890,50 @@ class TestParser:
         for command in commands:
             assert run(command.split()[1:]) == 0
         assert capsys.readouterr().out == report
+
+    def test_run_speaks_like_the_full_parser(self, tmp_path, capsys):
+        # run parses a named subcommand with its own growing parser and
+        # anything else with the full one; every usage path must print
+        # what the full parser prints, whichever subcommands run has added
+        def full(argv):
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return 2 if exc.code else 0
+            raise AssertionError(argv)
+
+        f = tmp_path / "f.json"
+        write(f, qexpansion.to_json_dict(qexpansion.eisenstein(4, 2)))
+        cases = [[name, "-h"] for name in self.subcommands()]
+        cases += [["eisenstein", "--weight", "4"], ["gram-a", "--rank", "x"],
+                  ["gram-a", "--rank", "2", "extra"],
+                  ["vp", "--f", str(f), "--value", "3", "--prime", "3"],
+                  [], ["-h"], ["nonsense"], ["--foo", "theta"]]
+        commands = [["gram-a", "--rank", "2"], ["delta", "--trace-bound", "2"],
+                    ["vp", "--f", str(f), "--prime", "3"]]
+        for commands_first in (True, False):
+            cli._parser.cache_clear()
+            cli._full_parser.cache_clear()
+            for argv in commands if commands_first else []:
+                assert run(argv) == 0
+            capsys.readouterr()
+            for argv in cases:
+                code = run(argv)
+                got = capsys.readouterr()
+                assert (full(argv), capsys.readouterr()) == (code, got), argv
+            for argv in commands:
+                assert run(argv) == 0
+                got = capsys.readouterr()
+                assert cli._run_command(cli.build_parser().parse_args(argv)) == 0
+                assert capsys.readouterr() == got, argv
+
+    def test_a_command_builds_only_its_subparser(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(siegelq.__file__)))
+        done = subprocess.run([sys.executable, "-c", SUBPARSERS_HELD], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=False)
+        assert done.returncode == 0, done.stderr.decode("utf-8")
+        held = json.loads(done.stdout.decode("utf-8").splitlines()[-1])
+        assert held == [["gram-a"], ["delta", "gram-a"], ["delta", "gram-a"]]
 
     def test_every_subcommand_has_an_action(self):
         for name, sub in self.subcommands().items():

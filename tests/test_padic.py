@@ -440,6 +440,31 @@ class TestBracketThetaCongruence:
             bracket_theta_congruence(f, 4, 5, 1, r, 1)
             assert calls == ["bracket"]
 
+    def test_no_first_power_and_no_dilation_by_one(self, monkeypatch):
+        calls = []
+        pow_, dilate = FourierExpansion.__pow__, FourierExpansion.dilate
+
+        def counted_pow(self, exponent):
+            calls.append(("pow", exponent))
+            return pow_(self, exponent)
+
+        def counted_dilate(self, c):
+            calls.append(("dilate", c))
+            return dilate(self, c)
+
+        monkeypatch.setattr(FourierExpansion, "__pow__", counted_pow)
+        monkeypatch.setattr(FourierExpansion, "dilate", counted_dilate)
+        f = eisenstein(4, 4)
+        for m, m_dilate, want in ((1, 1, [("pow", 2)]),
+                                  (2, 1, [("pow", 2), ("pow", 3)]),
+                                  (1, 2, [("pow", 2), ("dilate", 3)]),
+                                  (2, 2, [("pow", 2), ("pow", 3), ("dilate", 3)])):
+            calls.clear()
+            rep = bracket_theta_congruence(f, 4, 3, m, 1, m_dilate)
+            assert calls == want
+            assert rep.to_json_dict() == two_series_bracket_congruence(
+                f, 4, 3, m, 1, m_dilate).to_json_dict()
+
     def test_reference_factor_never_vanishes(self):
         # rep_numbers takes degree 1..3, so r <= 3, and l = (p - 1) p^(m-1) >= 2,
         # so each factor l - (r-1)/2 + i/2 of (-1)^r c is at least 1
