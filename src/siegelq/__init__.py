@@ -3,7 +3,6 @@ forms: lattice theta series, minor theta operators, Rankin-Cohen brackets,
 p-adic congruence verification, and symplectic coset systems mod p."""
 
 from .halfint import (
-    HalfIntegralMatrix,
     block_count,
     compound,
     enumerate_indices,
@@ -48,7 +47,6 @@ from .symplectic import (
 )
 
 __all__ = [
-    "HalfIntegralMatrix",
     "block_count",
     "compound",
     "enumerate_indices",

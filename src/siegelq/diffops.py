@@ -130,12 +130,13 @@ def rankin_cohen(f, g, r, weight_f, weight_g):
     in T1.  For n = r = 1 this is k f theta(g) - l theta(f) g.  Result
     shape ('compound', r), exact to the shared trace bound.
 
-    The result's weight is k + l, the power of det in its automorphy
-    factor; the ('compound', r) shape carries the rest.  So at degree 1,
-    where each order adds a factor (c z + d)^2, [E4, E6] = -3456 Delta
-    records weight 10 although Delta has weight 12 = 10 + 2r.  The weight
-    is None unless both f and g carry one; the level is a shared one, as
-    for the ring product, and there is no character.
+    The result's weight is f.weight + g.weight, the weights the series
+    carry and not the k and l given here, and None unless both carry one.
+    It is the power of det in the automorphy factor; the ('compound', r)
+    shape carries the rest.  So at degree 1, where each order adds a
+    factor (c z + d)^2, [E4, E6] = -3456 Delta records weight 10 although
+    Delta has weight 12 = 10 + 2r.  The level is a shared one, as for the
+    ring product, and there is no character.
 
     Computed entry by entry through _laplace_split: entry (I, J) is one
     _pair_loop over the signed, weighted products M_(I-K, J-L) f * M_(K, L) g

@@ -351,10 +351,11 @@ def even_symmetric(d, name):
 
 
 class HalfIntegralMatrix:
-    """Fourier index T, stored via its doubled matrix 2T.
-
-    The doubled matrix must be integral, symmetric, with even diagonal;
-    equality and hashing use it directly, and key_sort orders it."""
+    """A Fourier index T, stored via its doubled matrix 2T: integral,
+    symmetric, with even diagonal.  Series keys are 2T as tuples of row
+    tuples, never this class, and no program path builds one: it is kept
+    only because the benchmark's tracer (perfbench/spans.py) counts calls
+    of is_psd, and goes when the tracer stops naming it."""
 
     __slots__ = ("degree", "doubled")
 
@@ -362,25 +363,9 @@ class HalfIntegralMatrix:
         self.doubled = even_symmetric(square_matrix(doubled, "2T"), "2T")
         self.degree = len(self.doubled)
 
-    @property
-    def trace(self):
-        return key_trace(self.doubled)
-
-    def rational(self):
-        """T itself, as a Fraction matrix."""
-        return key_half(self.doubled)
-
     def is_psd(self):
         """True iff T >= 0, decided by psd_rows on 2T."""
         return psd_rows(self.doubled) is not None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HalfIntegralMatrix) and self.doubled == other.doubled
-        )
-
-    def __hash__(self):
-        return hash(self.doubled)
 
     def __repr__(self):
         return "HalfIntegralMatrix(%r)" % (self.doubled,)
@@ -392,11 +377,6 @@ def key_trace(key):
     for i, row in enumerate(key):
         trace += row[i]
     return trace // 2
-
-
-def key_half(key):
-    """T itself, as a Fraction matrix, from its doubled key matrix."""
-    return tuple(tuple(Fraction(x, 2) for x in row) for row in key)
 
 
 def key_sort(key):

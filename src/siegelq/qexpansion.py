@@ -72,7 +72,6 @@ from operator import add, itemgetter
 
 from .halfint import (
     SIZE_LIMIT,
-    HalfIntegralMatrix,
     as_rational,
     block_count,
     even_symmetric,
@@ -329,7 +328,7 @@ class FourierExpansion:
         stored = {}
         for key, value in pairs:
             t = self._index(key, name)
-            # a tuple and a HalfIntegralMatrix of one 2T are two dict keys
+            # a dict holds each 2T once, but a document's array can repeat one
             if t in stored:
                 raise ValueError("duplicate %s %r" % (name, t))
             if psd_rows(t) is None:
@@ -369,14 +368,10 @@ class FourierExpansion:
         return sorted(self.coeffs, key=key_sort)
 
     def _index(self, key, name="2T"):
-        """The key (2T as nested ints, or a HalfIntegralMatrix) as its
-        doubled matrix, read once (by square_matrix as name, unless it is a
-        HalfIntegralMatrix) and checked, in this order, symmetric with even
-        diagonal, of this degree and with trace within the bound."""
-        if isinstance(key, HalfIntegralMatrix):
-            t = key.doubled
-        else:
-            t = even_symmetric(square_matrix(key, name), name)
+        """The key, 2T as nested ints, as a tuple of row tuples, read once
+        by square_matrix as name and checked, in this order, symmetric with
+        even diagonal, of this degree and with trace within the bound."""
+        t = even_symmetric(square_matrix(key, name), name)
         if len(t) != self.degree:
             raise ValueError("key degree mismatch: 2T %r has degree %d, the series %d"
                              % (t, len(t), self.degree))
@@ -387,8 +382,8 @@ class FourierExpansion:
         return t
 
     def coefficient(self, key):
-        """Coefficient at T (doubled matrix, nested sequence of ints, or a
-        HalfIntegralMatrix).  Asking beyond the trace bound is an error."""
+        """Coefficient at T, keyed by 2T as nested ints.  Asking beyond the
+        trace bound is an error."""
         t = self._index(key)
         if self.shape == SCALAR:
             return self.coeffs.get(t, Fraction(0))
@@ -501,10 +496,7 @@ class FourierExpansion:
     def dilate(self, c):
         """Substitution q^T -> q^(cT); the bound grows to c * N."""
         require_int(c, "factor", 1)
-        coeffs = {
-            tuple(tuple(c * x for x in row) for row in k): v
-            for k, v in self.coeffs.items()
-        }
+        coeffs = {mat_scale(c, k): v for k, v in self.coeffs.items()}
         level = None if self.level is None else c * self.level
         return _trusted(self.degree, c * self.trace_bound, coeffs, self.shape,
                         self.weight, level, self.character)

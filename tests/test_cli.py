@@ -438,7 +438,7 @@ class TestRobustness:
         assert run(["up", "--f", str(f), "--prime", "1"]) == 2
         assert run(["mul", "--f", str(f), "--g", "/nonexistent.json"]) == 2
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text("{not json", encoding="utf-8")
         assert run(["up", "--f", str(bad), "--prime", "3"]) == 2
         capsys.readouterr()
         dup = read(f)
@@ -792,7 +792,7 @@ class TestRobustness:
     def test_deep_nesting_exits_two(self, tmp_path, capsys):
         # the parser's recursion limit is an input error, not a traceback
         deep = tmp_path / "deep.json"
-        deep.write_text("[" * 200000 + "]" * 200000)
+        deep.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
         assert run(["vp", "--f", str(deep), "--prime", "5"]) == 2
         assert run(["theta", "--gram", str(deep), "--degree", "1",
                     "--trace-bound", "2"]) == 2

@@ -26,7 +26,6 @@ from siegelq.halfint import (
     compound,
     det,
     enumerate_indices,
-    key_half,
     mat_add,
     mat_scale,
     minor,
@@ -247,7 +246,7 @@ def test_theta_operator_is_compound_times_coefficient(case):
     f, r = case
     expect = {}
     for key, value in f.coeffs.items():
-        block = compound(key_half(key), r)
+        block = compound(mat_scale(Fraction(1, 2), key), r)
         if any(x for row in block for x in row):
             expect[key] = tuple(tuple(value * x for x in row) for row in block)
     th = theta_operator(f, r)

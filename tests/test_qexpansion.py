@@ -860,19 +860,16 @@ class TestValidation:
         with pytest.raises(TypeError, match="expected a FourierExpansion"):
             f + 1
 
-    def test_aliased_keys_rejected(self):
-        # a tuple and a HalfIntegralMatrix of one 2T are different dict
-        # keys; the second no longer overwrites the first, even when one
-        # of the two values is zero
-        for first, second in ((1, 5), (0, 5), (1, 0), (0, 0)):
-            with pytest.raises(ValueError, match=re.escape("duplicate key ((2,),)")):
-                FourierExpansion(1, 2, {key1(1): first,
-                                        HalfIntegralMatrix(key1(1)): second})
-        with pytest.raises(ValueError, match="duplicate key"):
-            FourierExpansion(1, 1, {key1(0): [[0]], HalfIntegralMatrix(key1(0)): [[1]]},
-                             ("compound", 1))
-        f = FourierExpansion(1, 2, {key1(1): 3, HalfIntegralMatrix(key1(2)): 0})
-        assert f.coeffs == {key1(1): 3}
+    def test_half_integral_matrix_is_not_a_key(self):
+        # a key is 2T as nested ints only; the class is not exported
+        t = HalfIntegralMatrix(key1(1))
+        quoted = re.escape("must be a non-empty square array of arrays, got %r" % t)
+        with pytest.raises(ValueError, match="^key " + quoted + "$"):
+            FourierExpansion(1, 2, {t: 1})
+        with pytest.raises(ValueError, match="^2T " + quoted + "$"):
+            eisenstein(4, 2).coefficient(t)
+        assert "HalfIntegralMatrix" not in siegelq.__all__
+        assert not hasattr(siegelq, "HalfIntegralMatrix")
 
     def test_block_width_limit(self):
         # C(12, 2) = 66 rows is wider than SIZE_LIMIT, made or read;

@@ -19,7 +19,7 @@ import pytest
 
 from siegelq import halfint, qexpansion
 from siegelq.diffops import rankin_cohen
-from siegelq.halfint import HalfIntegralMatrix, enumerate_indices
+from siegelq.halfint import enumerate_indices
 from siegelq.qexpansion import (
     FourierExpansion,
     dumps,
@@ -31,8 +31,8 @@ from siegelq.qexpansion import (
 )
 
 # (name, degree, trace bound, keys): each key list holds one malformed key,
-# or a 2T given twice; the constructor gets tuples (a repeat as a tuple and
-# a HalfIntegralMatrix, two dict keys), the document the same rows as lists
+# or a 2T given twice; the constructor gets tuples, the document the same
+# rows as lists.  A dict holds a 2T once, so only a document can repeat one.
 MALFORMED_KEYS = [
     ("ragged", 2, 1, [((0, 0), (0,))]),
     ("bool entry", 1, 1, [((True,),)]),
@@ -75,9 +75,6 @@ def document(degree, bound, keys):
 @pytest.mark.parametrize("case", MALFORMED_KEYS, ids=[c[0] for c in MALFORMED_KEYS])
 def test_constructor_and_reader_refuse_alike(case, monkeypatch):
     name, degree, bound, keys = case
-    coeffs = dict.fromkeys(keys, 1)
-    if len(keys) == 2:
-        coeffs = {keys[0]: 1, HalfIntegralMatrix(keys[1]): 1}
     reads = []
     original = qexpansion.square_matrix
 
@@ -86,14 +83,16 @@ def test_constructor_and_reader_refuse_alike(case, monkeypatch):
         return original(rows, *args)
 
     monkeypatch.setattr(qexpansion, "square_matrix", counting)
-    with pytest.raises(ValueError) as built:
-        FourierExpansion(degree, bound, coeffs)
-    # the HalfIntegralMatrix of a repeat is not read again
-    assert reads == [keys[0]]
-    reads.clear()
     with pytest.raises(ValueError) as read:
         loads(document(degree, bound, keys))
     assert reads == [as_lists(k) for k in keys]
+    if len(keys) == 2:
+        assert str(read.value) == "duplicate t2 ((2,),)"
+        return
+    reads.clear()
+    with pytest.raises(ValueError) as built:
+        FourierExpansion(degree, bound, dict.fromkeys(keys, 1))
+    assert reads == keys
     # one message, with the key named as the caller's field and quoted as
     # the caller gave it (tuples or lists)
     assert same_text(str(read.value)) == same_text(str(built.value))
@@ -109,11 +108,8 @@ def same_text(message):
 @pytest.mark.parametrize("case", TWO_FAULTS, ids=[c[0] for c in TWO_FAULTS])
 def test_two_faults_give_the_first_message(case, monkeypatch):
     name, degree, bound, keys, message = case
-    coeffs = {keys[0]: 1}
-    if len(keys) == 2:
-        coeffs[HalfIntegralMatrix(keys[1])] = 1
     with pytest.raises(ValueError) as built:
-        FourierExpansion(degree, bound, coeffs)
+        FourierExpansion(degree, bound, dict.fromkeys(keys, 1))
     assert str(built.value) == message
     reads = []
     original = qexpansion.square_matrix
