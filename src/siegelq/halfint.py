@@ -253,6 +253,8 @@ def psd_rows(m):
     bareiss but with no row swap: a zero pivot must head a zero row, which is
     passed over.  The rows, or None iff m is not psd (each pivot is a positive
     multiple of Gauss's); m > 0 iff no pivot is 0, and then they are bareiss's."""
+    if len(m) == 1 == len(m[0]):  # a 1 x 1 matrix is psd iff its entry is >= 0
+        return None if m[0][0] < 0 else m
     a, prev = list(m), 1  # a row is built anew only when a step changes it
     for k, top in enumerate(a):
         pivot = top[k]
@@ -348,6 +350,32 @@ def even_symmetric(d, name):
         if d[i][i] % 2:
             raise ValueError("%s must have even diagonal" % name)
     return d
+
+
+def series_key(t, name, degree, bound):
+    """t, a square int matrix already read as the key 2T of a series of the
+    degree and trace bound, if it is one; else the ValueError of the first
+    check it fails, in this order: symmetric (a 1 x 1 matrix is), even
+    diagonal (even_symmetric's two messages, naming name), of the degree,
+    and trace(T) at most bound.  One loop over the diagonal checks it and
+    sums the trace."""
+    if len(t) > 1 and transpose(t) != t:
+        raise ValueError("%s must be symmetric" % name)
+    trace = i = 0
+    for row in t:
+        x = row[i]
+        if x % 2:
+            raise ValueError("%s must have even diagonal" % name)
+        trace += x
+        i += 1
+    if len(t) != degree:
+        raise ValueError("key degree mismatch: 2T %r has degree %d, the series %d"
+                         % (t, len(t), degree))
+    trace //= 2
+    if trace > bound:
+        raise ValueError("key beyond the trace bound: 2T %r has trace %d > %d"
+                         % (t, trace, bound))
+    return t
 
 
 class HalfIntegralMatrix:

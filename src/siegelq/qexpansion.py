@@ -15,12 +15,14 @@ block result is a grid of packed entries, which _blocks decodes.
 Keys are checked once, at the boundary.  FourierExpansion(...) is for outside
 input (user code, constant, zero, JSON): it checks the metadata, then reads
 its (key, value) pairs in one private loop, _terms, which from_json_dict runs
-too on a document's (t2, value) entries.  That loop reads each key once, by
-square_matrix (2T integral; an exact int entry costs no call), and checks it
-symmetric with even diagonal, of the degree, within the bound, not a repeat
-and positive semidefinite, in that order; it reads each value once, by the
-caller's rule (as_rational for int or Fraction values, rational_from_str for
-a document's strings, an "n/1" with no gcd), and drops zeros.  A series
+too on a document's (t2, value) entries, which it takes from each entry
+directly.  That loop reads each key once, by square_matrix (2T integral; an
+exact int entry costs no call), and checks it symmetric with even diagonal,
+of the degree and within the bound, in one ordered pass (halfint.series_key),
+then not a repeat and positive semidefinite (a 1 x 1 key by its sign), in
+that order; it reads each value once, by the caller's rule (as_rational for
+int or Fraction values, rational_from_str for a document's strings, an "n/1"
+with no gcd), and drops zeros.  A series
 computed from valid series (the ring operations, _decode, _blocks, theta
 series) or from an integer closed form (eisenstein, delta) is wrapped by the
 private _trusted without checks; each such builder stores only nonzero
@@ -74,7 +76,6 @@ from .halfint import (
     SIZE_LIMIT,
     as_rational,
     block_count,
-    even_symmetric,
     is_int,
     key_sort,
     key_trace,
@@ -85,6 +86,7 @@ from .halfint import (
     psd_rows,
     require_instance,
     require_int,
+    series_key,
     square_matrix,
     symmetric,
     zero_matrix,
@@ -319,8 +321,9 @@ class FourierExpansion:
 
     def _terms(self, pairs, name, rule):
         """The coefficients to store from the (key, value) pairs, each
-        read once.  A key is read by _index under the field name name, then
-        checked not a repeat and positive semidefinite; a value is
+        read once.  A key is read and checked by _index under the field
+        name name, then checked not a repeat and positive semidefinite
+        (psd_rows decides a 1 x 1 key by its sign); a value is
         rule(value, "value"), or a block of this shape's size whose entries
         rule reads.  Zero values are dropped."""
         scalar = self.shape == SCALAR
@@ -369,17 +372,10 @@ class FourierExpansion:
 
     def _index(self, key, name="2T"):
         """The key, 2T as nested ints, as a tuple of row tuples, read once
-        by square_matrix as name and checked, in this order, symmetric with
-        even diagonal, of this degree and with trace within the bound."""
-        t = even_symmetric(square_matrix(key, name), name)
-        if len(t) != self.degree:
-            raise ValueError("key degree mismatch: 2T %r has degree %d, the series %d"
-                             % (t, len(t), self.degree))
-        trace = key_trace(t)
-        if trace > self.trace_bound:
-            raise ValueError("key beyond the trace bound: 2T %r has trace %d > %d"
-                             % (t, trace, self.trace_bound))
-        return t
+        by square_matrix as name and checked by halfint.series_key, in this
+        order, symmetric with even diagonal, of this degree and with trace
+        within the bound."""
+        return series_key(square_matrix(key, name), name, self.degree, self.trace_bound)
 
     def coefficient(self, key):
         """Coefficient at T, keyed by 2T as nested ints.  Asking beyond the
@@ -633,13 +629,12 @@ def json_text(obj):
     anything else is a TypeError.
 
     The stdlib writes indented JSON with one Python generator per nesting
-    level and one chunk per token.  Here each container is one join, and
-    a tuple of exact ints and strs in an array (a matrix row) is formatted
-    once per call for each depth: the memo knows it by identity, so a row
-    tuple written again, as the coset listing's shared rows are, costs one
-    lookup.  Rows that are equal but distinct objects, such as those of a
-    degree-2 series, are formatted each time."""
-    return _json_text(obj, "\n", {})
+    level and one chunk per token.  Here each container is one join.  A
+    whole value, such as a series or a report, is written with no row
+    memo: the program builds every row of a series afresh, so a memo
+    would store each row and find none again.  Only json_write's listing
+    keeps one."""
+    return _json_text(obj, "\n", None)
 
 
 def json_write(obj, opener):
@@ -648,11 +643,12 @@ def json_write(obj, opener):
 
     An iterator is written as the JSON array of its elements, one element
     at a time, so the array is never held whole: each element is
-    formatted by _json_text, with one memo for the whole array, so a row
-    tuple that several elements share is formatted once, and the bytes
-    are those of json_text(list(obj)).  Any other value is formatted
-    whole before opener is called, so a value that cannot be written
-    opens nothing."""
+    formatted by _json_text, with one identity memo for the whole array,
+    so a row tuple that several elements share (the coset listing's rows,
+    which CosetSystem.__iter__ shares by construction) is formatted once,
+    and the bytes are those of json_text(list(obj)).  Any other value is
+    formatted whole by json_text, with no memo, before opener is called,
+    so a value that cannot be written opens nothing."""
     if not isinstance(obj, Iterator):
         text = json_text(obj) + "\n"
         with opener() as handle:
@@ -668,12 +664,14 @@ def json_write(obj, opener):
 
 
 def _json_text(obj, newline, memo):
-    """obj at the depth whose line break and indent is newline; memo maps
-    a depth's newline to a dict from id(t) to (t, its text), for each
-    tuple t of exact ints and strs written as an item of an array at that
-    depth.  Holding t keeps its id from being reused while the memo
-    lives; its items cannot change.  Nothing is hashed by value, so a
-    deeply nested tuple meets the recursion limit, as json.dumps does."""
+    """obj at the depth whose line break and indent is newline.  memo is
+    None (json_text: every row formatted where it stands) or maps a
+    depth's newline to a dict from id(t) to (t, its text), for each tuple
+    t of exact ints and strs written as an item of an array at that depth
+    (json_write's listing).  Holding t keeps its id from being reused
+    while the memo lives; its items cannot change.  Nothing is hashed by
+    value, so a deeply nested tuple meets the recursion limit, as
+    json.dumps does."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
@@ -683,7 +681,7 @@ def _json_text(obj, newline, memo):
         if not obj:
             return "[]"
         inner = newline + "  "
-        rows = memo.get(inner) or memo.setdefault(inner, {})
+        rows = None if memo is None else memo.get(inner) or memo.setdefault(inner, {})
         items = []
         for x in obj:
             kind = type(x)
@@ -691,7 +689,7 @@ def _json_text(obj, newline, memo):
                 items.append(_escape(x))
             elif kind is int:
                 items.append(int.__repr__(x))
-            elif kind is tuple:
+            elif kind is tuple and rows is not None:
                 hit = rows.get(id(x))
                 if hit is None:
                     hit = (x, _json_text(x, inner, memo))
@@ -828,10 +826,22 @@ def from_json_dict(d):
         degree, bound, None, shape,
         weight=None if weight is None else rational_from_str(weight, "weight"),
         level=meta.get("level"), character=meta.get("character"))
-    f.coeffs = f._terms(
-        (json_fields(entry, "coefficient entry", "t2", "value") for entry in entries),
-        "t2", rational_from_str)
+    f.coeffs = f._terms(_entry_fields(entries), "t2", rational_from_str)
     return f
+
+
+def _entry_fields(entries):
+    """The (t2, value) of each document entry, in order, read directly
+    from a dict that has both; json_fields reads any other entry, and so
+    refuses it with its message."""
+    for entry in entries:
+        pair = None
+        if type(entry) is dict:
+            try:
+                pair = entry["t2"], entry["value"]
+            except KeyError:
+                pass
+        yield pair or json_fields(entry, "coefficient entry", "t2", "value")
 
 
 def dumps(f):

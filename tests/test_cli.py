@@ -321,6 +321,37 @@ class TestCongruenceCommands:
             True, 2, 3, 2)
         assert body["witness_t2"] == [[2, -1], [-1, 2]]
 
+    def test_ci_read_back_pinned(self, tmp_path):
+        # the CI workflow's read-back steps: a degree-3 series (theta of A4
+        # at trace bound 2) read by pow, and a block-valued series (the
+        # order-1 theta operator of the A2 theta series at degree 2) read
+        # by mul with a scalar series
+        def path(name):
+            return str(tmp_path / (name + ".json"))
+
+        for argv in (["gram-a", "--rank", "2", "-o", path("a2")],
+                     ["theta", "--gram", path("a2"), "--degree", "2", "--trace-bound", "2",
+                      "-o", path("th")],
+                     ["gram-a", "--rank", "4", "-o", path("a4")],
+                     ["theta", "--gram", path("a4"), "--degree", "3", "--trace-bound", "2",
+                      "-o", path("th3")],
+                     ["pow", "--f", path("th3"), "--exp", "2", "-o", path("th3sq")],
+                     ["thetaop", "--f", path("th"), "--minor-order", "1", "-o", path("to")],
+                     ["mul", "--f", path("to"), "--g", path("th"), "-o", path("tomul")]):
+            assert run(argv) == 0
+        digests = {}
+        for name in ("th3", "th3sq", "to", "tomul"):
+            with open(path(name), "rb") as handle:
+                digests[name] = hashlib.sha256(handle.read()).hexdigest()
+        assert digests == {
+            "th3": "3d759299cc75f8d7863b684cb7fafe7f5cae1636f099659ae0f758aa1a84768b",
+            "th3sq": "aca4274a7c9bfb0c2996e2cc3ba989be59aade89ca2b6765e1420309100975f2",
+            "to": "8da43d07d7ed512669272b5c9d9b8d1cb5d7418279e4a50f2fac3e2a88b9c513",
+            "tomul": "90338777b3e54bc9c5fac3f0efb794ccd5c080a952d57a1c2d42fad6f2220fa5",
+        }
+        assert (read(path("th3"))["degree"], read(path("tomul"))["shape"]) == (
+            3, {"compound": 1})
+
     def test_thm41_order_refused_before_the_unit_series(self, tmp_path, monkeypatch,
                                                         capsys):
         # a minor order above the degree exits 2 before the theta series of

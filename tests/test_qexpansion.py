@@ -1211,12 +1211,37 @@ class TestJsonText:
                      [(0,), (False,)], ((False,), (0,)), [[[0]], [(False,)]],
                      {"a": (1,), "b": (True,)}):
             assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+            # json_text keeps no memo; a listing does, and written twice
+            # the tree's tuples are looked up by identity
+            for items in ([tree, tree],) + (() if type(tree) is dict else (tree,)):
+                assert self.written(items) == json.dumps(
+                    list(items), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def written(items):
         handle = io.StringIO()
         json_write(iter(items), lambda: contextlib.nullcontext(handle))
         return handle.getvalue()
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_series_documents_are_written_as_the_stdlib_writes(self, degree):
+        rng = random.Random(40 + degree)
+        bound = (8, 3, 2)[degree - 1]
+        keys = enumerate_indices(degree, bound)
+        # a product's keys are built by the decoder, f's are the caller's
+        scalar = FourierExpansion(degree, bound, {t: rng.randint(-3, 3) for t in keys})
+        for shape in ["scalar"] + [("compound", r) for r in range(1, degree + 1)]:
+            size = 1 if shape == "scalar" else comb(degree, shape[1])
+
+            def value():
+                x = Fraction(rng.randint(-99, 99), rng.choice([1, 3, 8]))
+                return x if shape == "scalar" else [[Fraction(rng.randint(-9, 9), 2)
+                                                     for _ in range(size)] for _ in range(size)]
+
+            f = FourierExpansion(degree, bound, {t: value() for t in keys}, shape,
+                                 weight=Fraction(degree + 3, 2), level=4, character="chi")
+            for obj in (to_json_dict(f), to_json_dict(f * scalar)):
+                assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
     def test_memo_knows_a_written_tuple_only_at_its_depth(self):
         # the memo keeps one tuple per depth and value; a row written again

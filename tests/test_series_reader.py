@@ -2,13 +2,19 @@
 and from_json_dict share one term loop.
 
 Each key is read once, by square_matrix, and checked symmetric with even
-diagonal, of the degree, within the bound, not a repeat and positive
-semidefinite; each value is read once, by as_rational (constructor) or
-rational_from_str (document).  So a malformed key is refused the same way
-by both, a valid document reads back the series it was written from, and
+diagonal, of the degree and within the bound by one ordered pass,
+halfint.series_key, then not a repeat and positive semidefinite; each
+value is read once, by as_rational (constructor) or rational_from_str
+(document), and a document entry's t2 and value are taken from it
+directly.  So a malformed key is refused the same way by both, a valid
+document reads back the series it was written from, and
 rational_from_str agrees with Fraction on every string it accepts.
+series_key is checked against the chain of checks it replaced
+(even_symmetric, the degree, key_trace against the bound) on every small
+matrix, and psd_rows's sign test of a 1 x 1 key against the elimination.
 """
 
+import itertools
 import json
 import random
 import sys
@@ -140,6 +146,72 @@ def test_each_key_and_value_is_read_once(monkeypatch):
     # its Fraction checked by the constructor
     assert counts == {"square_matrix": 13, "rational_from_str": 14, "as_rational": 1}
     assert f == eisenstein(4, 12)
+
+
+def chained_key_check(t, name, degree, bound):
+    """The checks series_key replaced, one after another: even_symmetric,
+    the degree and key_trace against the bound."""
+    halfint.even_symmetric(t, name)
+    if len(t) != degree:
+        raise ValueError("key degree mismatch: 2T %r has degree %d, the series %d"
+                         % (t, len(t), degree))
+    trace = halfint.key_trace(t)
+    if trace > bound:
+        raise ValueError("key beyond the trace bound: 2T %r has trace %d > %d"
+                         % (t, trace, bound))
+    return t
+
+
+def small_matrices():
+    """Every 1 x 1 and 2 x 2 matrix with entries in -3..3, and a seeded
+    sample of 3 x 3 ones."""
+    entries = range(-3, 4)
+    rng = random.Random(4001)
+    for n in (1, 2):
+        for flat in itertools.product(entries, repeat=n * n):
+            yield tuple(flat[i:i + n] for i in range(0, n * n, n))
+    for _ in range(3000):
+        upper = [rng.choice(entries) for _ in range(6)]
+        t = halfint.symmetric(3, upper)
+        if rng.random() < 0.3:  # break the symmetry of some
+            t = (t[0], (t[1][0] + 1,) + t[1][1:], t[2])
+        yield t
+
+
+def test_series_key_agrees_with_the_chain_it_replaced():
+    outcomes = {}
+    for t in small_matrices():
+        for degree in (1, 2, 3):
+            for bound in range(4):
+                try:
+                    want = chained_key_check(t, "t2", degree, bound)
+                except ValueError as error:
+                    with pytest.raises(ValueError) as got:
+                        halfint.series_key(t, "t2", degree, bound)
+                    assert str(got.value) == str(error)
+                    outcome = str(error).split(":")[0]
+                else:
+                    assert halfint.series_key(t, "t2", degree, bound) is want
+                    outcome = "accepted"
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # every check is the first to refuse some keys, and some pass them all
+    assert sorted(outcomes) == ["accepted", "key beyond the trace bound",
+                                "key degree mismatch", "t2 must be symmetric",
+                                "t2 must have even diagonal"]
+    assert min(outcomes.values()) > 100
+
+
+def test_psd_rows_decides_a_1x1_key_by_its_sign():
+    # the 1 x 1 key (x) is psd iff diag(x, 0) and diag(x, 2) are, which
+    # the elimination decides; a psd key's rows are the key itself
+    for x in range(-6, 7):
+        t = ((x,),)
+        rows = halfint.psd_rows(t)
+        for other in (0, 2):
+            assert (rows is None) == (halfint.psd_rows(((x, 0), (0, other))) is None)
+        assert rows is None if x < 0 else rows == t
+    # a 1 x 2 augmented row is not a 1 x 1 key: adjugate still eliminates it
+    assert halfint.adjugate(((6,),)) == (6, ((1,),))
 
 
 def random_series(rng, degree, shape):
